@@ -27,14 +27,14 @@ CentralLoad run_broker(std::size_t n, std::size_t pubs, std::uint64_t seed) {
     clients.push_back(net.spawn<baseline::BrokerClientNode>(broker));
     net.node_as<baseline::BrokerClientNode>(clients.back()).subscribe();
   }
-  net.run_rounds(2);
+  net.run_units(2);
   net.metrics().reset();
   for (std::size_t p = 0; p < pubs; ++p) {
     net.node_as<baseline::BrokerClientNode>(clients[p % n])
         .publish("story " + std::to_string(p));
-    net.run_round();
+    net.run_unit();
   }
-  net.run_rounds(2);
+  net.run_units(2);
   CentralLoad out;
   out.central_in = net.metrics().received_by(broker);
   out.central_out = net.metrics().sent("BrokerDeliver");
@@ -52,9 +52,9 @@ CentralLoad run_supervised(std::size_t n, std::size_t pubs, std::uint64_t seed) 
   sys.net().metrics().reset();
   for (std::size_t p = 0; p < pubs; ++p) {
     sys.pubsub(ids[p % n]).publish("story " + std::to_string(p));
-    sys.net().run_round();
+    sys.net().run_unit();
   }
-  sys.net().run_rounds(2);
+  sys.net().run_units(2);
   CentralLoad out;
   out.central_in = sys.net().metrics().received_by(sys.supervisor_id());
   out.central_out = sys.net().metrics().sent("SetData");
@@ -95,11 +95,11 @@ void BM_BrokerPublish(benchmark::State& state) {
     clients.push_back(net.spawn<baseline::BrokerClientNode>(broker));
     net.node_as<baseline::BrokerClientNode>(clients.back()).subscribe();
   }
-  net.run_rounds(2);
+  net.run_units(2);
   std::size_t i = 0;
   for (auto _ : state) {
     net.node_as<baseline::BrokerClientNode>(clients[i % n]).publish("x");
-    net.run_round();
+    net.run_unit();
     ++i;
   }
 }

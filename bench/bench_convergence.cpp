@@ -349,12 +349,12 @@ void print_experiment() {
       SkipRingSystem sys(SkipRingSystem::Options{.seed = 5 + n, .fd_delay = 0});
       sys.add_subscribers(n);
       sys.run_until_legit(5000);
-      sys.net().run_rounds(3);
+      sys.net().run_units(3);
       sys.net().metrics().reset();
       bool stable = true;
       const std::size_t window = 50;
       for (std::size_t i = 0; i < window; ++i) {
-        sys.net().run_round();
+        sys.net().run_unit();
         stable = stable && sys.topology_legit();
       }
       table.add_row({Table::num(static_cast<std::uint64_t>(n)),

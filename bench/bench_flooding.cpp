@@ -53,7 +53,7 @@ void BM_FloodOneRound(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     sys.pubsub(ids[i % ids.size()]).publish("p" + std::to_string(i));
-    sys.net().run_round();
+    sys.net().run_unit();
     ++i;
   }
 }

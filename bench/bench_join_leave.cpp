@@ -26,10 +26,10 @@ OpCost measure(std::size_t n) {
   sys.run_until_legit(5000);
 
   // Precise steady-state SetData rate (round-robin + Theorem-5 replies).
-  sys.net().run_rounds(3);
+  sys.net().run_units(3);
   sys.net().metrics().reset();
   const std::size_t calib = 200;
-  sys.net().run_rounds(calib);
+  sys.net().run_units(calib);
   const double rate =
       static_cast<double>(sys.net().metrics().sent("SetData")) / calib;
 
@@ -40,7 +40,7 @@ OpCost measure(std::size_t n) {
   sys.net().metrics().reset();
   for (std::size_t i = 0; i < ops; ++i) {
     ids.push_back(sys.add_subscriber());
-    sys.net().run_rounds(settle);
+    sys.net().run_units(settle);
   }
   const double join_configs =
       (static_cast<double>(sys.net().metrics().sent("SetData")) -
@@ -49,11 +49,11 @@ OpCost measure(std::size_t n) {
   const auto join_rounds = sys.run_until_legit(2000);
 
   // 20 interior leaves (each forces the relabel path).
-  sys.net().run_rounds(3);
+  sys.net().run_units(3);
   sys.net().metrics().reset();
   for (std::size_t i = 0; i < ops; ++i) {
     sys.request_unsubscribe(ids[n / 2 + i]);
-    sys.net().run_rounds(settle);
+    sys.net().run_units(settle);
   }
   const double leave_configs =
       (static_cast<double>(sys.net().metrics().sent("SetData")) -
@@ -135,7 +135,7 @@ void BM_SubscribeOp(benchmark::State& state) {
   sys.run_until_legit(5000);
   for (auto _ : state) {
     sys.add_subscriber();
-    sys.net().run_rounds(2);
+    sys.net().run_units(2);
   }
 }
 BENCHMARK(BM_SubscribeOp)->Arg(64)->Arg(512)->Unit(benchmark::kMicrosecond);

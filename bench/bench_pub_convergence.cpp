@@ -41,7 +41,7 @@ SyncCost measure_patricia(std::size_t n, std::size_t pubs, std::uint64_t seed) {
   };
   out.bytes_to_converge = sync_bytes();
   sys.net().metrics().reset();
-  sys.net().run_rounds(20);
+  sys.net().run_units(20);
   out.steady_bytes_per_round = sync_bytes() / 20;
   return out;
 }
@@ -78,7 +78,7 @@ SyncCost measure_naive(std::size_t n, std::size_t pubs, std::uint64_t seed) {
   out.rounds = rounds.value_or(0);
   out.bytes_to_converge = sys.net().metrics().sent_bytes("FullState");
   sys.net().metrics().reset();
-  sys.net().run_rounds(20);
+  sys.net().run_units(20);
   out.steady_bytes_per_round = sys.net().metrics().sent_bytes("FullState") / 20;
   return out;
 }

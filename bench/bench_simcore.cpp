@@ -55,7 +55,7 @@ Cell measure(std::size_t n, std::size_t measure_rounds, int reps,
   for (int rep = 0; rep < reps; ++rep) {
     sys.net().metrics().reset();
     t0 = now_seconds();
-    sys.net().run_rounds(measure_rounds);
+    sys.net().run_units(measure_rounds);
     const double secs = now_seconds() - t0;
     best = std::min(best, secs);
     cell.msgs_per_round =
@@ -141,7 +141,7 @@ void BM_SteadyRoundParallel(benchmark::State& state) {
   sys.add_pubsub_subscribers(n);
   sys.run_until_legit(20000);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sys.net().run_round());
+    benchmark::DoNotOptimize(sys.net().run_unit());
   }
 }
 BENCHMARK(BM_SteadyRoundParallel)
@@ -157,7 +157,7 @@ void BM_SteadyRound(benchmark::State& state) {
   sys.add_pubsub_subscribers(n);
   sys.run_until_legit(20000);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sys.net().run_round());
+    benchmark::DoNotOptimize(sys.net().run_unit());
   }
 }
 BENCHMARK(BM_SteadyRound)
@@ -184,7 +184,7 @@ void BM_EmitDeliverCycle(benchmark::State& state) {
       net.emit<core::msg::Check>(ids[(i * 37) & 1023], ref, believed,
                                  core::IntroFlag::kLinear);
     }
-    benchmark::DoNotOptimize(net.run_round());
+    benchmark::DoNotOptimize(net.run_unit());
   }
   state.SetItemsProcessed(state.iterations() * 1024);
 }

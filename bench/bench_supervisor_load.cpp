@@ -38,9 +38,9 @@ void print_experiment() {
       std::fprintf(stderr, "n=%zu failed to converge\n", n);
       continue;
     }
-    sys.net().run_rounds(5);
+    sys.net().run_units(5);
     sys.net().metrics().reset();
-    sys.net().run_rounds(rounds);
+    sys.net().run_units(rounds);
     const auto& metrics = sys.net().metrics();
     const double requests =
         static_cast<double>(metrics.sent("GetConfiguration") + metrics.sent("Subscribe") +
@@ -66,7 +66,7 @@ void BM_SteadyStateRound(benchmark::State& state) {
   sys.add_subscribers(n);
   sys.run_until_legit(5000);
   for (auto _ : state) {
-    sys.net().run_round();
+    sys.net().run_unit();
   }
   state.counters["msgs/round"] = benchmark::Counter(
       static_cast<double>(sys.net().metrics().total_sent()),

@@ -26,10 +26,10 @@ TopicLoad run_single_supervisor(std::size_t topics, std::size_t subs_per_topic,
   for (TopicId t = 1; t <= topics; ++t) {
     for (sim::NodeId c : clients) net.node_as<MultiTopicNode>(c).subscribe(t);
   }
-  net.run_rounds(80);  // converge every topic ring
+  net.run_units(80);  // converge every topic ring
   net.metrics().reset();
   const std::size_t window = 50;
-  net.run_rounds(window);
+  net.run_units(window);
   TopicLoad out;
   out.supervisor_out_per_round =
       static_cast<double>(net.metrics().sent("SetData")) / window;
@@ -54,10 +54,10 @@ double max_supervisor_in_group(std::size_t topics, std::size_t supervisors,
   for (TopicId t = 1; t <= topics; ++t) {
     for (sim::NodeId c : clients) net.node_as<MultiTopicNode>(c).subscribe(t);
   }
-  net.run_rounds(80);
+  net.run_units(80);
   net.metrics().reset();
   const std::size_t window = 50;
-  net.run_rounds(window);
+  net.run_units(window);
   double worst = 0;
   for (sim::NodeId s : sups) {
     worst = std::max(worst, static_cast<double>(net.metrics().received_by(s)) / window);
@@ -108,8 +108,8 @@ void BM_MultiTopicRound(benchmark::State& state) {
   for (TopicId t = 1; t <= topics; ++t) {
     for (sim::NodeId c : clients) net.node_as<MultiTopicNode>(c).subscribe(t);
   }
-  net.run_rounds(80);
-  for (auto _ : state) net.run_round();
+  net.run_units(80);
+  for (auto _ : state) net.run_unit();
 }
 BENCHMARK(BM_MultiTopicRound)
     ->Arg(4)

@@ -58,7 +58,7 @@ int main() {
     if (i % 2 == 0) reader(i).subscribe(kSports);
     if (i % 3 == 0) reader(i).subscribe(kTech);
   }
-  net.run_rounds(60);
+  net.run_units(60);
   std::printf("\n12 readers subscribed (politics: 12, sports: 6, tech: 4).\n");
 
   // Publishers break stories.
@@ -66,7 +66,7 @@ int main() {
   reader(2).publish(kSports, "cup final goes to penalties");
   reader(3).publish(kTech, "new skip-ring release ships");
   reader(0).publish(kPolitics, "coalition talks begin");
-  net.run_rounds(50);
+  net.run_units(50);
 
   auto coverage = [&](TopicId t) {
     std::size_t subscribed = 0;
@@ -95,7 +95,7 @@ int main() {
   reader(4).unsubscribe(kSports);
   const auto late = net.spawn<MultiTopicNode>(resolver);
   net.node_as<MultiTopicNode>(late).subscribe(kSports);
-  net.run_rounds(80);
+  net.run_units(80);
 
   auto& latecomer = net.node_as<MultiTopicNode>(late);
   std::printf("latecomer holds %zu archived sports stor%s; reader 0 subscribed to "

@@ -29,7 +29,7 @@ class DirectSink final : public MessageSink {
     net_->send(to, std::move(msg));
   }
   sim::MessagePool& pool() override { return net_->pool(); }
-  sim::Round round() const override { return net_->clock_now(); }
+  sim::Round round() const override { return net_->unit_now(); }
   void publication_delivered(sim::Round latency) override {
     net_->record_delivery_latency(telemetry::LatencyTracker::kNoTopic, latency);
   }

@@ -50,7 +50,7 @@ void Executor::barrier() {
 Enabled Executor::enabled() {
   SSPS_ASSERT_MSG(primed_, "enabled: prime a round first");
   Enabled out;
-  const sim::Network& net = sys_->net();
+  sim::Network& net = sys_->net();
   std::size_t first = 0;
   while (first < batch_ && consumed_[first]) ++first;
   if (first == batch_) return out;  // drained

@@ -18,8 +18,8 @@ namespace ssps::scenario {
 
 /// Scheduler flavor used for the phase budgets.
 enum class Scheduler {
-  kRounds,  ///< synchronous rounds (run_round)
-  kAsync,   ///< randomized asynchronous steps (step); budgets are steps
+  kRounds,  ///< synchronous rounds (serial or parallel round scheduler)
+  kAsync,   ///< randomized asynchronous steps (sched::AsyncScheduler)
   /// Event-driven virtual clock with per-link latency/loss/duplication/
   /// reordering (sim/link.hpp). Budgets count one-second intervals, so
   /// phase durations and latency percentiles read as virtual seconds.

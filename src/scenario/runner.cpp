@@ -66,10 +66,6 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec)
     group_ = std::make_unique<pubsub::SupervisorGroup>(initial, spec_.virtual_nodes);
   }
   if (spec_.exec.scheduler == Scheduler::kTimed) {
-    // Installs the event-driven scheduler and the link model. The network
-    // is still quiescent here (subscribers join in phase 0), which
-    // enable_timed requires.
-    net().enable_timed(spec_.exec.timed);
     // Corrupting links need the damage model: encode, mangle, re-decode
     // through the real wire codec. Installed only when some link class can
     // actually corrupt, so corruption-free timed specs keep reproducing
@@ -77,15 +73,19 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec)
     if (spec_.exec.timed.local.corrupt > 0.0 ||
         spec_.exec.timed.remote.corrupt > 0.0) {
       corrupter_ = std::make_unique<wire::CodecCorrupter>();
-      net().set_corrupter(corrupter_.get());
     }
+    // Installs the event-driven scheduler and the link model. The network
+    // is still quiescent here (subscribers join in phase 0), which the
+    // engine requires.
+    auto timed = std::make_unique<sched::TimedScheduler>(net(), spec_.exec.timed,
+                                                         corrupter_.get());
+    timed_ = timed.get();
+    net().set_scheduler(std::move(timed));
   } else if (spec_.exec.scheduler == Scheduler::kAsync) {
     // The async stepper sits behind the same seam as the other flavors:
-    // one unit = one randomized step, probe sampling on the step stride.
+    // one unit = one randomized step, probe sampling on the step stride,
+    // latency and telemetry on the step clock.
     net().set_scheduler(std::make_unique<sched::AsyncScheduler>());
-    // Async runs measure latency and stamp telemetry on the step clock —
-    // the round counter barely moves under step scheduling.
-    net().set_clock_mode(sim::Network::ClockMode::kSteps);
   }
   // Crash-recovery needs periodic state snapshots to restart from; any
   // scheduler flavor can take them (the capture is a pure state read).
@@ -205,22 +205,20 @@ const PhaseReport& ScenarioRunner::run_phase(std::size_t index) {
 
   sim::Network& network = net();
   network.metrics().reset();
-  const sim::Round round_start = network.round();
-  const sim::Step step_start = network.now();
-  // timed_corrupted is cumulative over the run; the phase reports a delta.
-  const std::uint64_t corrupted_start = network.timed_corrupted();
+  const std::uint64_t unit_start = network.unit_now();
+  // The corruption count is cumulative over the run; the phase reports a
+  // delta.
+  const std::uint64_t corrupted_start = timed_ != nullptr ? timed_->corrupted() : 0;
 
   if (!phase.partitions.empty()) {
-    SSPS_ASSERT_MSG(spec_.exec.scheduler == Scheduler::kTimed,
-                    "phase partitions require the timed scheduler");
+    SSPS_ASSERT_MSG(timed_ != nullptr, "phase partitions require the timed scheduler");
     // Spec windows are relative to the phase start; shift them onto the
     // absolute virtual clock.
-    const std::uint64_t now_s =
-        network.virtual_now_ticks() / sim::kTicksPerInterval;
+    const std::uint64_t now_s = timed_->now_ticks() / sim::kTicksPerInterval;
     for (sim::PartitionWindow w : phase.partitions) {
       w.from_s += now_s;
       w.to_s += now_s;
-      network.add_partition(w);
+      timed_->add_partition(w);
     }
   }
   if (phase.set_fd_delay) apply_fd_delay(*phase.set_fd_delay);
@@ -237,13 +235,8 @@ const PhaseReport& ScenarioRunner::run_phase(std::size_t index) {
         wait_converged(phase.max_rounds, oracle_enabled(phase), out.converged);
   }
 
-  // Rounds and timed intervals both advance the round counter; only the
-  // async scheduler counts raw steps.
-  out.rounds = spec_.exec.scheduler == Scheduler::kAsync
-                   ? static_cast<std::size_t>(network.now() - step_start)
-                   : static_cast<std::size_t>(network.round() - round_start);
-
-  out.corrupted = network.timed_corrupted() - corrupted_start;
+  out.rounds = static_cast<std::size_t>(network.unit_now() - unit_start);
+  if (timed_ != nullptr) out.corrupted = timed_->corrupted() - corrupted_start;
   sample(phase, out);
   if (oracle_enabled(phase)) {
     constexpr std::size_t kMaxDetails = 8;

@@ -20,6 +20,7 @@
 #include "pubsub/topics.hpp"
 #include "scenario/report.hpp"
 #include "scenario/spec.hpp"
+#include "sched/timed.hpp"
 #include "sim/failure_detector.hpp"
 #include "telemetry/round_probe.hpp"
 #include "wire/corrupt.hpp"
@@ -63,6 +64,10 @@ class ScenarioRunner {
 
   /// The underlying network (either mode).
   sim::Network& net();
+
+  /// The installed timed engine (link counters, virtual clock), or null
+  /// unless the spec runs on the timed scheduler.
+  const sched::TimedScheduler* timed() const { return timed_; }
 
   // ---- single-topic-mode access (aborts in multi-topic mode) -----------
   pubsub::PubSubSystem& single();
@@ -124,8 +129,11 @@ class ScenarioRunner {
 
   /// Corrupting-link damage model (wire/corrupt.hpp), installed when a
   /// timed spec sets a nonzero LinkProfile::corrupt on any link class.
-  /// Owned here; the network holds a raw pointer for the run's lifetime.
+  /// Owned here; the timed engine holds a raw pointer for the run's
+  /// lifetime.
   std::unique_ptr<wire::CodecCorrupter> corrupter_;
+  /// The timed engine, owned by the network (null unless timed).
+  sched::TimedScheduler* timed_ = nullptr;
   /// Single-topic crash log in crash order; ChurnWave::recoveries
   /// restarts from the front (oldest crash first).
   std::vector<sim::NodeId> crashed_single_;

@@ -28,26 +28,27 @@ class BranchScheduler final : public Scheduler {
   /// Starts a round: advances the step clock, swaps the in-flight buffer
   /// out as this round's batch (seeded shuffle + group by target), and
   /// returns the batch size. Grouped slots [0, batch) are then pending
-  /// delivery; scatter_offsets()[v] bounds target id v's group.
-  std::size_t prime(sim::Network& net) { return net.round_begin(); }
+  /// delivery; group_end(v) bounds target id v's group.
+  std::size_t prime(sim::Network& net) { return sim::EngineSeam(net).round_begin(); }
 
   /// The i-th grouped slot of the primed batch. Valid until barrier();
   /// reading a slot already passed to deliver()/discard() is invalid (its
   /// message handle has been consumed).
-  const sim::Envelope& slot(const sim::Network& net, std::size_t i) const {
-    return net.grouped_[i];
+  const sim::Envelope& slot(sim::Network& net, std::size_t i) const {
+    return sim::EngineSeam(net).grouped(i);
   }
 
   /// END offset of target id v's group in the primed batch (offset 0 is
   /// implicit), exactly the shard-boundary table the parallel scheduler
   /// slices with.
-  std::uint32_t group_end(const sim::Network& net, std::uint64_t v) const {
-    return net.scatter_offsets_[static_cast<std::size_t>(v)];
+  std::uint32_t group_end(sim::Network& net, std::uint64_t v) const {
+    return sim::EngineSeam(net).group_end(v);
   }
 
   /// Delivers grouped slot i (returns 1, or 0 if the target crashed).
   std::size_t deliver(sim::Network& net, std::size_t i) {
-    return net.deliver_grouped_range(i, i + 1, net.main_ctx_);
+    sim::EngineSeam seam(net);
+    return seam.deliver(i, i + 1, seam.main_ctx());
   }
 
   /// Discards grouped slot i undelivered — the mutation hook for seeded
@@ -55,29 +56,35 @@ class BranchScheduler final : public Scheduler {
   /// Mirrors the crashed-target path: the message invokes no action and
   /// its pool slot is reclaimed.
   void discard(sim::Network& net, std::size_t i) {
-    const sim::Envelope& env = net.grouped_[i];
-    net.trace_forget(env.msg);
-    env.pool->destroy(env.msg, env.handle);
+    sim::EngineSeam seam(net);
+    seam.reclaim(seam.grouped(i));
   }
 
   /// Finishes the round once every slot has been delivered or discarded:
   /// fires the id-order timeout sweep and advances the round clock.
   void barrier(sim::Network& net) {
-    net.timeout_sweep();
-    net.round_end();
+    sim::EngineSeam seam(net);
+    seam.timeout_sweep();
+    seam.round_end();
   }
 
   /// Messages sent during the current round (the next round's batch), in
   /// canonical send order — the channel contents the canonical state
   /// encoding serializes.
-  const std::vector<sim::Envelope>& pending(const sim::Network& net) const {
-    return net.pending_;
+  const std::vector<sim::Envelope>& pending(sim::Network& net) const {
+    return sim::EngineSeam(net).lane();
   }
 
   // ---- Scheduler seam --------------------------------------------------
 
   /// One full round in the serial order (prime, deliver all, barrier).
-  std::size_t advance(sim::Network& net) override;
+  std::size_t advance(sim::Network& net) override {
+    const std::size_t batch = prime(net);
+    sim::EngineSeam seam(net);
+    const std::size_t delivered = seam.deliver(0, batch, seam.main_ctx());
+    barrier(net);
+    return delivered;
+  }
   unsigned threads() const override { return 1; }
   std::string_view name() const override { return "branch"; }
 };

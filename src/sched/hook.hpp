@@ -8,9 +8,9 @@
 // is where a replica exchanges barrier frames, verifies relayed message
 // bytes and applies lockstep restore events. Because the wrapper forwards
 // every other virtual (unit shape, sampling, settle stride, metrics
-// flush), installing it changes nothing about the execution the inner
-// scheduler produces: same delivery order, same probe samples, same
-// report bytes.
+// flush, held in-flight messages), installing it changes nothing about
+// the execution the inner scheduler produces: same delivery order, same
+// probe samples, same report bytes.
 #pragma once
 
 #include <cstddef>
@@ -52,6 +52,10 @@ class HookScheduler final : public Scheduler {
   unsigned threads() const override { return inner_->threads(); }
   std::string_view name() const override { return inner_->name(); }
   std::size_t reserved_bytes() const override { return inner_->reserved_bytes(); }
+  void for_each_held(const HeldVisitor& fn) const override { inner_->for_each_held(fn); }
+  void drop_held_for(sim::Network& net, sim::NodeId to) override {
+    inner_->drop_held_for(net, to);
+  }
 
   /// Units executed so far (the barrier round counter).
   std::size_t units() const { return units_; }

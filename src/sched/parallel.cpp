@@ -39,7 +39,7 @@ void ParallelScheduler::stop_workers() {
 void ParallelScheduler::run_slice(Worker& w) {
   sim::detail::tls_send_ctx = &w.ctx;
   sim::detail::tls_free_lane = &w.free_lane;
-  w.delivered = net_->deliver_grouped_range(w.begin, w.end, w.ctx);
+  w.delivered = sim::EngineSeam(*net_).deliver(w.begin, w.end, w.ctx);
   sim::detail::tls_send_ctx = nullptr;
   sim::detail::tls_free_lane = nullptr;
 }
@@ -63,22 +63,23 @@ void ParallelScheduler::worker_main(std::size_t index) {
 
 std::size_t ParallelScheduler::advance(sim::Network& net) {
   SSPS_ASSERT_MSG(!shutdown_, "advance: scheduler was retired");
-  const std::size_t batch = net.round_begin();
+  sim::EngineSeam seam(net);
+  const std::size_t batch = seam.round_begin();
   const std::size_t worker_count = workers_.size();
 
   // Static shard partition: contiguous slot-id ranges of equal width.
-  // grouped_ is sorted by target id, so shard w's work is the contiguous
-  // slice [boundary(w), boundary(w + 1)), read off the counting-sort
-  // offsets (after round_begin, scatter_offsets_[v] is the END of id v's
-  // group). Workers past the population get an empty slice. The
-  // partition never influences the trace — only which thread performs
-  // which (unobservable, see parallel.hpp) slice of the work.
-  const std::size_t slots = net.slots_.size();
+  // The grouped batch is sorted by target id, so shard w's work is the
+  // contiguous slice [boundary(w), boundary(w + 1)), read off the
+  // counting-sort offsets (after round_begin, group_end(v) is the END of
+  // id v's group).
+  // Workers past the population get an empty slice. The partition never
+  // influences the trace — only which thread performs which
+  // (unobservable, see parallel.hpp) slice of the work.
+  const std::size_t slots = net.slot_count();
   const std::size_t chunk = (slots + worker_count - 1) / worker_count;
   auto boundary = [&](std::size_t shard) {
     const std::size_t hi = std::min(shard * chunk, slots);
-    return hi == 0 ? std::size_t{0}
-                   : static_cast<std::size_t>(net.scatter_offsets_[hi]);
+    return hi == 0 ? std::size_t{0} : static_cast<std::size_t>(seam.group_end(hi));
   };
   for (std::size_t w = 0; w < worker_count; ++w) {
     workers_[w]->begin = boundary(w);
@@ -96,7 +97,7 @@ std::size_t ParallelScheduler::advance(sim::Network& net) {
   // every slice is empty, so sharding nothing is trace-safe and drain
   // loops don't pay N-1 futile wakeups per round.
   const bool fan_out = worker_count > 1 && batch > 0;
-  net.in_parallel_phase_ = true;
+  seam.set_parallel_phase(true);
   net_ = &net;
   if (fan_out) {
     {
@@ -112,7 +113,7 @@ std::size_t ParallelScheduler::advance(sim::Network& net) {
     done_cv_.wait(lk, [&] { return running_ == 0; });
   }
   net_ = nullptr;
-  net.in_parallel_phase_ = false;
+  seam.set_parallel_phase(false);
 
   // Deterministic merge, in worker order: repatriate deferred frees to
   // the pools that own them, splice each lane onto the main in-flight
@@ -128,22 +129,23 @@ std::size_t ParallelScheduler::advance(sim::Network& net) {
       f.pool->reclaim(f.handle);
     }
     w.free_lane.deferred.clear();
-    net.pending_.insert(net.pending_.end(), w.lane.begin(), w.lane.end());
+    seam.lane().insert(seam.lane().end(), w.lane.begin(), w.lane.end());
     w.lane.clear();
-    net.main_ctx_.swallowed_to_dead += w.ctx.swallowed_to_dead;
+    seam.main_ctx().swallowed_to_dead += w.ctx.swallowed_to_dead;
     w.ctx.swallowed_to_dead = 0;
     delivered += w.delivered;
   }
-  net.timeout_sweep();
-  net.round_end();
+  seam.timeout_sweep();
+  seam.round_end();
   return delivered;
 }
 
 void ParallelScheduler::flush_metrics(sim::Network& net) {
+  sim::EngineSeam seam(net);
   for (std::unique_ptr<Worker>& wp : workers_) {
-    wp->metrics.fold_into(net.metrics_);
+    wp->metrics.fold_into(seam.fold_metrics());
     wp->metrics.reset();
-    wp->latency.fold_into(net.latency_);
+    wp->latency.fold_into(seam.fold_latency());
     wp->latency.reset();
   }
 }

@@ -40,7 +40,7 @@
 //
 // Constraints: topology mutations (spawn/crash/inject) must happen
 // between rounds (Network asserts this during the parallel phase); the
-// asynchronous step() scheduler is unaffected and stays serial.
+// timed and asynchronous schedulers are unaffected and stay serial.
 #pragma once
 
 #include <condition_variable>

@@ -2,11 +2,15 @@
 //
 // sim::Network::run_unit() delegates to the installed Scheduler, which
 // executes one *schedule unit* — a synchronous round, a timed interval, or
-// a single asynchronous step — through the Network's phase helpers
-// (round_begin / deliver_grouped_range / timeout_sweep / round_end, or
-// step / timed_interval). All four execution modes (serial, parallel,
-// async, timed) sit behind this one virtual seam; front-ends like the
-// ScenarioRunner never special-case a mode again.
+// a single asynchronous step. A scheduler is a policy over the paper's
+// model (nodes joined by non-FIFO channels, fair receipt, weakly fair
+// execution); the Network holds only the model itself. Every scheduler
+// drives it through one narrow interface, sim::EngineSeam (round phases,
+// grouped slots, the in-flight lane, the main SendContext, shard fold
+// targets), and keeps whatever else its policy needs as its own state:
+// the timed engine's event heap and link model (timed.hpp), the async
+// engine's fairness indexes (async.hpp). Front-ends like the
+// ScenarioRunner never special-case a mode.
 //
 // The contract every implementation must honor: for a fixed (seed, call
 // sequence), the delivery trace — which message reaches which node in
@@ -20,10 +24,15 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
+#include <memory>
 #include <string_view>
+
+#include "sim/types.hpp"
 
 namespace ssps::sim {
 class Network;
+struct Envelope;
 }  // namespace ssps::sim
 
 namespace ssps::sched {
@@ -84,6 +93,30 @@ class Scheduler {
 
   /// Bytes reserved by scheduler-owned message arenas (worker pools).
   virtual std::size_t reserved_bytes() const { return 0; }
+
+  // ---- In-flight messages held off the Network's lane ------------------
+  // The Network answers its in-flight queries (pending_messages,
+  // pending_for, weakly_connected) and the crash drop over its own lane
+  // plus whatever the engine holds. The defaults — nothing held — are
+  // correct for every round-grained scheduler: their in-flight messages
+  // all sit on the lane between units. A wrapper must forward both.
+
+  using HeldVisitor = std::function<void(const sim::Envelope&)>;
+
+  /// Calls `fn` for every in-flight message this scheduler holds (the
+  /// timed engine's event heap).
+  virtual void for_each_held(const HeldVisitor& fn) const { (void)fn; }
+
+  /// Reclaims every held message addressed to `to` (the crash path:
+  /// messages to a crashed node invoke no action).
+  virtual void drop_held_for(sim::Network& net, sim::NodeId to) {
+    (void)net;
+    (void)to;
+  }
 };
+
+/// The round scheduler for `threads` workers: SerialScheduler for 1, a
+/// ParallelScheduler otherwise (the Network's default and set_threads).
+std::unique_ptr<Scheduler> make_round_scheduler(unsigned threads);
 
 }  // namespace ssps::sched

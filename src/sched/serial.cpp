@@ -5,11 +5,11 @@
 namespace ssps::sched {
 
 std::size_t SerialScheduler::advance(sim::Network& net) {
-  const std::size_t batch = net.round_begin();
-  const std::size_t delivered =
-      net.deliver_grouped_range(0, batch, net.main_ctx_);
-  net.timeout_sweep();
-  net.round_end();
+  sim::EngineSeam seam(net);
+  const std::size_t batch = seam.round_begin();
+  const std::size_t delivered = seam.deliver(0, batch, seam.main_ctx());
+  seam.timeout_sweep();
+  seam.round_end();
   return delivered;
 }
 

@@ -1,4 +1,4 @@
-// The single-threaded round scheduler (the pre-seam run_round path).
+// The single-threaded round scheduler.
 #pragma once
 
 #include "sched/scheduler.hpp"

@@ -15,7 +15,7 @@
 // kTicksPerInterval ticks = 1 virtual second. With the default profile —
 // constant latency of exactly one interval, zero loss — the timed engine
 // reproduces the round scheduler's delivery trace bit-for-bit (see
-// Network::timed_interval), which is both the backward-compatibility
+// sched::TimedScheduler::advance), which is both the backward-compatibility
 // proof and the differential oracle for everything in this file.
 #pragma once
 
@@ -23,9 +23,25 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "sim/message.hpp"
 #include "sim/types.hpp"
 
 namespace ssps::sim {
+
+/// Wire-level damage model for the timed scheduler's corrupting links
+/// (LinkProfile::corrupt). The sim layer owns only the seam: an
+/// implementation serializes the message, mangles the bytes and re-decodes
+/// them, so a corrupted send exercises a real decode path. Returns the
+/// message the receiver ends up decoding (usually different from the
+/// original), or an empty handle when the damage is detected (checksum or
+/// structure) and the bytes are rejected instead of delivered.
+/// wire::CodecCorrupter (src/wire/corrupt.hpp) is the implementation.
+class Corrupter {
+ public:
+  virtual ~Corrupter() = default;
+  virtual PooledMsg corrupt(const Message& m, MessagePool& pool,
+                            ssps::Rng& rng) = 0;
+};
 
 /// Virtual-clock ticks per scheduler interval: 1 tick = 1 ms, one interval
 /// (= one Network round in timed mode) = 1 virtual second.
@@ -59,7 +75,7 @@ struct LinkProfile {
   double duplicate = 0.0;  ///< P(a clone is delivered too, independently)
   double reorder = 0.0;    ///< P(extra jitter pushes it behind later sends)
   /// P(the encoded bytes are mangled in flight). Requires a Corrupter
-  /// installed on the Network (sim/network.hpp): the message is serialized,
+  /// handed to the sched::TimedScheduler: the message is serialized,
   /// damaged (bit-flips, truncation, garbage splice) and re-decoded, so a
   /// corrupted send exercises the real wire-decode path — most manglings
   /// fail the frame checksum and the message is rejected (counted, not

@@ -5,9 +5,7 @@
 
 #include "common/decode.hpp"
 #include "common/encode.hpp"
-#include "sched/parallel.hpp"
-#include "sched/serial.hpp"
-#include "sched/timed.hpp"
+#include "sched/scheduler.hpp"
 #include "sim/trace.hpp"
 #include "telemetry/round_probe.hpp"
 
@@ -22,23 +20,20 @@ Network::Network(std::uint64_t seed) : seed_(seed), rng_(seed) {
   main_ctx_.metrics = &metrics_;
   main_ctx_.pool = &pool_;
   main_ctx_.latency = &latency_;
-  scheduler_ = std::make_unique<sched::SerialScheduler>();
+  scheduler_ = sched::make_round_scheduler(1);
 }
 
 Network::~Network() {
   // The in-flight buffers hold raw pool handles; reclaim them before the
   // pools die so their leak accounting stays exact. Envelopes may live in
   // scheduler-owned worker pools, so drain before the schedulers (and
-  // with them their pools) are destroyed. (The grouped scatter array
-  // never holds handles across run_round calls.)
+  // with them their pools) are destroyed; the installed engine reclaims
+  // whatever it holds as it is destroyed. (The grouped scatter array
+  // never holds handles across units.)
   for (const Envelope& env : pending_) env.pool->destroy(env.msg, env.handle);
   for (const Envelope& env : round_batch_) env.pool->destroy(env.msg, env.handle);
-  for (const TimedEvent& ev : timed_events_) {
-    ev.env.pool->destroy(ev.env.msg, ev.env.handle);
-  }
   pending_.clear();
   round_batch_.clear();
-  timed_events_.clear();
   retired_schedulers_.clear();
   scheduler_.reset();
 }
@@ -61,13 +56,7 @@ NodeId Network::register_node(std::unique_ptr<Node> node) {
   slot.node = std::move(node);
   slot.last_timeout = step_;
   ++alive_count_;
-  alive_cache_valid_ = false;
-  if (async_timeout_heap_valid_) {
-    async_timeout_heap_.push_back(
-        {step_, static_cast<std::uint32_t>(slots_.size() - 1)});
-    std::push_heap(async_timeout_heap_.begin(), async_timeout_heap_.end(),
-                   timeout_entry_later);
-  }
+  ++topology_epoch_;
   raw->on_register();
   return id;
 }
@@ -76,32 +65,18 @@ void Network::drop_pending_for(NodeId to) {
   std::size_t kept = 0;
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     if (pending_[i].to == to) {
-      if (trace_ != nullptr) [[unlikely]] trace_forget(pending_[i].msg);
-      pending_[i].pool->destroy(pending_[i].msg, pending_[i].handle);
+      reclaim(pending_[i]);
     } else {
       pending_[kept++] = pending_[i];
     }
   }
   pending_.resize(kept);
-  // The compaction moved surviving envelopes; the async oldest-first
-  // index would resolve stale positions, so rebuild it lazily.
-  async_msg_heap_.clear();
-  async_synced_ = 0;
-  if (!timed_events_.empty()) {
-    std::size_t kept_ev = 0;
-    for (std::size_t i = 0; i < timed_events_.size(); ++i) {
-      const Envelope& env = timed_events_[i].env;
-      if (env.to == to) {
-        if (trace_ != nullptr) [[unlikely]] trace_forget(env.msg);
-        env.pool->destroy(env.msg, env.handle);
-      } else {
-        timed_events_[kept_ev++] = timed_events_[i];
-      }
-    }
-    timed_events_.resize(kept_ev);
-    std::make_heap(timed_events_.begin(), timed_events_.end(),
-                   timed_event_later);
-  }
+  scheduler_->drop_held_for(*this, to);
+}
+
+void Network::reclaim(const Envelope& env) {
+  if (trace_ != nullptr) [[unlikely]] trace_forget(env.msg);
+  env.pool->destroy(env.msg, env.handle);
 }
 
 const Envelope* Network::find_pending(NodeId from, std::uint64_t seq) const {
@@ -116,8 +91,7 @@ bool Network::replace_pending_message(NodeId from, std::uint64_t seq,
   SSPS_ASSERT(msg);
   for (Envelope& env : pending_) {
     if (env.seq == seq && env.from == from) {
-      if (trace_ != nullptr) [[unlikely]] trace_forget(env.msg);
-      env.pool->destroy(env.msg, env.handle);
+      reclaim(env);
       env.msg = msg.get();
       env.pool = msg.pool();
       env.handle = msg.release();
@@ -139,7 +113,7 @@ void Network::crash(NodeId id) {
   slot->crash_round = round_;
   crash_log_.emplace_back(round_, id);
   --alive_count_;
-  alive_cache_valid_ = false;
+  ++topology_epoch_;
 }
 
 std::optional<Round> Network::crash_round(NodeId id) const {
@@ -188,13 +162,7 @@ bool Network::recover(NodeId id, std::unique_ptr<Node> node) {
   slot->node = std::move(node);
   slot->last_timeout = step_;
   ++alive_count_;
-  alive_cache_valid_ = false;
-  if (async_timeout_heap_valid_) {
-    async_timeout_heap_.push_back(
-        {step_, static_cast<std::uint32_t>(slot - slots_.data())});
-    std::push_heap(async_timeout_heap_.begin(), async_timeout_heap_.end(),
-                   timeout_entry_later);
-  }
+  ++topology_epoch_;
   raw->on_register();
   // Re-resolve: on_register may spawn, which can reallocate the slot table.
   slot = find_slot(id);
@@ -203,17 +171,10 @@ bool Network::recover(NodeId id, std::unique_ptr<Node> node) {
   return raw->restore_state(dec);
 }
 
-void Network::collect_alive(std::vector<NodeId>& out) const {
-  out.clear();
-  out.reserve(alive_count_);
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].node != nullptr) out.push_back(id_at(i));
-  }
-}
-
 std::vector<NodeId> Network::alive_ids() const {
   std::vector<NodeId> ids;
-  collect_alive(ids);
+  ids.reserve(alive_count_);
+  for_each_alive([&](NodeId id, const Node&) { ids.push_back(id); });
   return ids;
 }
 
@@ -225,73 +186,46 @@ void Network::inject(NodeId to, PooledMsg msg) {
   enqueue(main_ctx_, to, std::move(msg));
 }
 
+void Network::for_each_in_flight(
+    const std::function<void(const Envelope&)>& fn) const {
+  for (const Envelope& env : pending_) fn(env);
+  scheduler_->for_each_held(fn);
+}
+
+std::size_t Network::pending_messages() const {
+  std::size_t held = 0;
+  scheduler_->for_each_held([&](const Envelope&) { ++held; });
+  return pending_.size() + held;
+}
+
 std::size_t Network::pending_for(NodeId id) const {
   std::size_t count = 0;
-  for (const Envelope& env : pending_) {
+  for_each_in_flight([&](const Envelope& env) {
     if (env.to == id) ++count;
-  }
-  for (const TimedEvent& ev : timed_events_) {
-    if (ev.env.to == id) ++count;
-  }
+  });
   return count;
 }
 
-void Network::deliver_envelope(const Envelope& env, Node& node) {
-  metrics_.on_deliver(*env.msg, env.to);
-  if (trace_ != nullptr) [[unlikely]] trace_deliver(env);
-  node.handle(PooledMsg(env.pool, env.msg, env.handle));
-}
-
-void Network::deliver_at(std::size_t index) {
-  SSPS_ASSERT(index < pending_.size());
-  const Envelope env = pending_[index];
-  // Non-FIFO channel: order does not matter, so swap-remove.
-  pending_[index] = pending_.back();
-  pending_.pop_back();
-  if (index < pending_.size()) {
-    // The back envelope moved into `index`; its old heap entry no longer
-    // resolves, so index the new position afresh (the stale entry fails
-    // validation and is discarded on pop).
-    async_msg_heap_.push_back({pending_[index].sent_at, pending_[index].seq,
-                               static_cast<std::uint32_t>(index)});
-    std::push_heap(async_msg_heap_.begin(), async_msg_heap_.end(),
-                   msg_entry_later);
-  }
-  if (async_synced_ > pending_.size()) async_synced_ = pending_.size();
+void Network::deliver_one(const Envelope& env) {
   Slot* slot = find_slot(env.to);
   SSPS_ASSERT(slot != nullptr && slot->node != nullptr);
-  deliver_envelope(env, *slot->node);
+  metrics_.on_deliver(*env.msg, env.to);
+  if (trace_ != nullptr) [[unlikely]] trace_deliver(env);
+  slot->node->handle(PooledMsg(env.pool, env.msg, env.handle));
 }
 
 void Network::fire_timeout(Slot& slot) {
   slot.last_timeout = step_;
-  if (async_timeout_heap_valid_) {
-    async_timeout_heap_.push_back(
-        {step_, static_cast<std::uint32_t>(&slot - slots_.data())});
-    std::push_heap(async_timeout_heap_.begin(), async_timeout_heap_.end(),
-                   timeout_entry_later);
-  }
   slot.node->timeout();
 }
 
-std::size_t Network::round_begin() {
+std::size_t Network::round_begin(std::vector<Envelope>& batch) {
   ++step_;
-  // The messages pending at round start become this round's batch;
-  // deliveries enqueue new messages into the (now empty) in-flight
-  // buffer, which belongs to the next round. Batch order is canonical
-  // (send order — under the parallel scheduler, the round-barrier merge
-  // reproduces it exactly), so the shuffled delivery order depends only
-  // on the seed, never on the worker count.
-  round_batch_.clear();
-  std::swap(round_batch_, pending_);
-  // The swap emptied pending_; any async oldest-first entries are stale.
-  async_msg_heap_.clear();
-  async_synced_ = 0;
-  return group_round_batch();
-}
-
-std::size_t Network::group_round_batch() {
-  rng_.shuffle(round_batch_);
+  // Batch order is canonical (send order — under the parallel scheduler,
+  // the round-barrier merge reproduces it exactly; the timed engine's
+  // time-then-send order otherwise), so the shuffled delivery order
+  // depends only on the seed, never on the worker count.
+  rng_.shuffle(batch);
   // Group the shuffled batch by target (stable counting sort), so each
   // node's state is pulled into cache once per round, not once per
   // message. Observably equivalent to delivering in fully shuffled
@@ -301,13 +235,13 @@ std::size_t Network::group_round_batch() {
   // permutation of its own messages (inherited from the shuffle). The
   // same argument is what lets the parallel scheduler deliver disjoint
   // target ranges concurrently (src/sched/parallel.hpp).
-  const std::size_t batch = round_batch_.size();
-  if (grouped_cap_ < batch) {
-    grouped_cap_ = std::max(batch, grouped_cap_ * 2);
+  const std::size_t size = batch.size();
+  if (grouped_cap_ < size) {
+    grouped_cap_ = std::max(size, grouped_cap_ * 2);
     grouped_ = std::make_unique<Envelope[]>(grouped_cap_);
   }
   scatter_offsets_.assign(slots_.size() + 1, 0);
-  for (const Envelope& env : round_batch_) {
+  for (const Envelope& env : batch) {
     ++scatter_offsets_[static_cast<std::size_t>(env.to.value)];
   }
   std::uint32_t running = 0;
@@ -316,14 +250,14 @@ std::size_t Network::group_round_batch() {
     scatter_offsets_[i] = running;
     running += count;
   }
-  for (const Envelope& env : round_batch_) {
+  for (const Envelope& env : batch) {
     grouped_[scatter_offsets_[static_cast<std::size_t>(env.to.value)]++] = env;
   }
   // scatter_offsets_[v] is now the END of target id v's group (groups lie
   // in id order), which is exactly the shard-boundary table the parallel
   // scheduler slices grouped_ with.
-  round_batch_.clear();
-  return batch;
+  batch.clear();
+  return size;
 }
 
 std::size_t Network::deliver_grouped_range(std::size_t begin, std::size_t end,
@@ -338,21 +272,19 @@ std::size_t Network::deliver_grouped_range(std::size_t begin, std::size_t end,
     Slot* slot = find_slot(env.to);
     if (slot->node == nullptr) {
       // Crashed mid-round: reclaim, invoke nothing.
-      if (trace_ != nullptr) [[unlikely]] trace_forget(env.msg);
-      env.pool->destroy(env.msg, env.handle);
+      reclaim(env);
       continue;
     }
     ctx.metrics->on_deliver(*env.msg, env.to);
     if (trace_ != nullptr) [[unlikely]] trace_deliver(env);
-    else if (timed_enabled_ || attribute_sends_) acting_node_ = env.to;
+    else if (attribute_sends_) acting_node_ = env.to;
     slot->node->handle(PooledMsg(env.pool, env.msg, env.handle));
     ++delivered;
   }
-  // Timed mode attributes each handler's sends to the handling node
-  // (trace_deliver does the same when tracing, set_attribute_sends asks
-  // for the same in plain round mode); the guard keeps this a no-write
-  // under the parallel scheduler, where all three are off.
-  if (timed_enabled_ || attribute_sends_) acting_node_ = NodeId::null();
+  // Attribute each handler's sends to the handling node (trace_deliver
+  // does the same when tracing); the guard keeps this a no-write under
+  // the parallel scheduler, where both are off.
+  if (attribute_sends_) acting_node_ = NodeId::null();
   return delivered;
 }
 
@@ -364,10 +296,7 @@ void Network::timeout_sweep() {
   // order within a round is unobservable. Index-based iteration over a
   // size snapshot: a timeout() may spawn (reallocating the table), and
   // nodes born mid-round first fire next round — as before.
-  // A full sweep rewrites every alive last_timeout: cheaper to let the
-  // async index rebuild once on the next step() than to push n updates.
-  async_timeout_heap_valid_ = false;
-  const bool attribute = trace_ != nullptr || timed_enabled_ || attribute_sends_;
+  const bool attribute = trace_ != nullptr || attribute_sends_;
   const std::size_t population = slots_.size();
   std::size_t timeouts = 0;
   for (std::size_t i = 0; i < population; ++i) {
@@ -396,15 +325,13 @@ std::size_t Network::run_unit() {
   return delivered;
 }
 
-std::uint64_t Network::unit_now() const {
-  return scheduler_->unit() == sched::Scheduler::Unit::kStep ? step_ : round_;
-}
-
-void Network::sample_round_probe(std::size_t delivered) {
+void Network::push_sample(std::uint64_t at, std::size_t delivered,
+                          std::size_t timeouts) {
+  if (round_probe_ == nullptr) return;
   telemetry::RoundSample sample;
-  sample.round = round_;
+  sample.round = at;
   sample.delivered = delivered;
-  sample.timeouts = last_round_timeouts_;
+  sample.timeouts = timeouts;
   sample.in_flight = pending_messages();
   sample.alive = alive_count_;
   sample.pool_reserved_bytes = pool_reserved_bytes();
@@ -417,7 +344,7 @@ void Network::run_units(std::size_t k) {
 
 std::optional<std::size_t> Network::run_until(const std::function<bool()>& pred,
                                               std::size_t max_units) {
-  if (scheduler_->unit() == sched::Scheduler::Unit::kStep) {
+  if (step_clock_) {
     // Step-grained schedulers have no quiescent units to skip (a step is
     // one action, or nothing only when the whole system is empty), so the
     // loop simply batches settle_stride units between probes. The stride
@@ -457,11 +384,12 @@ std::optional<std::size_t> Network::run_until(const std::function<bool()>& pred,
 void Network::set_scheduler(std::unique_ptr<sched::Scheduler> scheduler) {
   SSPS_ASSERT(scheduler != nullptr);
   SSPS_ASSERT_MSG(!in_parallel_phase_, "set_scheduler: mid-round");
-  SSPS_ASSERT_MSG(trace_ == nullptr || scheduler->threads() == 1,
-                  "set_scheduler: detach the trace before going parallel");
-  SSPS_ASSERT_MSG(!timed_enabled_ || scheduler->threads() == 1,
-                  "set_scheduler: timed mode is single-threaded");
+  SSPS_ASSERT_MSG((trace_ == nullptr && !attribute_sends_) || scheduler->threads() == 1,
+                  "set_scheduler: tracing and sender attribution are serial-only");
   if (scheduler_ != nullptr) {
+    SSPS_ASSERT_MSG(pending_messages() == pending_.size(),
+                    "set_scheduler: the installed engine still holds in-flight "
+                    "messages");
     // In-flight envelopes may have been allocated from the old
     // scheduler's worker pools; retire it (alive until the Network dies)
     // instead of destroying those slabs under the messages. It will
@@ -470,17 +398,13 @@ void Network::set_scheduler(std::unique_ptr<sched::Scheduler> scheduler) {
     scheduler_->retire();
     retired_schedulers_.push_back(std::move(scheduler_));
   }
+  step_clock_ = scheduler->unit() == sched::Scheduler::Unit::kStep;
   scheduler_ = std::move(scheduler);
 }
 
 void Network::set_threads(unsigned threads) {
   SSPS_ASSERT_MSG(threads >= 1, "set_threads: need at least one worker");
-  if (threads == scheduler_threads()) return;
-  if (threads == 1) {
-    set_scheduler(std::make_unique<sched::SerialScheduler>());
-  } else {
-    set_scheduler(std::make_unique<sched::ParallelScheduler>(threads));
-  }
+  if (threads != scheduler_threads()) set_scheduler(sched::make_round_scheduler(threads));
 }
 
 unsigned Network::scheduler_threads() const { return scheduler_->threads(); }
@@ -547,275 +471,6 @@ std::size_t Network::pool_reserved_bytes() const {
   return pool_.reserved_bytes() + scheduler_->reserved_bytes();
 }
 
-// ---- Timed-mode engine --------------------------------------------------
-
-void Network::enable_timed(const TimedConfig& cfg) {
-  SSPS_ASSERT_MSG(!in_parallel_phase_, "enable_timed: mid-round");
-  SSPS_ASSERT_MSG(pending_.empty() && timed_events_.empty(),
-                  "enable_timed: switch modes before the first send");
-  timed_cfg_ = cfg;
-  timed_enabled_ = true;
-  timed_now_ = round_ * kTicksPerInterval;
-  // The scheduler stream (rng_) must keep drawing exactly the round
-  // scheduler's sequence for the constant-latency equivalence proof, so
-  // link faults and latency sampling draw from a decorrelated stream.
-  link_rng_.reseed(seed_ * 0x9e3779b97f4a7c15ULL + 0x1d8e4e27c47d124fULL);
-  set_scheduler(std::make_unique<sched::TimedScheduler>());
-}
-
-void Network::add_partition(const PartitionWindow& window) {
-  SSPS_ASSERT_MSG(timed_enabled_, "add_partition: enable_timed first");
-  timed_cfg_.partitions.push_back(window);
-}
-
-std::size_t Network::timed_interval() {
-  SSPS_ASSERT(timed_enabled_);
-  ++step_;
-  // Harness sends since the last interval (publishes, injections) are
-  // deemed sent at interval start: with the default constant one-interval
-  // latency they land exactly at this interval's deadline — delivered
-  // this round, as the round scheduler would.
-  schedule_sends(timed_now_);
-  const Step deadline = timed_now_ + kTicksPerInterval;
-  // Pop everything due by the deadline, in (time, send-order) order; that
-  // canonical sequence is the shuffle input, exactly where the round
-  // scheduler feeds its send-ordered batch in.
-  round_batch_.clear();
-  while (!timed_events_.empty() && timed_events_.front().at <= deadline) {
-    std::pop_heap(timed_events_.begin(), timed_events_.end(),
-                  timed_event_later);
-    round_batch_.push_back(timed_events_.back().env);
-    timed_events_.pop_back();
-  }
-  const std::size_t batch = group_round_batch();
-  const std::size_t delivered = deliver_grouped_range(0, batch, main_ctx_);
-  timed_now_ = deadline;
-  // Handler sends happened during this interval; stamp them at its end
-  // (constant-1 latency then puts them at the next deadline in send
-  // order — the next round's batch). Same for the timeout sweep's sends.
-  schedule_sends(timed_now_);
-  timeout_sweep();
-  schedule_sends(timed_now_);
-  round_end();
-  return delivered;
-}
-
-void Network::schedule_sends(Step send_tick) {
-  for (const Envelope& env : pending_) route_envelope(env, send_tick);
-  pending_.clear();
-  async_msg_heap_.clear();
-  async_synced_ = 0;
-}
-
-void Network::route_envelope(const Envelope& env, Step send_tick) {
-  if (!env.from) {
-    // Harness-originated (publish/inject/control plane): models the
-    // experiment driver, not a network link — rides the clock at the
-    // constant one-interval arrival but is exempt from link faults, so a
-    // workload can never be silently unsatisfiable.
-    push_timed_event(send_tick + kTicksPerInterval, env);
-    return;
-  }
-  const LinkProfile& profile = timed_cfg_.profile_between(env.from, env.to);
-  if (timed_cfg_.partitioned(env.from, env.to, send_tick) ||
-      (profile.loss > 0.0 && link_rng_.uniform01() < profile.loss)) {
-    drop_envelope(env);
-    return;
-  }
-  Envelope routed = env;
-  if (corrupter_ != nullptr && profile.corrupt > 0.0 &&
-      link_rng_.uniform01() < profile.corrupt) {
-    // Wire damage: serialize, mangle, re-decode (wire::CodecCorrupter).
-    // Detected damage rejects the bytes — counted, never delivered;
-    // undetected damage yields a valid-but-different message that rides
-    // the link from here exactly like the original would have.
-    ++timed_corrupted_;
-    PooledMsg replacement = corrupter_->corrupt(*routed.msg, pool_, link_rng_);
-    const std::size_t bytes = routed.msg->wire_size();
-    if (trace_ != nullptr) [[unlikely]] trace_forget(routed.msg);
-    routed.pool->destroy(routed.msg, routed.handle);
-    if (!replacement) {
-      ++timed_rejected_;
-      metrics_.on_reject(bytes);
-      return;
-    }
-    routed.msg = replacement.get();
-    routed.pool = replacement.pool();
-    routed.handle = replacement.release();
-  }
-  Step delay = profile.latency.sample_ticks(link_rng_);
-  if (profile.reorder > 0.0 && link_rng_.uniform01() < profile.reorder) {
-    // Reordering = extra jitter that pushes this message behind sends
-    // made up to a full interval later.
-    delay += 1 + link_rng_.below(kTicksPerInterval);
-  }
-  if (profile.duplicate > 0.0 && link_rng_.uniform01() < profile.duplicate) {
-    PooledMsg copy = routed.msg->clone_into(pool_);
-    if (copy) {  // null = not clonable; skip the duplicate
-      Envelope dup;
-      dup.to = routed.to;
-      dup.from = routed.from;
-      dup.sent_at = routed.sent_at;
-      dup.seq = next_send_seq_++;
-      dup.msg = copy.get();
-      dup.pool = copy.pool();
-      const Step dup_delay = profile.latency.sample_ticks(link_rng_);
-      dup.handle = copy.release();
-      push_timed_event(send_tick + dup_delay, dup);
-      ++timed_duplicated_;
-    }
-  }
-  push_timed_event(send_tick + delay, routed);
-}
-
-void Network::push_timed_event(Step at, const Envelope& env) {
-  timed_events_.push_back(TimedEvent{at, env.seq, env});
-  std::push_heap(timed_events_.begin(), timed_events_.end(),
-                 timed_event_later);
-}
-
-void Network::drop_envelope(const Envelope& env) {
-  if (trace_ != nullptr) [[unlikely]] trace_forget(env.msg);
-  env.pool->destroy(env.msg, env.handle);
-  ++timed_dropped_;
-}
-
-void Network::sync_msg_heap() {
-  for (std::size_t i = async_synced_; i < pending_.size(); ++i) {
-    async_msg_heap_.push_back(
-        {pending_[i].sent_at, pending_[i].seq, static_cast<std::uint32_t>(i)});
-    std::push_heap(async_msg_heap_.begin(), async_msg_heap_.end(),
-                   msg_entry_later);
-  }
-  async_synced_ = pending_.size();
-}
-
-std::pair<Step, std::size_t> Network::oldest_pending() {
-  while (!async_msg_heap_.empty()) {
-    const MsgHeapEntry& top = async_msg_heap_.front();
-    if (top.index < pending_.size() && pending_[top.index].seq == top.seq &&
-        pending_[top.index].sent_at == top.sent_at) {
-      return {step_ - top.sent_at, top.index};
-    }
-    // Stale: the envelope was delivered, dropped or moved since this
-    // entry was pushed (seq values are never reused, so a match is
-    // conclusive). Discard and look deeper.
-    std::pop_heap(async_msg_heap_.begin(), async_msg_heap_.end(),
-                  msg_entry_later);
-    async_msg_heap_.pop_back();
-  }
-  return {0, 0};
-}
-
-void Network::rebuild_timeout_heap() {
-  async_timeout_heap_.clear();
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].node != nullptr) {
-      async_timeout_heap_.push_back(
-          {slots_[i].last_timeout, static_cast<std::uint32_t>(i)});
-    }
-  }
-  std::make_heap(async_timeout_heap_.begin(), async_timeout_heap_.end(),
-                 timeout_entry_later);
-  async_timeout_heap_valid_ = true;
-}
-
-std::pair<Step, Network::Slot*> Network::stalest_timeout() {
-  if (!async_timeout_heap_valid_) rebuild_timeout_heap();
-  while (!async_timeout_heap_.empty()) {
-    const TimeoutHeapEntry& top = async_timeout_heap_.front();
-    Slot& slot = slots_[top.slot_index];
-    if (slot.node != nullptr && slot.last_timeout == top.last_timeout) {
-      const Step idle = step_ - top.last_timeout;
-      if (idle == 0) break;  // every alive node fired this very step
-      return {idle, &slot};
-    }
-    // Crashed since, or re-fired (a fresher entry exists): discard.
-    std::pop_heap(async_timeout_heap_.begin(), async_timeout_heap_.end(),
-                  timeout_entry_later);
-    async_timeout_heap_.pop_back();
-  }
-  return {0, nullptr};
-}
-
-std::size_t Network::step() {
-  ++step_;
-
-  // Fairness enforcement must serve by AGE, not by discovery order: under
-  // overload (more overdue work than one action per step) a first-found
-  // policy would starve whatever sorts last — violating the model's fair
-  // receipt / weakly fair execution. Oldest-first guarantees every message
-  // and every Timeout is served within a bounded lag. Ties break towards
-  // the earliest send (lowest seq) / lowest slot index, which is
-  // canonical. Both "oldest" queries are lazy min-heaps — O(log n)
-  // amortized per step where the old full scans made k-step runs
-  // quadratic.
-  sync_msg_heap();
-  const auto [oldest_msg_age, oldest_msg_index] = oldest_pending();
-  const auto [stalest_timeout_age, stalest_timeout_slot] = stalest_timeout();
-  if (oldest_msg_age > async_cfg_.max_message_age &&
-      oldest_msg_age >= stalest_timeout_age) {
-    deliver_at(oldest_msg_index);
-    ++window_delivered_;
-    return 1;
-  }
-  if (stalest_timeout_slot != nullptr &&
-      stalest_timeout_age > async_cfg_.max_timeout_gap) {
-    fire_timeout(*stalest_timeout_slot);
-    ++window_timeouts_;
-    return 0;
-  }
-  if (oldest_msg_age > async_cfg_.max_message_age) {
-    deliver_at(oldest_msg_index);
-    ++window_delivered_;
-    return 1;
-  }
-
-  const bool prefer_timeout =
-      pending_.empty() || rng_.below(256) < async_cfg_.timeout_bias;
-  if (prefer_timeout && alive_count_ > 0) {
-    if (!alive_cache_valid_) {
-      collect_alive(alive_cache_);
-      alive_cache_valid_ = true;
-    }
-    fire_timeout(*find_slot(alive_cache_[rng_.pick_index(alive_cache_)]));
-    ++window_timeouts_;
-    return 0;
-  }
-  if (pending_.empty()) return 0;
-
-  // Pick a uniformly random pending message.
-  deliver_at(static_cast<std::size_t>(rng_.below(pending_.size())));
-  ++window_delivered_;
-  return 1;
-}
-
-void Network::run_steps(std::size_t k) {
-  for (std::size_t i = 0; i < k; ++i) {
-    step();
-    // The async analogue of the per-round probe sample: window counters
-    // on the step clock (fixes the always-empty timeseries of step-driven
-    // runs, which only ever sampled at round barriers).
-    if (round_probe_ != nullptr && async_cfg_.probe_stride > 0 &&
-        step_ % async_cfg_.probe_stride == 0) {
-      sample_async_probe();
-    }
-  }
-}
-
-void Network::sample_async_probe() {
-  telemetry::RoundSample sample;
-  sample.round = step_;  // the step clock (ClockMode::kSteps)
-  sample.delivered = window_delivered_;
-  sample.timeouts = window_timeouts_;
-  sample.in_flight = pending_messages();
-  sample.alive = alive_count_;
-  sample.pool_reserved_bytes = pool_reserved_bytes();
-  round_probe_->push(sample);
-  window_delivered_ = 0;
-  window_timeouts_ = 0;
-}
-
 bool Network::weakly_connected(NodeId anchor) const {
   if (alive_count_ == 0) return true;
   // Build the undirected adjacency implied by explicit + implicit edges,
@@ -842,18 +497,12 @@ bool Network::weakly_connected(NodeId anchor) const {
     if (anchor && id != anchor) refs.push_back(anchor);
     add_refs(id, refs);
   }
-  for (const Envelope& env : pending_) {
-    if (!alive(env.to)) continue;
+  for_each_in_flight([&](const Envelope& env) {
+    if (!alive(env.to)) return;
     refs.clear();
     env.msg->collect_refs(refs);
     add_refs(env.to, refs);
-  }
-  for (const TimedEvent& ev : timed_events_) {
-    if (!alive(ev.env.to)) continue;
-    refs.clear();
-    ev.env.msg->collect_refs(refs);
-    add_refs(ev.env.to, refs);
-  }
+  });
   // BFS from the first alive node.
   std::vector<bool> seen(slots_.size(), false);
   std::deque<std::uint32_t> queue;

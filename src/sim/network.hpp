@@ -1,4 +1,4 @@
-// The simulated distributed system: node registry, channels, schedulers.
+// The simulated distributed system: node registry and channels.
 //
 // Implements the model of paper §1.1:
 //   - each node has a channel holding a finite multiset of messages;
@@ -6,26 +6,28 @@
 //   - delivery is non-FIFO (the schedulers remove messages in randomized
 //     order) and fully asynchronous;
 //   - fair message receipt and weakly fair action execution are enforced
-//     by both schedulers (see run_round / step);
+//     by every scheduler (src/sched);
 //   - crashed nodes (§3.3) cease to exist: pending and future messages to
 //     them invoke no action.
+//
+// A scheduler is a policy over this model, not part of it: the Network
+// keeps the nodes, the in-flight lane, the send path, crash/recover,
+// snapshots and the telemetry attach points, and executes every schedule
+// unit through the installed sched::Scheduler. Schedulers reach past the
+// public API only through EngineSeam (below); an engine's own state —
+// the timed engine's event heap, the async engine's fairness indexes —
+// lives in its sched:: class.
 //
 // Large-n layout: nodes live in one dense vector indexed by NodeId (a
 // crashed node leaves a tombstone slot), and all channels share one
 // append-only in-flight buffer of pooled message handles — a send is a
-// sequential push, and the synchronous scheduler turns the whole buffer
-// into the round's shuffled delivery batch with a single swap. Delivery
-// order is a canonical function of (seed, call sequence) — independent of
-// container internals, so runs replay bit-for-bit on any standard
-// library.
-//
-// Synchronous rounds execute behind a Scheduler seam (src/sched): the
-// default sched::SerialScheduler runs the round on the calling thread;
-// sched::ParallelScheduler shards the delivery phase across a worker pool
-// while reproducing the serial delivery trace bit-for-bit. All send-side
+// sequential push, and a round turns the whole buffer into its shuffled
+// delivery batch with a single swap. Delivery order is a canonical
+// function of (seed, call sequence) — independent of container internals,
+// so runs replay bit-for-bit on any standard library. All send-side
 // effects (lane append, metrics, pool allocation) are routed through a
-// SendContext so a worker's sends land in its private lane without any
-// atomics on the hot path.
+// SendContext so a parallel worker's sends land in its private lane
+// without any atomics on the hot path.
 #pragma once
 
 #include <concepts>
@@ -38,7 +40,6 @@
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
-#include "sim/link.hpp"
 #include "sim/message_pool.hpp"
 #include "sim/metrics.hpp"
 #include "sim/node.hpp"
@@ -47,11 +48,6 @@
 
 namespace ssps::sched {
 class Scheduler;
-class SerialScheduler;
-class ParallelScheduler;
-class TimedScheduler;
-class AsyncScheduler;
-class BranchScheduler;
 }  // namespace ssps::sched
 
 namespace ssps::telemetry {
@@ -59,25 +55,6 @@ class RoundProbe;
 }  // namespace ssps::telemetry
 
 namespace ssps::sim {
-
-/// Tuning knobs of the randomized asynchronous scheduler.
-struct AsyncConfig {
-  /// A message must be delivered at most this many steps after it was sent
-  /// (fair message receipt).
-  Step max_message_age = 64;
-  /// Every alive node executes Timeout at least once per this many steps
-  /// (weakly fair action execution).
-  Step max_timeout_gap = 64;
-  /// Probability (x / 256) that a step prefers a Timeout over a delivery
-  /// when both are possible.
-  std::uint32_t timeout_bias = 64;
-  /// run_steps samples an attached RoundProbe whenever the step clock is a
-  /// multiple of this (window counters since the previous sample) — the
-  /// async scheduler's analogue of the per-round sample. Chunk-invariant:
-  /// the sample points depend only on the step count, never on how the
-  /// steps were batched into run_steps calls.
-  Step probe_stride = 64;
-};
 
 /// One in-flight message (internal to the sim/sched layer). All
 /// undelivered messages live in flat vectors ("lanes"), not in per-node
@@ -91,7 +68,8 @@ struct Envelope {
   /// Sender attribution: the node whose action executed the send, or null
   /// for harness-originated traffic (publishes, injections, control
   /// plane). The timed scheduler keys link selection and fault exemption
-  /// on it; only maintained while a trace is attached or timed mode is on.
+  /// on it; only maintained while a trace is attached or sender
+  /// attribution is on (Network::set_attribute_sends).
   NodeId from;
   Message* msg = nullptr;
   MessagePool* pool = nullptr;
@@ -108,7 +86,7 @@ struct Envelope {
 /// Where the current thread's sends go: the in-flight lane that receives
 /// the envelope, the Metrics shard that accounts it, and the MessagePool
 /// that allocates it. The Network's own context targets its members; a
-/// ParallelScheduler worker's context targets that worker's private lane,
+/// parallel round worker's context targets that worker's private lane,
 /// shard and pool, which is what makes the delivery phase run without
 /// cross-thread writes.
 struct SendContext {
@@ -125,27 +103,12 @@ struct SendContext {
 };
 
 namespace detail {
-/// Null outside parallel round phases; a ParallelScheduler worker points
+/// Null outside parallel round phases; a parallel round worker points
 /// this at its own context around its delivery slice.
 extern thread_local SendContext* tls_send_ctx;
 }  // namespace detail
 
 class Trace;
-
-/// Wire-level damage model for the timed scheduler's corrupting links
-/// (LinkProfile::corrupt). The sim layer owns only the seam: an
-/// implementation serializes the message, mangles the bytes and re-decodes
-/// them, so a corrupted send exercises a real decode path. Returns the
-/// message the receiver ends up decoding (usually different from the
-/// original), or an empty handle when the damage is detected (checksum or
-/// structure) and the bytes are rejected instead of delivered.
-/// wire::CodecCorrupter (src/wire/corrupt.hpp) is the implementation.
-class Corrupter {
- public:
-  virtual ~Corrupter() = default;
-  virtual PooledMsg corrupt(const Message& m, MessagePool& pool,
-                            ssps::Rng& rng) = 0;
-};
 
 /// The simulated network. Owns all nodes, channels, randomness, the
 /// message pool and the metrics.
@@ -170,8 +133,9 @@ class Network {
   NodeId register_node(std::unique_ptr<Node> node);
 
   /// Fail-stop crash: the node ceases to exist. Its channel is dropped
-  /// (pending pooled messages are reclaimed) and all future messages to it
-  /// are swallowed (they invoke no action).
+  /// (pending pooled messages are reclaimed, including any the installed
+  /// engine holds) and all future messages to it are swallowed (they
+  /// invoke no action).
   void crash(NodeId id);
 
   /// True if the node exists and has not crashed.
@@ -213,6 +177,11 @@ class Network {
   /// alive_count() this changes on every spawn or crash, which makes the
   /// pair a cheap topology epoch for incremental probes.
   std::size_t slot_count() const { return slots_.size(); }
+
+  /// Bumped by every spawn, crash and recover — the events that change
+  /// the alive set or compact the lane. A step-grained engine rebuilds
+  /// its indexes over slots and lane whenever this moves.
+  std::uint64_t topology_epoch() const { return topology_epoch_; }
 
   /// Every crash since construction, in crash order: (round, node). Rounds
   /// are non-decreasing, so "crashes visible under a detection delay" is a
@@ -279,11 +248,9 @@ class Network {
   /// pool plus any scheduler-owned worker pools).
   std::size_t pool_reserved_bytes() const;
 
-  /// Total number of messages currently sitting in channels (including,
-  /// in timed mode, messages in flight on the virtual-clock event heap).
-  std::size_t pending_messages() const {
-    return pending_.size() + timed_events_.size();
-  }
+  /// Total number of messages currently sitting in channels: the lane
+  /// plus whatever the installed engine holds (the timed event heap).
+  std::size_t pending_messages() const;
 
   /// Number of messages pending for one node.
   std::size_t pending_for(NodeId id) const;
@@ -291,23 +258,15 @@ class Network {
   // ---- Scheduling -----------------------------------------------------
 
   /// Executes one schedule unit of the installed scheduler — a
-  /// synchronous round, a timed interval, or a single asynchronous step
+  /// synchronous round (deliver every message pending at round start in
+  /// randomized order, then fire every alive node's Timeout; the paper's
+  /// "timeout interval"), a timed interval, or a single asynchronous step
   /// (sched::Scheduler::Unit) — then lets the scheduler sample any
   /// attached probe. Returns the number of messages it delivered.
   std::size_t run_unit();
 
   /// Runs `k` schedule units.
   void run_units(std::size_t k);
-
-  /// Synchronous-round alias of run_unit() (the historical name; every
-  /// round-grained scheduler executes exactly one round per unit):
-  /// delivers every message that was pending at round start (randomized
-  /// order), then fires every alive node's Timeout. One round is the
-  /// paper's "timeout interval".
-  std::size_t run_round() { return run_unit(); }
-
-  /// Runs `k` rounds (alias of run_units).
-  void run_rounds(std::size_t k) { run_units(k); }
 
   /// Runs schedule units until `pred()` holds or `max_units` probe
   /// opportunities elapse. Returns the number of units executed, or
@@ -324,95 +283,35 @@ class Network {
   std::optional<std::size_t> run_until(const std::function<bool()>& pred,
                                        std::size_t max_units);
 
-  /// One step of the randomized asynchronous scheduler: executes exactly
-  /// one enabled action (a delivery or a Timeout) subject to the fairness
-  /// bounds in AsyncConfig. Returns the number of messages delivered by
-  /// the step (0 or 1).
-  std::size_t step();
-
-  /// Runs `k` async steps.
-  void run_steps(std::size_t k);
-
   /// Installs the round scheduler: 1 = the serial scheduler (default),
-  /// N > 1 = a ParallelScheduler with N workers. Any thread count yields
+  /// N > 1 = the parallel scheduler with N workers. Any thread count yields
   /// bit-identical delivery traces and reports (see src/sched/parallel.hpp
-  /// for the argument); only wall-clock changes. May be called mid-run at
-  /// a round boundary: the previous scheduler is retired, not destroyed,
-  /// because in-flight envelopes may live in its worker pools.
+  /// for the argument); only wall-clock changes.
   void set_threads(unsigned threads);
 
-  /// Installs a specific scheduler instance (set_threads is the normal
-  /// entry point).
+  /// Installs a scheduler instance (set_threads is the entry point for
+  /// the round schedulers). May be called mid-run at a unit boundary: the
+  /// previous scheduler is retired, not destroyed, because in-flight
+  /// envelopes may live in its worker pools. Aborts if the previous
+  /// engine still holds in-flight messages — nothing would ever deliver
+  /// them.
   void set_scheduler(std::unique_ptr<sched::Scheduler> scheduler);
 
   /// Worker count of the installed round scheduler.
   unsigned scheduler_threads() const;
 
-  /// Current round (advanced by run_round only).
+  /// Current round (advanced by round-grained units).
   Round round() const { return round_; }
 
-  /// Current async step (advanced by step only).
+  /// Current step (advanced by every unit: once per round or interval,
+  /// once per asynchronous step).
   Step now() const { return step_; }
 
   /// The installed scheduler's unit clock: the step clock for a
-  /// step-grained scheduler, the round clock otherwise — the clock every
-  /// run_until budget and phase duration is denominated in.
-  std::uint64_t unit_now() const;
-
-  AsyncConfig& async_config() { return async_cfg_; }
-
-  /// Which clock the telemetry layer keys on (delivery-latency `born`
-  /// stamps, probe sample indices). The round schedulers count rounds
-  /// (and the timed scheduler's virtual seconds coincide with its round
-  /// count by construction); a harness that drives the network with
-  /// step() installs kSteps so latency is denominated in steps instead of
-  /// a clock that never advances.
-  enum class ClockMode { kRounds, kSteps };
-  void set_clock_mode(ClockMode mode) { clock_mode_ = mode; }
-  ClockMode clock_mode() const { return clock_mode_; }
-
-  /// The telemetry clock's current value (see ClockMode).
-  std::uint64_t clock_now() const {
-    return clock_mode_ == ClockMode::kSteps ? step_ : round_;
-  }
-
-  // ---- Timed mode (event-driven virtual clock; see sim/link.hpp) -------
-
-  /// Switches the network to the event-driven timed model: sends are
-  /// scheduled onto a virtual-clock event heap with per-link latency,
-  /// loss, duplication and reordering per `cfg`, and run_round() (via the
-  /// installed sched::TimedScheduler) advances the clock one interval
-  /// (= 1 virtual second = one round) at a time. Call before the first
-  /// round; the default TimedConfig reproduces the round scheduler's
-  /// trace bit-for-bit.
-  void enable_timed(const TimedConfig& cfg);
-
-  bool timed() const { return timed_enabled_; }
-  const TimedConfig& timed_config() const { return timed_cfg_; }
-
-  /// Appends a partition window (virtual-second bounds are absolute, i.e.
-  /// relative to the start of the run) to the live schedule.
-  void add_partition(const PartitionWindow& window);
-
-  /// Virtual clock in ticks (1000 per interval); 0 unless timed.
-  Step virtual_now_ticks() const { return timed_now_; }
-
-  /// Messages dropped by link loss or partitions so far (timed mode).
-  std::uint64_t timed_dropped() const { return timed_dropped_; }
-  /// Extra deliveries manufactured by link duplication (timed mode).
-  std::uint64_t timed_duplicated() const { return timed_duplicated_; }
-  /// Messages whose bytes were mangled in flight (timed mode; requires a
-  /// Corrupter). Counts both outcomes: rejected and delivered-different.
-  std::uint64_t timed_corrupted() const { return timed_corrupted_; }
-  /// Corrupted messages whose damage was detected and rejected (subset of
-  /// timed_corrupted; also counted in Metrics::total_rejected).
-  std::uint64_t timed_rejected() const { return timed_rejected_; }
-
-  /// Installs the wire-damage model corrupting links apply (nullptr
-  /// detaches). Without one, LinkProfile::corrupt > 0 is inert. The
-  /// corrupter must outlive the attachment.
-  void set_corrupter(Corrupter* corrupter) { corrupter_ = corrupter; }
-  Corrupter* corrupter() const { return corrupter_; }
+  /// step-grained scheduler, the round clock otherwise. Every run_until
+  /// budget, phase duration, delivery-latency stamp and probe sample
+  /// index is denominated in it.
+  std::uint64_t unit_now() const { return step_clock_ ? step_ : round_; }
 
   // ---- Crash recovery (periodic snapshots; see Node::snapshot_state) ---
 
@@ -458,7 +357,7 @@ class Network {
   telemetry::LatencyTracker& latency();
   const telemetry::LatencyTracker& latency() const;
 
-  /// Records one publication delivery that took `rounds` rounds end to
+  /// Records one publication delivery that took `rounds` units end to
   /// end (called by the pub-sub layer through its MessageSink). Routed
   /// through the calling thread's SendContext, so a parallel worker
   /// records into its own shard without any atomics.
@@ -474,9 +373,9 @@ class Network {
   /// shard without atomics.
   void record_reject(std::size_t bytes) { send_ctx().metrics->on_reject(bytes); }
 
-  /// Attaches a per-round time-series probe: every run_round() pushes one
-  /// RoundSample after the round barrier. Pass nullptr to detach. The
-  /// probe must outlive the attachment.
+  /// Attaches a time-series probe: the installed scheduler pushes one
+  /// RoundSample per round (or per probe stride of asynchronous steps).
+  /// Pass nullptr to detach. The probe must outlive the attachment.
   void attach_round_probe(telemetry::RoundProbe* probe) { round_probe_ = probe; }
 
   /// Attaches a structured event trace recording every send and delivery
@@ -486,14 +385,14 @@ class Network {
   /// while a trace is attached. Pass nullptr to detach.
   void attach_trace(Trace* trace);
 
-  /// Maintains sender attribution (Envelope::from) for round-mode sends
-  /// even without a trace or timed mode: the multi-process deployment
-  /// shards in-flight messages by sending node, so it needs `from` on
-  /// every node-originated envelope. Round delivery never reads `from`
-  /// (grouping, shuffling and crash drops all key on `to`), so flipping
-  /// this changes no delivery decision and no report byte. Serial-only,
-  /// like tracing: attribution goes through the single acting_node_
-  /// member.
+  /// Maintains sender attribution (Envelope::from) on every node-
+  /// originated send even without a trace. The timed scheduler routes by
+  /// sender (link class, fault exemption), and the multi-process
+  /// deployment shards in-flight messages by sending node. Round delivery
+  /// never reads `from` (grouping, shuffling and crash drops all key on
+  /// `to`), so flipping this changes no round delivery decision and no
+  /// report byte. Serial-only, like tracing: attribution goes through the
+  /// single acting_node_ member.
   void set_attribute_sends(bool on) {
     SSPS_ASSERT_MSG(!on || scheduler_threads() == 1,
                     "set_attribute_sends: attribution is serial-only");
@@ -532,12 +431,7 @@ class Network {
   bool weakly_connected(NodeId anchor = NodeId::null()) const;
 
  private:
-  friend class sched::Scheduler;
-  friend class sched::SerialScheduler;
-  friend class sched::ParallelScheduler;
-  friend class sched::TimedScheduler;
-  friend class sched::AsyncScheduler;
-  friend class sched::BranchScheduler;
+  friend class EngineSeam;
 
   struct Slot {
     std::unique_ptr<Node> node;  // null = tombstone (crashed)
@@ -548,42 +442,6 @@ class Network {
     /// from it.
     std::vector<std::uint8_t> snapshot;
   };
-
-  /// One scheduled delivery on the timed event heap: the envelope plus
-  /// its virtual delivery time. Equal-time events pop in send (`seq`)
-  /// order — the deterministic tie-break that makes the constant-latency
-  /// special case reproduce the round batch order exactly.
-  struct TimedEvent {
-    Step at = 0;
-    std::uint64_t seq = 0;
-    Envelope env;
-  };
-  /// Min-heap "later than" comparator for std::push_heap/pop_heap.
-  static bool timed_event_later(const TimedEvent& a, const TimedEvent& b) {
-    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-  }
-
-  /// Lazy oldest-first index entries of the async scheduler (see step()):
-  /// validated against pending_ on pop, so swap-removes and round swaps
-  /// never have to eagerly fix the heaps.
-  struct MsgHeapEntry {
-    Step sent_at = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t index = 0;
-  };
-  static bool msg_entry_later(const MsgHeapEntry& a, const MsgHeapEntry& b) {
-    return a.sent_at != b.sent_at ? a.sent_at > b.sent_at : a.seq > b.seq;
-  }
-  struct TimeoutHeapEntry {
-    Step last_timeout = 0;
-    std::uint32_t slot_index = 0;
-  };
-  static bool timeout_entry_later(const TimeoutHeapEntry& a,
-                                  const TimeoutHeapEntry& b) {
-    return a.last_timeout != b.last_timeout
-               ? a.last_timeout > b.last_timeout
-               : a.slot_index > b.slot_index;
-  }
 
   Slot* find_slot(NodeId id) {
     const std::uint64_t index = id.value - 1;
@@ -618,15 +476,15 @@ class Network {
     ctx.lane->push_back(env);
   }
 
-  // ---- Round phases (called by the sched:: schedulers) -----------------
+  // ---- Round phases (reached through EngineSeam) -----------------------
 
-  /// Phase A (sequential): advances the step clock, swaps the merged
-  /// in-flight buffer out as this round's batch, applies the seeded
-  /// shuffle and the stable group-by-target counting sort. Returns the
-  /// batch size; after it, scatter_offsets_[v] is the END offset of
-  /// target id v's group in grouped_ (so shard slice boundaries are
+  /// Phase A (sequential): advances the step clock and turns `batch`
+  /// (consumed) into this round's delivery batch: the seeded shuffle,
+  /// then the stable group-by-target counting sort. Returns the batch
+  /// size; after it, scatter_offsets_[v] is the END offset of target id
+  /// v's group in grouped_ (so shard slice boundaries are
   /// scatter_offsets_ lookups).
-  std::size_t round_begin();
+  std::size_t round_begin(std::vector<Envelope>& batch);
 
   /// Phase B: delivers grouped_[begin, end) — a contiguous run of target
   /// groups — accounting through `ctx`. Safe to run concurrently for
@@ -640,49 +498,19 @@ class Network {
   /// the main in-flight buffer, after every merged delivery lane.
   void timeout_sweep();
 
-  /// Finishes the round (advances the round clock).
-  void round_end() { ++round_; }
-
-  /// The shuffle + group-by-target counting sort applied to round_batch_
-  /// (shared by round_begin and timed_interval; consumes round_batch_).
-  /// Returns the batch size.
-  std::size_t group_round_batch();
-
-  // ---- Timed-mode engine (called by sched::TimedScheduler) -------------
-
-  /// Advances the virtual clock one interval (= one round = 1 virtual
-  /// second): schedules any harness sends, pops every event due by the
-  /// interval deadline into the delivery batch (time order, send-order
-  /// ties), delivers, schedules the resulting sends, fires the timeout
-  /// sweep and schedules its sends. Returns the number delivered.
-  std::size_t timed_interval();
-
-  /// Drains pending_ onto the event heap, routing each envelope through
-  /// its link (loss, partition, duplication, latency). `send_tick` is the
-  /// virtual time the drained sends are deemed to have happened at.
-  void schedule_sends(Step send_tick);
-  void route_envelope(const Envelope& env, Step send_tick);
-  void push_timed_event(Step at, const Envelope& env);
-  /// Drops one envelope on the floor (loss/partition path).
-  void drop_envelope(const Envelope& env);
-
-  /// Delivers pending_[index] (swap-remove; non-FIFO channels). Async
-  /// scheduler path.
-  void deliver_at(std::size_t index);
-  void deliver_envelope(const Envelope& env, Node& node);
+  /// Delivers one envelope already taken off the lane (step-grained
+  /// engines); its target must be alive.
+  void deliver_one(const Envelope& env);
   void fire_timeout(Slot& slot);
-
-  // ---- Async oldest-first index (see step()) ---------------------------
-
-  /// Appends heap entries for pending_ envelopes not yet indexed.
-  void sync_msg_heap();
-  /// Oldest pending message as (age, index), or age 0 when none pending.
-  std::pair<Step, std::size_t> oldest_pending();
-  /// Stalest alive Timeout as (idle, slot), or {0, nullptr} when none is
-  /// overdue by at least one step.
-  std::pair<Step, Slot*> stalest_timeout();
-  void rebuild_timeout_heap();
-  void sample_async_probe();
+  /// Reclaims an envelope without delivering it: the message invokes no
+  /// action (crash drops, link loss, discarded branch slots).
+  void reclaim(const Envelope& env);
+  /// Pushes one probe sample (no-op without an attached probe).
+  void push_sample(std::uint64_t at, std::size_t delivered, std::size_t timeouts);
+  /// Reclaims every pending message addressed to `to` (crash path).
+  void drop_pending_for(NodeId to);
+  /// Calls fn for every in-flight envelope: the lane, then the engine's.
+  void for_each_in_flight(const std::function<void(const Envelope&)>& fn) const;
 
   // ---- Telemetry hooks (cold paths; only reached when attached) -------
   void trace_send(NodeId to, const Message& msg, bool enqueued);
@@ -691,44 +519,23 @@ class Network {
   /// non-delivery path (crash drop, destructor drain) — a reused slot
   /// must never alias an old flow.
   void trace_forget(const Message* msg);
-  void sample_round_probe(std::size_t delivered);
-  /// Reclaims every pending message addressed to `to` (crash path).
-  void drop_pending_for(NodeId to);
-  void collect_alive(std::vector<NodeId>& out) const;
 
   std::vector<Slot> slots_;  // index = NodeId.value - 1
   std::size_t alive_count_ = 0;
+  std::uint64_t topology_epoch_ = 0;
   std::vector<Envelope> pending_;  // all in-flight messages, send order
   std::vector<std::pair<Round, NodeId>> crash_log_;  // crash order
   Round round_ = 0;
   Step step_ = 0;
-  std::uint64_t seed_ = 0;  // construction seed (re-salts link_rng_)
+  /// unit_now() reads the step clock (installed scheduler is step-grained).
+  bool step_clock_ = false;
+  std::uint64_t seed_ = 0;  // construction seed (engines salt their streams)
   ssps::Rng rng_;
   MessagePool pool_;
   Metrics metrics_;
   telemetry::LatencyTracker latency_;
-  AsyncConfig async_cfg_;
-  ClockMode clock_mode_ = ClockMode::kRounds;
   /// Canonical send counter (Envelope::seq source); main lane only.
   std::uint64_t next_send_seq_ = 0;
-
-  // ---- Timed-mode state ------------------------------------------------
-  bool timed_enabled_ = false;
-  TimedConfig timed_cfg_;
-  /// Virtual clock in ticks; advances by kTicksPerInterval per interval.
-  Step timed_now_ = 0;
-  /// Event heap (timed_event_later order): all in-flight timed messages.
-  std::vector<TimedEvent> timed_events_;
-  /// Link-fault stream, decorrelated from rng_ (the scheduler stream must
-  /// draw exactly the round scheduler's sequence for the equivalence
-  /// argument; faults and latency sampling draw here instead).
-  ssps::Rng link_rng_{0};
-  std::uint64_t timed_dropped_ = 0;
-  std::uint64_t timed_duplicated_ = 0;
-  std::uint64_t timed_corrupted_ = 0;
-  std::uint64_t timed_rejected_ = 0;
-  /// Wire-damage model of corrupting links (null = corruption inert).
-  Corrupter* corrupter_ = nullptr;
 
   // ---- Snapshot / recovery state ---------------------------------------
   /// Periodic snapshot cadence in rounds (0 = off).
@@ -737,32 +544,13 @@ class Network {
   /// by step-grained schedulers that never advance the round clock).
   Round last_snapshot_round_ = 0;
 
-  // ---- Async oldest-first index state ----------------------------------
-  /// Lazy min-heaps over (sent_at, seq) / (last_timeout, slot); entries
-  /// are validated on pop (see step()), so structural churn just leaves
-  /// stale entries behind instead of forcing eager rebuilds.
-  std::vector<MsgHeapEntry> async_msg_heap_;
-  /// pending_ entries [0, async_synced_) already have heap entries.
-  std::size_t async_synced_ = 0;
-  std::vector<TimeoutHeapEntry> async_timeout_heap_;
-  /// False after bulk last_timeout churn (a round's timeout sweep) or a
-  /// spawn; step() rebuilds the heap once on demand.
-  bool async_timeout_heap_valid_ = false;
-  /// Alive ids in id order, reused across steps (collect_alive was an
-  /// O(slots) scan per step); invalidated by spawn/crash.
-  std::vector<NodeId> alive_cache_;
-  bool alive_cache_valid_ = false;
-  /// Probe window counters since the last async sample (satellite of the
-  /// empty-timeseries fix: run_steps samples these every probe_stride).
-  std::size_t window_delivered_ = 0;
-  std::size_t window_timeouts_ = 0;
   /// The Network's own send context (lane = pending_, shard = metrics_,
   /// arena = pool_); aggregates the workers' swallowed counters at fold.
   SendContext main_ctx_;
-  /// Set by the ParallelScheduler around its concurrent delivery phase;
+  /// Set by the parallel scheduler around its concurrent delivery phase;
   /// structure mutations (spawn/crash/inject) assert against it.
   bool in_parallel_phase_ = false;
-  /// Timeouts fired by the last run_round (for the quiescence check).
+  /// Timeouts fired by the last round's sweep (for the quiescence check).
   std::size_t last_round_timeouts_ = 0;
 
   /// Optional per-round time-series sink (attach_round_probe).
@@ -770,13 +558,12 @@ class Network {
   /// Optional structured event trace (attach_trace; forces serial).
   Trace* trace_ = nullptr;
   /// Node whose action is currently executing — the `from` attribution
-  /// for traced and timed-mode sends. Only maintained while a trace is
-  /// attached or timed mode is on (both force the serial scheduler, so
-  /// the single member is race-free); null for sends from outside any
-  /// round (harness injections, publishes).
+  /// for sends. Only maintained while a trace is attached or sender
+  /// attribution is on (both force the serial scheduler, so the single
+  /// member is race-free); null for sends from outside any action
+  /// (harness injections, publishes).
   NodeId acting_node_;
-  /// Keep acting_node_ maintained in plain round mode too
-  /// (set_attribute_sends; serial-only like the trace/timed cases).
+  /// Keep acting_node_ maintained without a trace (set_attribute_sends).
   bool attribute_sends_ = false;
   /// In-flight flow correlation: message -> flow id, assigned in send
   /// order. Only populated while a trace is attached.
@@ -798,7 +585,72 @@ class Network {
   std::unique_ptr<Envelope[]> grouped_;
   std::size_t grouped_cap_ = 0;
   std::vector<std::uint32_t> scatter_offsets_;
-  std::vector<NodeId> order_scratch_;
+};
+
+/// The engine seam: everything a scheduler (src/sched) may do to a
+/// Network beyond its public API. A scheduler builds one around the
+/// Network it advances; the seam holds no state of its own. (Sender
+/// attribution, which the timed engine needs, is the public
+/// Network::set_attribute_sends flag.)
+class EngineSeam {
+ public:
+  explicit EngineSeam(Network& net) : net_(net) {}
+
+  // ---- Round phases ------------------------------------------------------
+  /// Phase A over the lane: the messages pending at round start become
+  /// this round's batch; deliveries enqueue into the (now empty) lane,
+  /// which belongs to the next round.
+  std::size_t round_begin() {
+    net_.round_batch_.clear();
+    std::swap(net_.round_batch_, net_.pending_);
+    return net_.round_begin(net_.round_batch_);
+  }
+  /// Phase A over a batch the engine assembled itself (the timed engine's
+  /// due events, in canonical order).
+  std::size_t round_begin(std::vector<Envelope>& batch) {
+    return net_.round_begin(batch);
+  }
+  std::size_t deliver(std::size_t begin, std::size_t end, SendContext& ctx) {
+    return net_.deliver_grouped_range(begin, end, ctx);
+  }
+  void timeout_sweep() { net_.timeout_sweep(); }
+  /// Finishes the round (advances the round clock).
+  void round_end() { ++net_.round_; }
+
+  // ---- Grouped slots of the current batch --------------------------------
+  const Envelope& grouped(std::size_t i) const { return net_.grouped_[i]; }
+  /// END offset of target id v's group (offset 0 is implicit).
+  std::uint32_t group_end(std::uint64_t v) const {
+    return net_.scatter_offsets_[static_cast<std::size_t>(v)];
+  }
+  void reclaim(const Envelope& env) { net_.reclaim(env); }
+
+  // ---- Lane, main context, shard fold targets ----------------------------
+  std::vector<Envelope>& lane() { return net_.pending_; }
+  SendContext& main_ctx() { return net_.main_ctx_; }
+  Metrics& fold_metrics() { return net_.metrics_; }
+  telemetry::LatencyTracker& fold_latency() { return net_.latency_; }
+  void set_parallel_phase(bool on) { net_.in_parallel_phase_ = on; }
+  /// Draws the next canonical send number (an engine-made duplicate).
+  std::uint64_t next_seq() { return net_.next_send_seq_++; }
+  std::uint64_t seed() const { return net_.seed_; }
+
+  // ---- Single actions (step-grained engines) -----------------------------
+  void tick() { ++net_.step_; }
+  void deliver_one(const Envelope& env) { net_.deliver_one(env); }
+  void fire_timeout(std::size_t slot) { net_.fire_timeout(net_.slots_[slot]); }
+  bool alive_at(std::size_t slot) const { return net_.slots_[slot].node != nullptr; }
+  Step last_timeout(std::size_t slot) const { return net_.slots_[slot].last_timeout; }
+
+  // ---- Probe samples -----------------------------------------------------
+  bool probing() const { return net_.round_probe_ != nullptr; }
+  void push_sample(std::uint64_t at, std::size_t delivered, std::size_t timeouts) {
+    net_.push_sample(at, delivered, timeouts);
+  }
+  std::size_t last_round_timeouts() const { return net_.last_round_timeouts_; }
+
+ private:
+  Network& net_;
 };
 
 }  // namespace ssps::sim

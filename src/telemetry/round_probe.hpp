@@ -1,7 +1,8 @@
 // Per-round time-series sampling: a bounded ring of round snapshots.
 //
 // Attaching a RoundProbe to a Network (Network::attach_round_probe) makes
-// every run_round() push one RoundSample after the round barrier, so
+// every round (Network::run_unit under a round-grained scheduler) push one
+// RoundSample after the round barrier, so
 // convergence and recovery can be plotted round by round instead of being
 // summarized by a single rounds-to-converge scalar. The ring keeps the
 // last `capacity` rounds and counts what it evicted, which bounds memory

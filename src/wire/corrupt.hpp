@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sim/network.hpp"
+#include "sim/link.hpp"
 #include "wire/codec.hpp"
 
 namespace ssps::wire {

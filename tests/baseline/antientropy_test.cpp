@@ -49,7 +49,7 @@ TEST(NaiveAntiEntropy, DeduplicatesOnMerge) {
   const pubsub::Publication p{a, "shared"};
   sys.sync(a).add_local(p);
   sys.sync(b).add_local(p);
-  sys.net().run_rounds(10);
+  sys.net().run_units(10);
   EXPECT_EQ(sys.sync(a).size(), 1u);
   EXPECT_EQ(sys.sync(b).size(), 1u);
 }
@@ -69,7 +69,7 @@ TEST(NaiveAntiEntropy, SteadyStateBytesScaleWithCorpusUnlikePatricia) {
   }
   ASSERT_TRUE(naive.net().run_until([&] { return naive.converged(corpus); }, 2000));
   naive.net().metrics().reset();
-  naive.net().run_rounds(20);
+  naive.net().run_units(20);
   const auto naive_bytes = naive.net().metrics().sent_bytes("FullState");
 
   pubsub::PubSubConfig cfg;
@@ -84,7 +84,7 @@ TEST(NaiveAntiEntropy, SteadyStateBytesScaleWithCorpusUnlikePatricia) {
   ASSERT_TRUE(smart.net().run_until(
       [&] { return smart.publications_converged(); }, 2000));
   smart.net().metrics().reset();
-  smart.net().run_rounds(20);
+  smart.net().run_units(20);
   const auto smart_bytes = smart.net().metrics().sent_bytes("CheckTrie") +
                            smart.net().metrics().sent_bytes("CheckAndPublish") +
                            smart.net().metrics().sent_bytes("Publish");

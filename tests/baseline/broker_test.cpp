@@ -13,9 +13,9 @@ TEST(Broker, DeliversToAllSubscribers) {
   std::vector<sim::NodeId> clients;
   for (int i = 0; i < 8; ++i) clients.push_back(net.spawn<BrokerClientNode>(broker));
   for (auto c : clients) net.node_as<BrokerClientNode>(c).subscribe();
-  net.run_round();
+  net.run_unit();
   net.node_as<BrokerClientNode>(clients[0]).publish("hi");
-  net.run_rounds(2);
+  net.run_units(2);
   for (auto c : clients) {
     EXPECT_EQ(net.node_as<BrokerClientNode>(c).received(), 1u);
   }
@@ -28,11 +28,11 @@ TEST(Broker, UnsubscribedClientsStopReceiving) {
   const auto b = net.spawn<BrokerClientNode>(broker);
   net.node_as<BrokerClientNode>(a).subscribe();
   net.node_as<BrokerClientNode>(b).subscribe();
-  net.run_round();
+  net.run_unit();
   net.emit<msg::BrokerUnsubscribe>(broker, b);
-  net.run_round();
+  net.run_unit();
   net.node_as<BrokerClientNode>(a).publish("solo");
-  net.run_rounds(2);
+  net.run_units(2);
   EXPECT_EQ(net.node_as<BrokerClientNode>(b).received(), 0u);
 }
 
@@ -47,12 +47,12 @@ TEST(Broker, ServerLoadScalesWithPublishVolumeTimesSubscribers) {
     clients.push_back(net.spawn<BrokerClientNode>(broker));
     net.node_as<BrokerClientNode>(clients.back()).subscribe();
   }
-  net.run_round();
+  net.run_unit();
   const std::size_t p = 10;
   for (std::size_t i = 0; i < p; ++i) {
     net.node_as<BrokerClientNode>(clients[i % s]).publish("n" + std::to_string(i));
   }
-  net.run_rounds(2);
+  net.run_units(2);
   EXPECT_EQ(net.node_as<BrokerNode>(broker).deliveries(), p * (s - 1));
   EXPECT_EQ(net.metrics().received_by(broker, "BrokerPublish"), p);
 }
@@ -62,9 +62,9 @@ TEST(Broker, PublisherKeepsALocalCopy) {
   const auto broker = net.spawn<BrokerNode>();
   const auto a = net.spawn<BrokerClientNode>(broker);
   net.node_as<BrokerClientNode>(a).subscribe();
-  net.run_round();
+  net.run_unit();
   net.node_as<BrokerClientNode>(a).publish("own");
-  net.run_rounds(2);
+  net.run_units(2);
   EXPECT_EQ(net.node_as<BrokerClientNode>(a).received(), 1u);  // not doubled
 }
 

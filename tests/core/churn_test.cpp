@@ -58,7 +58,7 @@ TEST(Churn, EveryoneLeaves) {
   EXPECT_EQ(sys.supervisor().size(), 0u);
   // The permission messages may still be in flight when the (empty)
   // database first looks legitimate; drain them.
-  sys.net().run_rounds(5);
+  sys.net().run_units(5);
   for (sim::NodeId id : ids) EXPECT_TRUE(sys.subscriber(id).departed());
 }
 
@@ -70,7 +70,7 @@ TEST(Churn, InterleavedJoinLeave) {
     sys.request_unsubscribe(ids[static_cast<std::size_t>(wave)]);
     ids.push_back(sys.add_subscriber());
     ids.push_back(sys.add_subscriber());
-    sys.net().run_rounds(3);  // deliberately do not wait for quiescence
+    sys.net().run_units(3);  // deliberately do not wait for quiescence
   }
   ASSERT_TRUE(sys.run_until_legit(2000).has_value()) << sys.legitimacy_violation();
   EXPECT_EQ(sys.supervisor().size(), 8u - 3u + 6u);
@@ -90,12 +90,12 @@ TEST(Churn, SupervisorMessagesPerSubscribeIsConstant) {
     // (round-robin + Theorem-5 request replies).
     const std::size_t window = 4;
     sys.net().metrics().reset();
-    sys.net().run_rounds(window);
+    sys.net().run_units(window);
     const auto baseline = sys.net().metrics().sent("SetData");
     // Join and measure the same window again.
     sys.net().metrics().reset();
     sys.add_subscriber();
-    sys.net().run_rounds(window);
+    sys.net().run_units(window);
     const auto with_join = sys.net().metrics().sent("SetData");
     const auto marginal = with_join > baseline ? with_join - baseline : 0;
     // The join itself costs one configuration; the joiner's

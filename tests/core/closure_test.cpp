@@ -5,6 +5,8 @@
 #include <sstream>
 
 #include "core/system.hpp"
+#include "sched/async.hpp"
+#include "sched/serial.hpp"
 
 namespace ssps::core {
 namespace {
@@ -44,7 +46,7 @@ TEST_P(Closure, StateIsFrozenAfterLegitimacy) {
   ASSERT_TRUE(sys.run_until_legit(2000).has_value()) << sys.legitimacy_violation();
   const std::string before = state_fingerprint(sys);
   for (int round = 0; round < 50; ++round) {
-    sys.net().run_round();
+    sys.net().run_unit();
     ASSERT_TRUE(sys.topology_legit())
         << "round " << round << ": " << sys.legitimacy_violation();
     ASSERT_EQ(state_fingerprint(sys), before) << "round " << round;
@@ -56,10 +58,10 @@ TEST_P(Closure, SteadyStateTrafficIsConstantPerNode) {
   SkipRingSystem sys(SkipRingSystem::Options{.seed = 3 + n, .fd_delay = 0});
   sys.add_subscribers(n);
   ASSERT_TRUE(sys.run_until_legit(2000).has_value());
-  sys.net().run_rounds(5);  // drain transients
+  sys.net().run_units(5);  // drain transients
   sys.net().metrics().reset();
   const std::size_t window = 40;
-  sys.net().run_rounds(window);
+  sys.net().run_units(window);
   const double per_node_round =
       static_cast<double>(sys.net().metrics().total_sent()) /
       static_cast<double>(window) / static_cast<double>(n + 1);
@@ -75,9 +77,9 @@ TEST_P(Closure, NoRemoveConnectionsOrSubscribesInSteadyState) {
   SkipRingSystem sys(SkipRingSystem::Options{.seed = 17 + n, .fd_delay = 0});
   sys.add_subscribers(n);
   ASSERT_TRUE(sys.run_until_legit(2000).has_value());
-  sys.net().run_rounds(5);
+  sys.net().run_units(5);
   sys.net().metrics().reset();
-  sys.net().run_rounds(30);
+  sys.net().run_units(30);
   EXPECT_EQ(sys.net().metrics().sent("Subscribe"), 0u);
   EXPECT_EQ(sys.net().metrics().sent("Unsubscribe"), 0u);
   EXPECT_EQ(sys.net().metrics().sent("RemoveConnections"), 0u);
@@ -90,7 +92,7 @@ TEST(Closure, DatabaseNeverChangesWithoutChurn) {
   sys.add_subscribers(12);
   ASSERT_TRUE(sys.run_until_legit(1000).has_value());
   const auto before = sys.supervisor().database();
-  sys.net().run_rounds(60);
+  sys.net().run_units(60);
   EXPECT_EQ(sys.supervisor().database(), before);
 }
 
@@ -99,9 +101,11 @@ TEST(Closure, AsyncSchedulerPreservesLegitimacyToo) {
   sys.add_subscribers(16);
   ASSERT_TRUE(sys.run_until_legit(1000).has_value());
   const std::string before = state_fingerprint(sys);
-  sys.net().run_steps(50000);
+  sys.net().set_scheduler(std::make_unique<sched::AsyncScheduler>());
+  sys.net().run_units(50000);
   // Drain whatever is in flight, then compare.
-  sys.net().run_rounds(3);
+  sys.net().set_scheduler(std::make_unique<sched::SerialScheduler>());
+  sys.net().run_units(3);
   EXPECT_EQ(state_fingerprint(sys), before);
   EXPECT_TRUE(sys.topology_legit()) << sys.legitimacy_violation();
 }

@@ -7,6 +7,7 @@
 
 #include "core/chaos.hpp"
 #include "core/system.hpp"
+#include "sched/async.hpp"
 
 namespace ssps::core {
 namespace {
@@ -115,9 +116,10 @@ TEST(Convergence, AsyncSchedulerReachesLegitimacyToo) {
     ChaosOptions chaos;
     chaos.seed = seed + 100;
     corrupt_system(sys, chaos);
+    sys.net().set_scheduler(std::make_unique<sched::AsyncScheduler>());
     bool legit = false;
     for (int block = 0; block < 200 && !legit; ++block) {
-      sys.net().run_steps(5000);
+      sys.net().run_units(5000);
       legit = sys.topology_legit();
     }
     EXPECT_TRUE(legit) << "seed=" << seed << ": " << sys.legitimacy_violation();
@@ -170,7 +172,7 @@ TEST(Convergence, WeaklyConnectedHoldsThroughoutStabilization) {
   for (int round = 0; round < 200; ++round) {
     ASSERT_TRUE(sys.net().weakly_connected(sys.supervisor_id())) << "round " << round;
     if (sys.topology_legit()) break;
-    sys.net().run_round();
+    sys.net().run_unit();
   }
 }
 

@@ -48,7 +48,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(CrashRecovery, CrashDuringStabilizationStillConverges) {
   SkipRingSystem sys(SkipRingSystem::Options{.seed = 9, .fd_delay = 5});
   const auto ids = sys.add_subscribers(20);
-  sys.net().run_rounds(3);  // not yet converged
+  sys.net().run_units(3);  // not yet converged
   sys.crash(ids[2]);
   sys.crash(ids[7]);
   sys.crash(ids[13]);
@@ -80,7 +80,7 @@ TEST(CrashRecovery, SequentialCrashesWhileHealing) {
   ASSERT_TRUE(sys.run_until_legit(1500).has_value());
   for (int wave = 0; wave < 4; ++wave) {
     sys.crash(ids[static_cast<std::size_t>(wave) * 5]);
-    sys.net().run_rounds(6);  // heal a little, crash again
+    sys.net().run_units(6);  // heal a little, crash again
   }
   const auto rounds = sys.run_until_legit(5000);
   ASSERT_TRUE(rounds.has_value()) << sys.legitimacy_violation();
@@ -160,7 +160,7 @@ TEST(FailureDetector, ReportsAfterConfiguredDelay) {
   sim::FailureDetector fd(sys.net(), 5);
   sys.crash(ids[0]);
   EXPECT_FALSE(fd.suspects(ids[0]));  // within the blind window
-  sys.net().run_rounds(5);
+  sys.net().run_units(5);
   EXPECT_TRUE(fd.suspects(ids[0]));
 }
 
@@ -191,7 +191,7 @@ TEST(FailureDetector, RaisedDelayStillEvictsReadmittedDeadNode) {
 
   const sim::NodeId victim = ids[1];
   sys.crash(victim);
-  sys.net().run_round();  // crash becomes visible at delay 0
+  sys.net().run_unit();  // crash becomes visible at delay 0
   sup.timeout();          // cursor consumes it
   EXPECT_FALSE(sup.label_of(victim).has_value());
 
@@ -204,7 +204,7 @@ TEST(FailureDetector, RaisedDelayStillEvictsReadmittedDeadNode) {
   ASSERT_TRUE(sup.label_of(victim).has_value());
 
   // Once the crash is visible again, the rewound cursor re-consumes it.
-  while (!fd.suspects(victim)) sys.net().run_round();
+  while (!fd.suspects(victim)) sys.net().run_unit();
   sup.timeout();
   EXPECT_FALSE(sup.label_of(victim).has_value());
 }

@@ -45,7 +45,7 @@ void run_checked(SkipRingSystem& sys, const char* where) {
   for (std::size_t round = 0; round < kMaxRounds; ++round) {
     expect_agreement(sys, where, round);
     if (sys.topology_legit() && ++closure >= 5) return;
-    sys.net().run_round();
+    sys.net().run_unit();
   }
   FAIL() << where << ": did not reach legitimacy within " << kMaxRounds
          << " rounds";

@@ -72,12 +72,12 @@ TEST(Regression, SupervisorAnswersDeadSubjectQueriesWithPurge) {
   const auto ids = sys.add_subscribers(4);
   ASSERT_TRUE(sys.run_until_legit(400).has_value());
   sys.crash(ids[0]);
-  sys.net().run_rounds(1);  // let the detector see it
+  sys.net().run_units(1);  // let the detector see it
   // Another subscriber asks about the dead node on its own behalf.
   sys.net().metrics().reset();
   sys.net().inject(sys.supervisor_id(),
                    sys.net().pool().make<msg::GetConfiguration>(ids[0], ids[1]));
-  sys.net().run_rounds(1);
+  sys.net().run_units(1);
   EXPECT_GE(sys.net().metrics().sent("RemoveConnections"), 1u);
 }
 

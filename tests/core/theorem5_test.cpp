@@ -24,9 +24,9 @@ double measured_requests_per_round(std::size_t n, std::uint64_t seed,
   SkipRingSystem sys(SkipRingSystem::Options{.seed = seed, .fd_delay = 0});
   sys.add_subscribers(n);
   EXPECT_TRUE(sys.run_until_legit(4000).has_value());
-  sys.net().run_rounds(5);
+  sys.net().run_units(5);
   sys.net().metrics().reset();
-  sys.net().run_rounds(rounds);
+  sys.net().run_units(rounds);
   const auto requests =
       sys.net().metrics().sent("GetConfiguration") + sys.net().metrics().sent("Subscribe");
   return static_cast<double>(requests) / static_cast<double>(rounds);
@@ -77,10 +77,10 @@ TEST(Theorem5, SupervisorSendsExactlyOneConfigPerRoundSteadyState) {
   SkipRingSystem sys(SkipRingSystem::Options{.seed = 5, .fd_delay = 0});
   sys.add_subscribers(32);
   ASSERT_TRUE(sys.run_until_legit(1500).has_value());
-  sys.net().run_rounds(5);
+  sys.net().run_units(5);
   sys.net().metrics().reset();
   const std::size_t rounds = 200;
-  sys.net().run_rounds(rounds);
+  sys.net().run_units(rounds);
   const auto requests = sys.net().metrics().sent("GetConfiguration");
   const auto configs = sys.net().metrics().sent("SetData");
   EXPECT_LE(configs, rounds + requests + 2);

@@ -7,6 +7,8 @@
 #include "common/rng.hpp"
 #include "core/chaos.hpp"
 #include "pubsub/pubsub_node.hpp"
+#include "sched/async.hpp"
+#include "sched/serial.hpp"
 
 namespace ssps::core {
 namespace {
@@ -81,9 +83,11 @@ TEST_P(Torture, EverythingAtOnceEventuallyStabilizes) {
     }
     // A burst of progress under either scheduler.
     if (rng.chance(1, 2)) {
-      sys.net().run_rounds(rng.between(2, 8));
+      sys.net().run_units(rng.between(2, 8));
     } else {
-      sys.net().run_steps(rng.between(500, 3000));
+      sys.net().set_scheduler(std::make_unique<sched::AsyncScheduler>());
+      sys.net().run_units(rng.between(500, 3000));
+      sys.net().set_scheduler(std::make_unique<sched::SerialScheduler>());
     }
   }
 
@@ -107,7 +111,7 @@ TEST_P(Torture, EverythingAtOnceEventuallyStabilizes) {
   for (int attempt = 0; attempt < 50 && !ten_clean_rounds; ++attempt) {
     ten_clean_rounds = true;
     for (int i = 0; i < 10; ++i) {
-      sys.net().run_round();
+      sys.net().run_unit();
       if (!sys.topology_legit()) {
         ten_clean_rounds = false;
         ASSERT_TRUE(sys.run_until_legit(30000).has_value())

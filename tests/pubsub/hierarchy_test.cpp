@@ -104,10 +104,10 @@ TEST(TopicHierarchyEndToEnd, SubtreeSubscriptionReceivesDescendantTraffic) {
   // reader follows news only.
   net.node_as<MultiTopicNode>(reader).subscribe(*h.id_of("news"));
 
-  net.run_rounds(60);
+  net.run_units(60);
   net.node_as<MultiTopicNode>(journalist)
       .publish(*h.id_of("sports/football"), "matchday!");
-  net.run_rounds(40);
+  net.run_units(40);
 
   EXPECT_EQ(net.node_as<MultiTopicNode>(fan)
                 .pubsub(*h.id_of("sports/football"))
@@ -133,7 +133,7 @@ TEST(TopicHierarchyEndToEnd, HierarchyComposesWithSupervisorGroup) {
   h.add("root/b");
   const auto client = net.spawn<MultiTopicNode>(resolver);
   for (TopicId t : h.subtree("root")) net.node_as<MultiTopicNode>(client).subscribe(t);
-  net.run_rounds(50);
+  net.run_units(50);
   for (TopicId t : h.subtree("root")) {
     const auto* sup_node =
         &net.node_as<MultiTopicSupervisorNode>(group.supervisor_for(t));

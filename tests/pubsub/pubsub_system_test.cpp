@@ -64,10 +64,10 @@ TEST(PublicationClosure, NoSyncTrafficOnceConverged) {
   }
   ASSERT_TRUE(
       sys.net().run_until([&] { return sys.publications_converged(); }, 2000));
-  sys.net().run_rounds(3);
+  sys.net().run_units(3);
   sys.net().metrics().reset();
   const std::size_t window = 30;
-  sys.net().run_rounds(window);
+  sys.net().run_units(window);
   // Exactly one CheckTrie per node per round, and nothing downstream.
   EXPECT_EQ(sys.net().metrics().sent("CheckTrie"), window * ids.size());
   EXPECT_EQ(sys.net().metrics().sent("CheckAndPublish"), 0u);
@@ -88,7 +88,7 @@ TEST(PublicationConvergence, TriesNeverShrink) {
   }
   std::vector<std::size_t> last(ids.size(), 0);
   for (int round = 0; round < 150; ++round) {
-    sys.net().run_round();
+    sys.net().run_unit();
     for (std::size_t i = 0; i < ids.size(); ++i) {
       const std::size_t now = sys.pubsub(ids[i]).trie().size();
       ASSERT_GE(now, last[i]);
@@ -119,7 +119,7 @@ TEST(Flooding, DuplicatesAreDropped) {
   ASSERT_TRUE(sys.run_until_legit(800).has_value());
   sys.net().metrics().reset();
   sys.pubsub(ids[3]).publish("once");
-  sys.net().run_rounds(20);
+  sys.net().run_units(20);
   // Every node forwards the publication to its neighbors exactly once:
   // the flood volume is bounded by the number of directed overlay edges
   // (≈ 2 · 2n edges) — not by n², which repeated re-forwarding would give.
@@ -156,7 +156,7 @@ TEST(LateJoiner, ReceivesFullHistory) {
   const auto ids = sys.add_pubsub_subscribers(8);
   ASSERT_TRUE(sys.run_until_legit(500).has_value());
   for (int i = 0; i < 7; ++i) sys.pubsub(ids[0]).publish("old-" + std::to_string(i));
-  sys.net().run_rounds(15);
+  sys.net().run_units(15);
   const sim::NodeId late = sys.add_pubsub_subscriber();
   const auto rounds = sys.net().run_until(
       [&] { return sys.pubsub(late).trie().size() == 7; }, 1000);
@@ -169,7 +169,7 @@ TEST(LateJoiner, HistorySurvivesPublisherDeparture) {
   const auto ids = sys.add_pubsub_subscribers(8);
   ASSERT_TRUE(sys.run_until_legit(500).has_value());
   sys.pubsub(ids[2]).publish("legacy");
-  sys.net().run_rounds(15);
+  sys.net().run_units(15);
   sys.request_unsubscribe(ids[2]);
   ASSERT_TRUE(sys.run_until_legit(1000).has_value());
   const sim::NodeId late = sys.add_pubsub_subscriber();
@@ -190,7 +190,7 @@ TEST(Publications, ConvergenceSurvivesCrashes) {
     sys.pubsub(ids[0]).add_local(Publication{ids[0], "k" + std::to_string(i)});
     sys.pubsub(ids[5]).add_local(Publication{ids[0], "k" + std::to_string(i)});
   }
-  sys.net().run_rounds(2);
+  sys.net().run_units(2);
   sys.crash(ids[5]);
   const auto rounds = sys.net().run_until(
       [&] { return sys.topology_legit() && sys.publications_converged(); }, 4000);

@@ -111,7 +111,7 @@ TEST(Recovery, RecoveredNodeKeepsSnapshottedPublications) {
   ASSERT_TRUE(f.sys.net()
                   .run_until([&] { return f.sys.publications_converged(); }, 2000)
                   .has_value());
-  f.sys.net().run_rounds(5);  // guarantee a snapshot after convergence
+  f.sys.net().run_units(5);  // guarantee a snapshot after convergence
   f.sys.crash(victim);
   ASSERT_TRUE(f.restabilized());
 

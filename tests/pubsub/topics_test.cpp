@@ -36,7 +36,7 @@ class TopicsTest : public ::testing::Test {
 TEST_F(TopicsTest, SubscribersJoinPerTopic) {
   spawn_clients(6);
   for (std::size_t i = 0; i < 6; ++i) client(i).subscribe(1);
-  net.run_rounds(40);
+  net.run_units(40);
   auto* sup_node = &net.node_as<MultiTopicSupervisorNode>(sup);
   ASSERT_NE(sup_node->find_topic(1), nullptr);
   EXPECT_EQ(sup_node->find_topic(1)->size(), 6u);
@@ -47,9 +47,9 @@ TEST_F(TopicsTest, TopicsAreIsolated) {
   spawn_clients(8);
   for (std::size_t i = 0; i < 8; ++i) client(i).subscribe(1);
   for (std::size_t i = 0; i < 4; ++i) client(i).subscribe(2);
-  net.run_rounds(60);
+  net.run_units(60);
   client(0).publish(2, "only-for-topic-2");
-  net.run_rounds(40);
+  net.run_units(40);
   EXPECT_TRUE(topic_converged(2, 1));
   for (std::size_t i = 0; i < 8; ++i) {
     EXPECT_EQ(client(i).pubsub(1).trie().size(), 0u) << "leak into topic 1";
@@ -59,19 +59,19 @@ TEST_F(TopicsTest, TopicsAreIsolated) {
 TEST_F(TopicsTest, PublishReachesAllTopicSubscribers) {
   spawn_clients(10);
   for (std::size_t i = 0; i < 10; ++i) client(i).subscribe(7);
-  net.run_rounds(60);
+  net.run_units(60);
   client(3).publish(7, "hello");
   client(5).publish(7, "world");
-  net.run_rounds(60);
+  net.run_units(60);
   EXPECT_TRUE(topic_converged(7, 2));
 }
 
 TEST_F(TopicsTest, UnsubscribeRemovesInstanceAndLabels) {
   spawn_clients(5);
   for (std::size_t i = 0; i < 5; ++i) client(i).subscribe(3);
-  net.run_rounds(50);
+  net.run_units(50);
   client(2).unsubscribe(3);
-  net.run_rounds(60);
+  net.run_units(60);
   EXPECT_FALSE(client(2).subscribed(3));
   auto* topic = net.node_as<MultiTopicSupervisorNode>(sup).find_topic(3);
   ASSERT_NE(topic, nullptr);
@@ -82,9 +82,9 @@ TEST_F(TopicsTest, UnsubscribeRemovesInstanceAndLabels) {
 TEST_F(TopicsTest, StaleTrafficAfterUnsubscribeIsAnswredWithRemoval) {
   spawn_clients(4);
   for (std::size_t i = 0; i < 4; ++i) client(i).subscribe(1);
-  net.run_rounds(50);
+  net.run_units(50);
   client(0).unsubscribe(1);
-  net.run_rounds(80);
+  net.run_units(80);
   // Nobody references the departed client in topic 1 anymore.
   for (std::size_t i = 1; i < 4; ++i) {
     std::vector<sim::NodeId> refs;
@@ -96,14 +96,14 @@ TEST_F(TopicsTest, StaleTrafficAfterUnsubscribeIsAnswredWithRemoval) {
 TEST_F(TopicsTest, NodeCanRejoinATopicAfterLeaving) {
   spawn_clients(4);
   for (std::size_t i = 0; i < 4; ++i) client(i).subscribe(1);
-  net.run_rounds(50);
+  net.run_units(50);
   client(1).publish(1, "before-leave");
-  net.run_rounds(30);
+  net.run_units(30);
   client(0).unsubscribe(1);
-  net.run_rounds(60);
+  net.run_units(60);
   ASSERT_FALSE(client(0).subscribed(1));
   client(0).subscribe(1);  // fresh instance, new label, history re-synced
-  net.run_rounds(80);
+  net.run_units(80);
   ASSERT_TRUE(client(0).subscribed(1));
   EXPECT_EQ(client(0).pubsub(1).trie().size(), 1u);
 }
@@ -113,7 +113,7 @@ TEST_F(TopicsTest, ManyTopicsOnOneSupervisorProcess) {
   for (TopicId t = 1; t <= 10; ++t) {
     for (std::size_t i = 0; i < 6; ++i) client(i).subscribe(t);
   }
-  net.run_rounds(80);
+  net.run_units(80);
   auto& s = net.node_as<MultiTopicSupervisorNode>(sup);
   EXPECT_EQ(s.topic_count(), 10u);
   for (TopicId t = 1; t <= 10; ++t) {
@@ -134,7 +134,7 @@ TEST(TopicsMultiSupervisor, TopicsShardAcrossSupervisors) {
   for (TopicId t = 1; t <= 30; ++t) {
     for (sim::NodeId c : clients) net.node_as<MultiTopicNode>(c).subscribe(t);
   }
-  net.run_rounds(100);
+  net.run_units(100);
   std::size_t total = 0;
   std::size_t nonempty_supervisors = 0;
   for (sim::NodeId s : {s1, s2, s3}) {

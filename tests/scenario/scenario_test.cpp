@@ -4,6 +4,8 @@
 
 #include "scenario/builtin.hpp"
 #include "scenario/runner.hpp"
+#include "sched/async.hpp"
+#include "sched/timed.hpp"
 
 namespace ssps::scenario {
 namespace {
@@ -324,7 +326,7 @@ TEST(CustomSpec, AsyncTimeseriesAndLatencyUseTheStepClock) {
   // Samples tick on the step clock: strictly increasing multiples of the
   // probe stride (the round counter would sit at a handful of rounds).
   const auto& samples = report.timeseries->samples;
-  const sim::Step stride = runner.net().async_config().probe_stride;
+  const sim::Step stride = sched::AsyncConfig{}.probe_stride;
   for (std::size_t i = 0; i < samples.size(); ++i) {
     if (i > 0) {
       EXPECT_LT(samples[i - 1].round, samples[i].round);
@@ -384,7 +386,8 @@ TEST(TimedScheduler, LossyScrambledRecoveryAt64Nodes) {
   EXPECT_EQ(report.latency.unit, "virtual-seconds");
   EXPECT_GT(report.latency.global.count, 0u);
   // The link layer really dropped traffic on the way.
-  EXPECT_GT(runner.net().timed_dropped(), 0u);
+  ASSERT_NE(runner.timed(), nullptr);
+  EXPECT_GT(runner.timed()->dropped(), 0u);
 }
 
 TEST(CustomSpec, AsyncSchedulerPhasesAreDeterministic) {

@@ -75,14 +75,14 @@ SimTrace run_sim(unsigned threads) {
     relay.chatty = i % 4 == 0;
   }
   for (int i = 0; i < kNodes; ++i) net.emit<Ping>(ids[i], 5 + i % 7);
-  net.run_rounds(6);
+  net.run_units(6);
   net.crash(ids[3]);
   net.crash(ids[17]);  // its pending messages drop; senders keep sending
-  net.run_rounds(6);
+  net.run_units(6);
   const NodeId late = net.spawn<Relay>();
   net.node_as<Relay>(late).next = ids[0];
   net.emit<Ping>(late, 9);
-  net.run_rounds(8);
+  net.run_units(8);
 
   SimTrace trace;
   for (NodeId id : net.alive_ids()) {
@@ -121,11 +121,11 @@ TEST(ParallelScheduler, MidRunSwitchesPreserveTheTrace) {
       net.node_as<Relay>(ids[i]).next = ids[(i + 1) % 11];
     }
     for (int i = 0; i < 11; ++i) net.emit<Ping>(ids[i], 20);
-    net.run_rounds(5);
+    net.run_units(5);
     if (switching) net.set_threads(3);
-    net.run_rounds(5);
+    net.run_units(5);
     if (switching) net.set_threads(1);
-    net.run_rounds(5);
+    net.run_units(5);
     std::vector<std::vector<int>> received;
     for (NodeId id : net.alive_ids()) {
       received.push_back(net.node_as<Relay>(id).received);
@@ -143,10 +143,10 @@ TEST(ParallelScheduler, WorkerPoolsDrainAndRecycle) {
   for (int i = 0; i < 8; ++i) net.node_as<Relay>(ids[i]).next = ids[(i + 1) % 8];
   for (int round = 0; round < 30; ++round) {
     for (NodeId id : ids) net.emit<Ping>(id, 1);
-    net.run_round();
+    net.run_unit();
   }
   // Everything sent was delivered or is still pending; drain fully.
-  while (net.pending_messages() > 0) net.run_round();
+  while (net.pending_messages() > 0) net.run_unit();
   Metrics& metrics = net.metrics();
   EXPECT_EQ(metrics.total_sent(), metrics.total_delivered());
   // The main pool holds no live messages once channels are empty (worker

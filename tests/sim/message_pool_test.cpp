@@ -96,7 +96,7 @@ TEST(MessagePool, CrashReclaimsQueuedMessages) {
   // New traffic reuses the reclaimed slots: the arena does not grow.
   for (int i = 0; i < 50; ++i) net.emit<Payload>(b, "to-b-" + std::to_string(i));
   EXPECT_EQ(net.pool().slot_count(), slots_before);
-  net.run_round();
+  net.run_unit();
   EXPECT_EQ(net.pool().live(), 0u);
 }
 
@@ -159,7 +159,7 @@ TEST(MessagePool, HandleOrderIsDeterministicUnderReplay) {
     net.node_as<HandleRecorder>(b).out = &handles;
     net.node_as<HandleRecorder>(b).peer = a;
     for (int i = 0; i < 8; ++i) net.emit<Tiny>(i % 2 == 0 ? a : b, 20 + i);
-    net.run_rounds(30);
+    net.run_units(30);
     return handles;
   };
   const auto first = run(11);
@@ -186,7 +186,7 @@ TEST(MessagePool, ScrambledStartAtN256IsCleanAndConverges) {
   // every round would dominate this test's runtime at n = 256.
   bool recovered = false;
   for (int budget = 0; budget < 6000 && !recovered; budget += 16) {
-    sys.net().run_rounds(16);
+    sys.net().run_units(16);
     recovered = sys.topology_legit() && sys.publications_converged();
   }
   ASSERT_TRUE(recovered) << sys.legitimacy_violation();

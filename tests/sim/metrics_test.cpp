@@ -118,7 +118,7 @@ TEST(Metrics, NetworkIntegrationTracksWireSizes) {
   net.emit<Sized>(a);
   EXPECT_EQ(net.metrics().sent("Sized"), 1u);
   EXPECT_EQ(net.metrics().sent_bytes("Sized"), 123u);
-  net.run_round();
+  net.run_unit();
   EXPECT_EQ(net.metrics().received_by(a, "Sized"), 1u);
 }
 

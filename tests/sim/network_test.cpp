@@ -6,6 +6,8 @@
 
 #include <map>
 
+#include "sched/async.hpp"
+
 namespace ssps::sim {
 namespace {
 
@@ -54,7 +56,7 @@ TEST(Network, RoundDeliversAllPendingMessages) {
   const NodeId a = net.spawn<Probe>();
   for (int i = 0; i < 5; ++i) net.emit<Ping>(a, i);
   EXPECT_EQ(net.pending_for(a), 5u);
-  net.run_round();
+  net.run_unit();
   EXPECT_EQ(net.pending_for(a), 0u);
   EXPECT_EQ(net.node_as<Probe>(a).received.size(), 5u);
 }
@@ -65,9 +67,9 @@ TEST(Network, MessagesSentDuringARoundArriveNextRound) {
   const NodeId b = net.spawn<Probe>();
   net.node_as<Probe>(a).echo_to = b;
   net.emit<Ping>(a, 1);
-  net.run_round();
+  net.run_unit();
   EXPECT_TRUE(net.node_as<Probe>(b).received.empty());  // echo still queued
-  net.run_round();
+  net.run_unit();
   ASSERT_EQ(net.node_as<Probe>(b).received.size(), 1u);
   EXPECT_EQ(net.node_as<Probe>(b).received[0], 1001);
 }
@@ -76,7 +78,7 @@ TEST(Network, EveryNodeTimesOutOncePerRound) {
   Network net(4);
   std::vector<NodeId> nodes;
   for (int i = 0; i < 7; ++i) nodes.push_back(net.spawn<Probe>());
-  net.run_rounds(3);
+  net.run_units(3);
   for (NodeId id : nodes) EXPECT_EQ(net.node_as<Probe>(id).timeouts, 3);
 }
 
@@ -89,7 +91,7 @@ TEST(Network, DeliveryOrderIsNotFifo) {
     Network net(seed);
     const NodeId a = net.spawn<Probe>();
     for (int i = 0; i < 10; ++i) net.emit<Ping>(a, i);
-    net.run_round();
+    net.run_unit();
     const auto& got = net.node_as<Probe>(a).received;
     reordered = !std::is_sorted(got.begin(), got.end());
   }
@@ -103,7 +105,7 @@ TEST(Network, DeterministicGivenSeed) {
     const NodeId b = net.spawn<Probe>();
     net.node_as<Probe>(a).echo_to = b;
     for (int i = 0; i < 20; ++i) net.emit<Ping>(a, i);
-    net.run_rounds(3);
+    net.run_units(3);
     return net.node_as<Probe>(b).received;
   };
   EXPECT_EQ(run(99), run(99));
@@ -119,13 +121,13 @@ TEST(Network, CrashSwallowsPendingAndFutureMessages) {
   EXPECT_EQ(net.pending_messages(), 0u);
   net.emit<Ping>(a, 2);  // must not throw, must vanish
   EXPECT_EQ(net.pending_messages(), 0u);
-  net.run_round();  // and rounds still work
+  net.run_unit();  // and rounds still work
 }
 
 TEST(Network, CrashRoundIsRecorded) {
   Network net(6);
   const NodeId a = net.spawn<Probe>();
-  net.run_rounds(4);
+  net.run_units(4);
   net.crash(a);
   ASSERT_TRUE(net.crash_round(a).has_value());
   EXPECT_EQ(*net.crash_round(a), 4u);
@@ -136,31 +138,34 @@ TEST(Network, AsyncStepsDeliverEverythingEventually) {
   Network net(7);
   const NodeId a = net.spawn<Probe>();
   for (int i = 0; i < 50; ++i) net.emit<Ping>(a, i);
-  net.run_steps(5000);
+  net.set_scheduler(std::make_unique<sched::AsyncScheduler>());
+  net.run_units(5000);
   EXPECT_EQ(net.node_as<Probe>(a).received.size(), 50u);
 }
 
 TEST(Network, AsyncFairnessBoundsMessageAge) {
   Network net(8);
-  net.async_config().max_message_age = 16;
+  net.set_scheduler(std::make_unique<sched::AsyncScheduler>(
+      sched::AsyncConfig{.max_message_age = 16}));
   const NodeId a = net.spawn<Probe>();
   const NodeId b = net.spawn<Probe>();
   (void)b;
   net.emit<Ping>(a, 1);
   // Within max_message_age + a few steps the message must arrive, no
   // matter how the scheduler dices.
-  net.run_steps(20);
+  net.run_units(20);
   EXPECT_EQ(net.node_as<Probe>(a).received.size(), 1u);
 }
 
 TEST(Network, AsyncFairnessBoundsTimeoutGap) {
   Network net(9);
-  net.async_config().max_timeout_gap = 8;
+  net.set_scheduler(std::make_unique<sched::AsyncScheduler>(
+      sched::AsyncConfig{.max_timeout_gap = 8}));
   const NodeId a = net.spawn<Probe>();
   // Keep the scheduler busy with messages to tempt it away from timeouts.
   const NodeId sinkhole = net.spawn<Probe>();
   for (int i = 0; i < 100; ++i) net.emit<Ping>(sinkhole, i);
-  net.run_steps(100);
+  net.run_units(100);
   EXPECT_GE(net.node_as<Probe>(a).timeouts, 5);
 }
 

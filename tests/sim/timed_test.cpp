@@ -1,11 +1,13 @@
 // Event-driven timed network: link model, per-message latency, seeded
 // loss/duplication/reordering, partitions, and the round-equivalence of
-// the default profile (sim/link.hpp, Network::timed_interval).
+// the default profile (sim/link.hpp, sched::TimedScheduler).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "sched/serial.hpp"
+#include "sched/timed.hpp"
 #include "sim/link.hpp"
 #include "sim/network.hpp"
 
@@ -33,6 +35,14 @@ class Probe final : public Node {
   int timeouts = 0;
   NodeId echo_to = NodeId::null();
 };
+
+/// Installs the timed engine on `net`; the network owns it.
+sched::TimedScheduler& install_timed(Network& net, TimedConfig cfg = {}) {
+  auto timed = std::make_unique<sched::TimedScheduler>(net, std::move(cfg));
+  sched::TimedScheduler& engine = *timed;
+  net.set_scheduler(std::move(timed));
+  return engine;
+}
 
 // ---------------------------------------------------------------------------
 // Link model
@@ -112,9 +122,9 @@ TEST(TimedNetwork, DefaultProfileMatchesRoundDeliveries) {
     const NodeId b = net.spawn<Probe>();
     net.node_as<Probe>(a).echo_to = b;
     net.node_as<Probe>(b).echo_to = a;
-    if (timed) net.enable_timed(TimedConfig{});
+    if (timed) install_timed(net);
     for (int i = 0; i < 8; ++i) net.emit<Ping>(a, i);
-    net.run_rounds(6);
+    net.run_units(6);
     return std::pair{net.node_as<Probe>(a).received, net.node_as<Probe>(b).received};
   };
   EXPECT_EQ(run(false), run(true));
@@ -123,10 +133,10 @@ TEST(TimedNetwork, DefaultProfileMatchesRoundDeliveries) {
 TEST(TimedNetwork, VirtualClockTicksOneSecondPerInterval) {
   Network net(5);
   net.spawn<Probe>();
-  net.enable_timed(TimedConfig{});
-  EXPECT_EQ(net.virtual_now_ticks(), 0u);
-  net.run_rounds(3);
-  EXPECT_EQ(net.virtual_now_ticks(), 3 * kTicksPerInterval);
+  const sched::TimedScheduler& timed = install_timed(net);
+  EXPECT_EQ(timed.now_ticks(), 0u);
+  net.run_units(3);
+  EXPECT_EQ(timed.now_ticks(), 3 * kTicksPerInterval);
   EXPECT_EQ(net.round(), 3u);
 }
 
@@ -137,14 +147,14 @@ TEST(TimedNetwork, LossDropsNodeTrafficButSparesHarnessSends) {
   const NodeId a = net.spawn<Probe>();
   const NodeId b = net.spawn<Probe>();
   net.node_as<Probe>(a).echo_to = b;
-  net.enable_timed(cfg);
+  const sched::TimedScheduler& timed = install_timed(net, cfg);
   // Harness sends are fault-exempt (the experiment's control plane), so
   // the ping reaches a; a's echo is node traffic and is eaten.
   net.emit<Ping>(a, 1);
-  net.run_rounds(3);
+  net.run_units(3);
   ASSERT_EQ(net.node_as<Probe>(a).received.size(), 1u);
   EXPECT_TRUE(net.node_as<Probe>(b).received.empty());
-  EXPECT_EQ(net.timed_dropped(), 1u);
+  EXPECT_EQ(timed.dropped(), 1u);
 }
 
 TEST(TimedNetwork, DuplicationDeliversACloneOnce) {
@@ -154,12 +164,12 @@ TEST(TimedNetwork, DuplicationDeliversACloneOnce) {
   const NodeId a = net.spawn<Probe>();
   const NodeId b = net.spawn<Probe>();
   net.node_as<Probe>(a).echo_to = b;
-  net.enable_timed(cfg);
+  const sched::TimedScheduler& timed = install_timed(net, cfg);
   net.emit<Ping>(a, 1);
-  net.run_rounds(3);
+  net.run_units(3);
   // Original + exactly one clone (clones are not themselves re-duplicated).
   EXPECT_EQ(net.node_as<Probe>(b).received, (std::vector<int>{1001, 1001}));
-  EXPECT_EQ(net.timed_duplicated(), 1u);
+  EXPECT_EQ(timed.duplicated(), 1u);
 }
 
 TEST(TimedNetwork, PartitionCutsCrossZoneTrafficUntilHealed) {
@@ -175,17 +185,17 @@ TEST(TimedNetwork, PartitionCutsCrossZoneTrafficUntilHealed) {
   const NodeId a = net.spawn<Probe>();  // id 1 -> zone 0
   const NodeId b = net.spawn<Probe>();  // id 2 -> zone 1
   net.node_as<Probe>(a).echo_to = b;
-  net.enable_timed(cfg);
+  const sched::TimedScheduler& timed = install_timed(net, cfg);
 
   net.emit<Ping>(a, 1);  // harness sends are partition-exempt too
-  net.run_rounds(3);     // a's echo at tick 1000 falls inside the cut
+  net.run_units(3);      // a's echo at tick 1000 falls inside the cut
   EXPECT_TRUE(net.node_as<Probe>(b).received.empty());
-  EXPECT_EQ(net.timed_dropped(), 1u);
+  EXPECT_EQ(timed.dropped(), 1u);
 
   net.emit<Ping>(a, 2);  // echo now sent at tick >= 3000: healed
-  net.run_rounds(3);
+  net.run_units(3);
   EXPECT_EQ(net.node_as<Probe>(b).received, (std::vector<int>{1002}));
-  EXPECT_EQ(net.timed_dropped(), 1u);
+  EXPECT_EQ(timed.dropped(), 1u);
 }
 
 TEST(TimedNetwork, FaultyLinksReplayBitIdentically) {
@@ -208,14 +218,14 @@ TEST(TimedNetwork, FaultyLinksReplayBitIdentically) {
       net.node_as<Probe>(ids[static_cast<std::size_t>(i)]).echo_to =
           ids[static_cast<std::size_t>((i + 1) % 4)];
     }
-    net.enable_timed(cfg);
+    const sched::TimedScheduler& timed = install_timed(net, cfg);
     for (int i = 0; i < 16; ++i) {
       net.emit<Ping>(ids[static_cast<std::size_t>(i % 4)], i);
     }
-    net.run_rounds(12);
+    net.run_units(12);
     std::vector<std::vector<int>> got;
     for (NodeId id : ids) got.push_back(net.node_as<Probe>(id).received);
-    return std::tuple{got, net.timed_dropped(), net.timed_duplicated()};
+    return std::tuple{got, timed.dropped(), timed.duplicated()};
   };
   const auto a = run();
   EXPECT_EQ(a, run());
@@ -231,14 +241,33 @@ TEST(TimedNetwork, CrashDropsQueuedTimedEvents) {
   const NodeId a = net.spawn<Probe>();
   const NodeId b = net.spawn<Probe>();
   net.node_as<Probe>(a).echo_to = b;
-  net.enable_timed(cfg);
+  install_timed(net, cfg);
   net.emit<Ping>(a, 1);
-  net.run_rounds(2);  // a's echo is in flight, due ~5 s out
+  net.run_units(2);  // a's echo is in flight, due ~5 s out
   EXPECT_GT(net.pending_messages(), 0u);
   net.crash(b);
   EXPECT_EQ(net.pending_messages(), 0u);
-  net.run_rounds(6);  // the dead letter must not resurface
+  net.run_units(6);  // the dead letter must not resurface
   EXPECT_FALSE(net.alive(b));
+}
+
+TEST(TimedNetworkDeathTest, ReplacingAnEngineThatHoldsMessagesAborts) {
+  // The event heap is the engine's own: swapping the engine out while it
+  // still holds in-flight messages would strand them — counted pending
+  // forever, never delivered — so the Network refuses.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  TimedConfig cfg;
+  cfg.local.latency = {LatencySpec::Dist::kConstant, 5.0, 0.0};
+  Network net(10);
+  const NodeId a = net.spawn<Probe>();
+  const NodeId b = net.spawn<Probe>();
+  net.node_as<Probe>(a).echo_to = b;
+  install_timed(net, cfg);
+  net.emit<Ping>(a, 1);
+  net.run_units(2);  // a's echo sits on the event heap, due ~5 s out
+  ASSERT_EQ(net.pending_messages(), 1u);
+  EXPECT_DEATH(net.set_scheduler(std::make_unique<sched::SerialScheduler>()),
+               "still holds in-flight messages");
 }
 
 }  // namespace

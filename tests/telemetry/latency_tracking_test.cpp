@@ -33,7 +33,7 @@ TEST(LatencyTracking, EveryFirstReceiptIsRecordedOnce) {
 
   // Further anti-entropy traffic must not add samples.
   const std::uint64_t settled = lat.count();
-  sys.net().run_rounds(20);
+  sys.net().run_units(20);
   EXPECT_EQ(sys.net().latency().count(), settled);
 }
 

@@ -60,7 +60,7 @@ TEST(RoundProbe, NetworkSamplesEveryRound) {
   sys.add_subscribers(6);
   RoundProbe probe(64);
   sys.net().attach_round_probe(&probe);
-  sys.net().run_rounds(10);
+  sys.net().run_units(10);
   ASSERT_EQ(probe.size(), 10u);
   for (std::size_t i = 0; i < probe.size(); ++i) {
     EXPECT_EQ(probe.at(i).round, i + 1);  // clock reads post-increment
@@ -70,7 +70,7 @@ TEST(RoundProbe, NetworkSamplesEveryRound) {
   EXPECT_GT(probe.at(2).delivered, 0u);
   EXPECT_GT(probe.at(2).timeouts, 0u);
   sys.net().attach_round_probe(nullptr);
-  sys.net().run_rounds(1);
+  sys.net().run_units(1);
   EXPECT_EQ(probe.size(), 10u);  // detached: no further samples
 }
 
