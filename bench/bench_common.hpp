@@ -1,12 +1,8 @@
-// Shared scaffolding for the bench binaries: every binary first prints its
-// paper-style experiment table (the reproduction artifact recorded in
-// bench_output.txt), then runs its google-benchmark micro timings, and
-// finally writes one BENCH_<name>.json result object through the scenario
-// engine's report writer so the performance trajectory accumulates in a
-// uniform machine-readable format.
+// Shared scaffolding for the bench binaries: every binary prints its
+// paper-style experiment tables, then writes one BENCH_<name>.json result
+// object through the scenario engine's report writer, which
+// tools/bench_compare.py gates against bench/baselines/.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
@@ -31,32 +27,24 @@ inline double now_seconds() {
       .count();
 }
 
-inline int run_bench_main(const char* name, void (*print_fn)(), int argc,
-                          char** argv) {
-  const auto start = std::chrono::steady_clock::now();
+/// Runs `print_fn`, stamps its wall time, and writes BENCH_<name>.json.
+/// Exit status 1 when the result file cannot be written.
+inline int run_bench_main(const char* name, void (*print_fn)()) {
+  const double start = now_seconds();
   print_fn();
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
   std::fflush(stdout);
-  result_json()["experiment_seconds"] = elapsed.count();
+  result_json()["experiment_seconds"] = now_seconds() - start;
   if (!scenario::write_bench_json(name, result_json())) {
-    std::fprintf(stderr, "warning: could not write %s\n",
+    std::fprintf(stderr, "could not write %s\n",
                  scenario::bench_json_path(name).c_str());
-  }
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
   }
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
   return 0;
 }
 
 }  // namespace ssps::bench
 
-/// Defines main(): prints the experiment via `print_fn`, writes
-/// BENCH_<name>.json, then runs the registered google-benchmark timings.
-#define SSPS_BENCH_MAIN(name, print_fn)                          \
-  int main(int argc, char** argv) {                              \
-    return ::ssps::bench::run_bench_main(name, print_fn, argc, argv); \
-  }
+/// Defines main(): prints the experiment via `print_fn`, then writes
+/// BENCH_<name>.json.
+#define SSPS_BENCH_MAIN(name, print_fn) \
+  int main() { return ::ssps::bench::run_bench_main(name, print_fn); }

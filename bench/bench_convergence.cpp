@@ -1,5 +1,6 @@
-// Experiments E4/E5/E12 — Theorems 8 & 13: convergence from adversarial
-// initial states, the closure window after legitimacy, and the
+// Experiments E4/E5/E11/E12 — Theorems 8 & 13: convergence from adversarial
+// initial states (chaos, wiped databases, split-brain, unannounced crashes,
+// fully scrambled state), the closure window after legitimacy, and the
 // label-correction ablation (Lemma 4's extension of BuildRing).
 //
 // The E4 and E12 series run through the scenario engine: each initial-state
@@ -30,7 +31,7 @@ struct Run {
 
 /// Chaos knobs for one named initial-state class ("chaos", "wipe",
 /// "labels-only", "edges-only"); nullopt for classes that are not
-/// ChaosOptions-shaped ("cold", "splitbrain").
+/// ChaosOptions-shaped ("cold", "splitbrain", "crash", "scramble").
 std::optional<ChaosOptions> chaos_for(const std::string& klass, std::uint64_t seed) {
   ChaosOptions chaos;
   chaos.seed = seed * 3 + 1;
@@ -64,7 +65,11 @@ std::optional<ChaosOptions> chaos_for(const std::string& klass, std::uint64_t se
 
 /// The scenario for one (class, n, seed) cell: a cold start measures its
 /// bootstrap phase; every other class bootstraps to legitimacy first and
-/// measures the corrupt-and-recover phase.
+/// measures the corrupt-and-recover phase. "crash" is E11 (§3.3): a quarter
+/// of the ring fail-stops unannounced and the survivors re-stabilize to
+/// SR(n − f). "scramble" is the Definition 1 adversary: every protocol
+/// variable rebuilt at random, with recovery certified by the full
+/// legal-state oracle.
 scenario::ScenarioSpec class_scenario(const std::string& klass, std::size_t n,
                                       std::uint64_t seed) {
   scenario::ScenarioSpec spec;
@@ -85,6 +90,11 @@ scenario::ScenarioSpec class_scenario(const std::string& klass, std::size_t n,
   corrupt.name = "corrupt-and-recover";
   corrupt.chaos = chaos_for(klass, seed);
   corrupt.split_brain = klass == "splitbrain";
+  if (klass == "crash") corrupt.churn.crashes = n / 4;
+  if (klass == "scramble") {
+    corrupt.scramble = oracle::ScrambleOptions{.seed = seed * 977 + 13};
+    spec.oracle = true;
+  }
   corrupt.converge = true;
   corrupt.max_rounds = 20000;
   spec.phases.push_back(corrupt);
@@ -113,7 +123,8 @@ void print_experiment() {
   scenario::Json series = scenario::Json::array();
   {
     Table table({"class", "n", "rounds to legit", "msgs/node/round"});
-    for (const char* klass : {"cold", "chaos", "wipe", "splitbrain"}) {
+    for (const char* klass :
+         {"cold", "chaos", "wipe", "splitbrain", "crash", "scramble"}) {
       for (std::size_t n : {16u, 64u, 256u}) {
         // Median-ish: take the middle of three seeds by rounds.
         std::vector<Run> runs;
@@ -392,22 +403,6 @@ void print_experiment() {
   }
   ssps::bench::result_json()["convergence"] = std::move(series);
 }
-
-void BM_ConvergenceColdStart(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    SkipRingSystem sys(SkipRingSystem::Options{.seed = seed++, .fd_delay = 0});
-    sys.add_subscribers(n);
-    benchmark::DoNotOptimize(sys.run_until_legit(5000));
-  }
-}
-BENCHMARK(BM_ConvergenceColdStart)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -9,9 +9,8 @@ namespace ssps {
 
 /// Accumulates rows of strings and prints them with aligned columns.
 ///
-/// Used by every bench binary so that `bench_output.txt` contains readable
-/// reproductions of the paper's per-claim series alongside the raw
-/// google-benchmark timings.
+/// Used by the bench binaries to print readable reproductions of the
+/// paper's per-claim series next to the JSON results they write.
 class Table {
  public:
   explicit Table(std::vector<std::string> header);

@@ -45,10 +45,9 @@ class SubscriberNode : public sim::Node {
       : SubscriberNode(supervisor, sim::NodeKind::kSubscriber) {}
 
   static bool classof(sim::NodeKind k) {
-    // Every kind whose node IS-A SubscriberNode: the plain overlay node,
-    // the pub-sub specialization, and baseline/antientropy's gossip node.
-    return k == sim::NodeKind::kSubscriber || k == sim::NodeKind::kPubSub ||
-           k == sim::NodeKind::kGossipPeer;
+    // Every kind whose node IS-A SubscriberNode: the plain overlay node and
+    // the pub-sub specialization.
+    return k == sim::NodeKind::kSubscriber || k == sim::NodeKind::kPubSub;
   }
 
   void handle(sim::PooledMsg msg) override { proto_->handle(*msg); }

@@ -30,12 +30,6 @@ enum class NodeKind : std::uint8_t {
   kPubSub,  // SubscriberNode specialized with the Algorithm 5 layer
   kMultiTopicClient,
   kMultiTopicSupervisor,
-  // baseline/
-  kBrokerHub,
-  kBrokerClient,
-  kGossipPeer,
-  kChordPeer,
-  kSkipGraphPeer,
 };
 
 /// A protocol participant.

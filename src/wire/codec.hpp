@@ -115,7 +115,7 @@ inline constexpr int kMaxEnvelopeDepth = 4;
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed = 0);
 
 /// The stable wire type of `m`, or nullopt for message classes outside
-/// the protocol surface (test doubles, baseline-only messages).
+/// the protocol surface (test doubles).
 std::optional<WireType> wire_type_of(const sim::Message& m);
 
 /// Appends the full frame for `m` to `out`. Returns false (appending

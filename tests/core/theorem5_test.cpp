@@ -9,7 +9,7 @@
 // 1/2 rate. The exact steady-state expectation is therefore
 //   Σ_k f(k)/(2^k k²) = 2·(1/2) + Σ_{k≥2} 1/(2k²) ≈ 1.32,
 // still a constant independent of n — the substance of the theorem — but
-// above the stated bound of 1. EXPERIMENTS.md discusses the discrepancy.
+// above the stated bound of 1.
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -25,14 +25,17 @@ Gated metrics:
   throughput (wall-clock; --throughput-tolerance, default 15%):
       higher is better: rounds_per_sec, msgs_per_sec
 
+Convergence guard: a result row whose "ok" is false failed to converge
+(it reports rounds = 0, which would otherwise pass as an improvement), so
+it fails the gate.
+
 Silent-drop guard: a numeric metric — or a whole series row — the current
 run emits but the baseline lacks fails the gate. Without it, refreshing
 baselines from a filtered or truncated run (or growing a bench without
 refreshing) would silently stop gating that metric or row forever.
 
 Refreshing baselines after an intended change:
-    cd build && ./bench_simcore --benchmark_filter=NONE \
-             && ./bench_convergence --benchmark_filter=NONE
+    cd build && ./bench_simcore && ./bench_convergence
     cp build/BENCH_simcore.json build/BENCH_convergence.json bench/baselines/
 """
 
@@ -75,6 +78,8 @@ def is_numeric_metric(name, value):
 
 
 def compare_rows(where, base, got, tol, thr_tol, failures):
+    if got.get("ok") is False:
+        failures.append(f"{where}: ok is false (the run did not converge)")
     # Silent-drop guard: every numeric metric the run emits must exist in
     # the baseline row, or the baseline can no longer vouch for it.
     for metric, value in got.items():
