@@ -29,12 +29,17 @@ BitString BitString::from_bytes(std::span<const std::uint8_t> data, std::size_t 
   SSPS_ASSERT(bits <= data.size() * 8);
   BitString out;
   out.len_ = bits;
-  out.grow_words((bits + 63) / 64);
+  const std::size_t n = out.word_count();
+  out.grow_words(n);
   std::uint64_t* w = out.words();
-  for (std::size_t i = 0; i < bits; ++i) {
-    const bool b = (data[i / 8] >> (7 - (i % 8))) & 1U;
-    if (b) w[i / 64] |= (1ULL << (63 - (i % 64)));
+  // Byte i lands in word i / 8, most significant byte first.
+  const std::size_t nbytes = (bits + 7) / 8;
+  for (std::size_t i = 0; i < nbytes; ++i) {
+    w[i / 8] |= static_cast<std::uint64_t>(data[i]) << (56 - 8 * (i % 8));
   }
+  // Zero the bits past `bits` that the last byte brought in.
+  const std::size_t rem = bits % 64;
+  if (rem != 0) w[n - 1] &= ~0ULL << (64 - rem);
   return out;
 }
 
@@ -130,11 +135,20 @@ std::string BitString::to_string() const {
 }
 
 std::vector<std::uint8_t> BitString::to_bytes() const {
-  std::vector<std::uint8_t> out((len_ + 7) / 8, 0);
-  for (std::size_t i = 0; i < len_; ++i) {
-    if (bit(i)) out[i / 8] |= static_cast<std::uint8_t>(1U << (7 - (i % 8)));
-  }
+  std::vector<std::uint8_t> out((len_ + 7) / 8);
+  write_bytes(out);
   return out;
+}
+
+std::size_t BitString::write_bytes(std::span<std::uint8_t> out) const {
+  const std::size_t nbytes = (len_ + 7) / 8;
+  SSPS_ASSERT(out.size() >= nbytes);
+  // Trailing unused bits are zero, so the last byte comes out padded.
+  const std::uint64_t* w = words();
+  for (std::size_t i = 0; i < nbytes; ++i) {
+    out[i] = static_cast<std::uint8_t>(w[i / 8] >> (56 - 8 * (i % 8)));
+  }
+  return nbytes;
 }
 
 std::size_t BitString::hash_value() const noexcept {

@@ -60,6 +60,10 @@ class BitString {
   /// length is hashed separately to keep ("0", "00") distinct.
   std::vector<std::uint8_t> to_bytes() const;
 
+  /// The to_bytes() bytes written into `out` without allocating; returns
+  /// their count, (size() + 7) / 8. Requires out.size() >= that count.
+  std::size_t write_bytes(std::span<std::uint8_t> out) const;
+
   /// Stable 64-bit hash of content (for hash maps).
   std::size_t hash_value() const noexcept;
 

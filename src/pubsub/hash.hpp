@@ -8,7 +8,9 @@
 //                               the paper notes one-wayness is NOT needed,
 //                               only collision resistance).
 // We implement SHA-256 from scratch (FIPS 180-4) for both, plus FNV-1a for
-// non-adversarial internal hashing.
+// non-adversarial internal hashing. The compression function runs on the x86
+// SHA extensions when CPUID reports them (sha256_compress.hpp); digests are
+// identical on either path.
 #pragma once
 
 #include <array>
@@ -25,7 +27,8 @@ namespace ssps::pubsub {
 /// A SHA-256 digest.
 using Digest = std::array<std::uint8_t, 32>;
 
-/// Incremental SHA-256 (FIPS 180-4).
+/// Incremental SHA-256 (FIPS 180-4). Whole blocks are compressed straight
+/// from the input; only a partial head or tail is buffered.
 class Sha256 {
  public:
   Sha256();
@@ -41,8 +44,6 @@ class Sha256 {
   static Digest digest(std::string_view data);
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::uint64_t total_bytes_ = 0;
@@ -56,11 +57,12 @@ std::uint64_t fnv1a64(std::string_view data);
 
 /// Digest of a trie-node label: h(t.label). The bit-length is folded in so
 /// that labels like "0" and "00" hash differently despite equal padding.
+/// Requires label.size() <= 256 (trie labels are at most m bits).
 Digest hash_label(const BitString& label);
 
-/// Merkle combination: h(c1.hash ∘ c2.hash). Per Figure 2 (the running
-/// example), inner nodes combine child *hashes* — see DESIGN.md on the
-/// §4.2 text/figure discrepancy.
+/// Merkle combination: h(c1.hash ∘ c2.hash). Inner nodes combine their
+/// children's *digests*, as in Figure 2's running example, so a root digest
+/// covers every leaf below it.
 Digest hash_children(const Digest& left, const Digest& right);
 
 /// h̄_m(v.id, p): the m-bit publication key (m <= 256).

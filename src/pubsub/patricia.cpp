@@ -1,5 +1,6 @@
 #include "pubsub/patricia.hpp"
 
+#include <array>
 #include <sstream>
 
 #include "common/assert.hpp"
@@ -61,8 +62,11 @@ bool PatriciaTrie::insert(const Publication& p) {
     size_ = 1;
     return true;
   }
-  // Walk down, remembering the path for Merkle re-hashing.
-  std::vector<Node*> path;
+  // Walk down, remembering the path for Merkle re-hashing. Inner labels
+  // get strictly longer along a path and stay shorter than m <= 256, so at
+  // most 256 inner nodes lie above any leaf.
+  std::array<Node*, 257> path{};
+  std::size_t depth = 0;
   Node* cur = root_.get();
   for (;;) {
     const std::size_t cpl = cur->label.common_prefix_len(key);
@@ -73,7 +77,8 @@ bool PatriciaTrie::insert(const Publication& p) {
     }
     if (cpl == cur->label.size() && !cur->is_leaf()) {
       // cur's label is a proper prefix of key: descend.
-      path.push_back(cur);
+      SSPS_ASSERT(depth < path.size());
+      path[depth++] = cur;
       cur = key.bit(cpl) ? cur->child1.get() : cur->child0.get();
       continue;
     }
@@ -89,8 +94,8 @@ bool PatriciaTrie::insert(const Publication& p) {
 
     // Detach cur from its parent (or root) so we can re-parent it.
     std::unique_ptr<Node>* slot = &root_;
-    if (!path.empty()) {
-      Node* parent = path.back();
+    if (depth > 0) {
+      Node* parent = path[depth - 1];
       slot = (parent->child0.get() == cur) ? &parent->child0 : &parent->child1;
     }
     std::unique_ptr<Node> old = std::move(*slot);
@@ -104,7 +109,7 @@ bool PatriciaTrie::insert(const Publication& p) {
     }
     rehash(*inner);
     *slot = std::move(inner);
-    for (auto it = path.rbegin(); it != path.rend(); ++it) rehash(**it);
+    while (depth > 0) rehash(*path[--depth]);
     ++size_;
     return true;
   }
@@ -188,6 +193,22 @@ std::vector<Publication> PatriciaTrie::all() const {
   std::vector<Publication> out;
   out.reserve(size_);
   collect(root_.get(), out);
+  return out;
+}
+
+std::vector<BitString> PatriciaTrie::keys() const {
+  std::vector<BitString> out;
+  out.reserve(size_);
+  auto walk = [&](auto&& self, const Node* node) -> void {
+    if (node == nullptr) return;
+    if (node->is_leaf()) {
+      out.push_back(node->label);
+      return;
+    }
+    self(self, node->child0.get());
+    self(self, node->child1.get());
+  };
+  walk(walk, root_.get());
   return out;
 }
 

@@ -99,6 +99,11 @@ class PatriciaTrie {
   /// All publications, in key order.
   std::vector<Publication> all() const;
 
+  /// The keys of all publications, in key order: the leaf labels, since
+  /// only insert() makes leaves and labels each with its key. Equals
+  /// key_of() over all() without hashing anything.
+  std::vector<BitString> keys() const;
+
   /// Structural equality via root digests (collision-resistant).
   bool equal_contents(const PatriciaTrie& other) const;
 

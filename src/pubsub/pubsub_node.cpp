@@ -174,8 +174,7 @@ bool PubSubSystem::publications_converged() const {
 std::size_t PubSubSystem::distinct_publications() const {
   std::unordered_set<BitString> keys;
   for (sim::NodeId id : active_ids()) {
-    const PatriciaTrie& t = pubsub(id).trie();
-    for (const Publication& p : t.all()) keys.insert(t.key_of(p));
+    for (BitString& key : pubsub(id).trie().keys()) keys.insert(std::move(key));
   }
   return keys.size();
 }

@@ -1,6 +1,6 @@
-// Regression tests for protocol races discovered during the reproduction
-// (DESIGN.md interpretations 7–9). Each of these was a permanent stuck
-// state before its fix; the tests pin the message-level behavior.
+// Regression tests for protocol races discovered during the reproduction.
+// Each of these was a permanent stuck state before its fix; the tests pin
+// the message-level behavior.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"

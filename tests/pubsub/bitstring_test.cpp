@@ -68,6 +68,36 @@ TEST(BitString, ToBytesPadsWithZeros) {
   EXPECT_EQ(bytes[1], 0x00);
 }
 
+TEST(BitString, BytePackingMatchesBitByBitReference) {
+  // Every length 0-300: inline and overflow storage, byte and non-byte
+  // lengths. The source bytes past `bits` are random, so from_bytes must
+  // zero the tail for == and hash_value to agree with from_string.
+  Rng rng(3);
+  std::vector<std::uint8_t> data(38);
+  for (std::uint8_t& b : data) b = static_cast<std::uint8_t>(rng.below(256));
+  for (std::size_t bits = 0; bits <= 300; ++bits) {
+    std::string ref;
+    std::vector<std::uint8_t> packed((bits + 7) / 8, 0);
+    for (std::size_t i = 0; i < bits; ++i) {
+      const bool b = (data[i / 8] >> (7 - i % 8)) & 1U;
+      ref.push_back(b ? '1' : '0');
+      if (b) packed[i / 8] |= static_cast<std::uint8_t>(1U << (7 - i % 8));
+    }
+    const BitString fast = BitString::from_bytes(data, bits);
+    const BitString slow = BitString::from_string(ref);
+    ASSERT_EQ(fast.to_string(), ref) << bits;
+    ASSERT_EQ(fast, slow) << bits;
+    ASSERT_EQ(fast.hash_value(), slow.hash_value()) << bits;
+    ASSERT_EQ(fast.to_bytes(), packed) << bits;
+    ASSERT_EQ(slow.to_bytes(), packed) << bits;
+    std::vector<std::uint8_t> written(packed.size() + 1, 0xEE);
+    ASSERT_EQ(slow.write_bytes(written), packed.size()) << bits;
+    ASSERT_EQ(written.back(), 0xEE) << bits;  // nothing past the packed bytes
+    written.pop_back();
+    ASSERT_EQ(written, packed) << bits;
+  }
+}
+
 TEST(BitString, PrefixAndWithBit) {
   const BitString b = BitString::from_string("110101");
   EXPECT_EQ(b.prefix(0).to_string(), "");

@@ -1,11 +1,62 @@
-// SHA-256 against FIPS 180-4 / RFC test vectors, plus the publication
-// keying and Merkle combination helpers.
+// SHA-256 against FIPS 180-4 / RFC test vectors, the portable and hardware
+// compressors against each other, plus the publication keying and Merkle
+// combination helpers.
 #include "pubsub/hash.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "pubsub/sha256_compress.hpp"
+
 namespace ssps::pubsub {
 namespace {
+
+/// The FIPS 180-4 padded form of `message` (0x80, zeros, big-endian bit
+/// length): whole blocks for a bare compressor.
+std::vector<std::uint8_t> padded(std::string_view message) {
+  std::vector<std::uint8_t> out(message.begin(), message.end());
+  out.push_back(0x80);
+  while (out.size() % 64 != 56) out.push_back(0);
+  const std::uint64_t bits = message.size() * 8;
+  for (int i = 7; i >= 0; --i) out.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  return out;
+}
+
+/// SHA-256 of `message` through one compressor call over all its blocks.
+std::string hex_digest_with(sha256::Compressor compress, std::string_view message) {
+  std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  const std::vector<std::uint8_t> blocks = padded(message);
+  compress(state, blocks.data(), blocks.size() / 64);
+  std::string out;
+  char word[9] = {};
+  for (std::uint32_t w : state) {
+    std::snprintf(word, sizeof(word), "%08x", w);
+    out += word;
+  }
+  return out;
+}
+
+std::string random_message(Rng& rng, std::size_t len) {
+  std::string out(len, '\0');
+  for (char& c : out) c = static_cast<char>(rng.below(256));
+  return out;
+}
+
+struct Vector {
+  std::string_view message;
+  std::string_view hex;
+};
+
+constexpr Vector kFipsVectors[] = {
+    {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+    {"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+    {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+     "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+};
 
 TEST(Sha256, EmptyString) {
   EXPECT_EQ(to_hex(Sha256::digest(std::string_view{})),
@@ -48,6 +99,60 @@ TEST(Sha256, SixtyFourByteMessage) {
   Sha256 h;
   for (char c : s) h.update(std::string_view(&c, 1));
   EXPECT_EQ(h.finish(), once);
+}
+
+TEST(Sha256, UpdateSplitAtEveryPointMatchesOneShot) {
+  // Covers a buffered head, whole blocks straight from the input, and a
+  // buffered tail, for every split of every length up to a few blocks.
+  Rng rng(11);
+  for (std::size_t len = 0; len <= 200; ++len) {
+    const std::string message = random_message(rng, len);
+    const Digest once = Sha256::digest(message);
+    for (std::size_t split = 0; split <= len; ++split) {
+      Sha256 h;
+      h.update(std::string_view(message).substr(0, split));
+      h.update(std::string_view(message).substr(split));
+      ASSERT_EQ(h.finish(), once) << "len " << len << " split " << split;
+    }
+  }
+}
+
+TEST(Sha256Compressors, PortableMatchesFipsVectors) {
+  for (const Vector& v : kFipsVectors) {
+    EXPECT_EQ(hex_digest_with(sha256::compress_portable, v.message), v.hex);
+  }
+}
+
+TEST(Sha256Compressors, HardwareMatchesFipsVectors) {
+  const sha256::Compressor hardware = sha256::hardware_compressor();
+  if (hardware == nullptr) GTEST_SKIP() << "CPUID reports no SHA extensions";
+  for (const Vector& v : kFipsVectors) {
+    EXPECT_EQ(hex_digest_with(hardware, v.message), v.hex);
+  }
+}
+
+TEST(Sha256Compressors, HardwareMatchesPortableOnRandomMessages) {
+  const sha256::Compressor hardware = sha256::hardware_compressor();
+  if (hardware == nullptr) GTEST_SKIP() << "CPUID reports no SHA extensions";
+  Rng rng(5);
+  for (std::size_t len = 0; len <= 1000; ++len) {
+    const std::string message = random_message(rng, len);
+    ASSERT_EQ(hex_digest_with(hardware, message),
+              hex_digest_with(sha256::compress_portable, message))
+        << "len " << len;
+  }
+}
+
+TEST(Sha256Compressors, DispatchedDigestMatchesPortable) {
+  // Whichever compressor this process picked, Sha256 agrees with the
+  // portable reference.
+  Rng rng(9);
+  for (std::size_t len = 0; len <= 1000; len += 7) {
+    const std::string message = random_message(rng, len);
+    ASSERT_EQ(to_hex(Sha256::digest(message)),
+              hex_digest_with(sha256::compress_portable, message))
+        << "len " << len;
+  }
 }
 
 TEST(Fnv1a64, KnownValues) {
@@ -96,6 +201,29 @@ TEST(PublicationKey, PrefixConsistentAcrossLengths) {
 TEST(PublicationKey, Deterministic) {
   EXPECT_EQ(publication_key(sim::NodeId{9}, "abc", 64),
             publication_key(sim::NodeId{9}, "abc", 64));
+}
+
+// Known answers, matching an independent SHA-256: a publication key or a
+// Merkle digest that moved would move every pinned report.
+TEST(KnownAnswers, PublicationKey) {
+  EXPECT_EQ(publication_key(sim::NodeId{7}, "p0" + std::string(30, 'x'), 64),
+            BitString::from_uint(0x76be87db09d66f4cULL, 64));
+}
+
+TEST(KnownAnswers, HashLabelOf64BitKey) {
+  EXPECT_EQ(to_hex(hash_label(BitString::from_uint(0x0123456789abcdefULL, 64))),
+            "cf47c3cd37153a5caba5a8edb6f2e235210ce8ecfa4cd4b3cee0fdf2c3d9f99e");
+}
+
+TEST(KnownAnswers, HashChildren) {
+  Digest left{};
+  Digest right{};
+  for (std::size_t i = 0; i < left.size(); ++i) {
+    left[i] = static_cast<std::uint8_t>(i);
+    right[i] = static_cast<std::uint8_t>(0xff - i);
+  }
+  EXPECT_EQ(to_hex(hash_children(left, right)),
+            "cbd3aabe6d5a9125f0e086ced756cff43bcf46c307d73ec8c6bc5382c5640689");
 }
 
 TEST(ToHex, FormatsAllBytes) {

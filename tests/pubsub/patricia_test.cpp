@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace ssps::pubsub {
 namespace {
 
@@ -30,6 +32,20 @@ TEST(Patricia, EmptyTrie) {
   EXPECT_EQ(t.locate(BitString::from_string("0")).kind, Locate::Kind::kMiss);
   EXPECT_TRUE(t.all().empty());
   EXPECT_EQ(t.check_invariants(), "");
+}
+
+TEST(Patricia, KeysEqualKeyOfAllInKeyOrder) {
+  EXPECT_TRUE(PatriciaTrie(64).keys().empty());
+  for (std::size_t m : {64u, 130u}) {  // inline and overflow BitStrings
+    PatriciaTrie t(m);
+    for (std::uint64_t i = 0; i < 200; ++i) {
+      t.insert(Publication{sim::NodeId{i % 7}, "k" + std::to_string(i)});
+    }
+    std::vector<BitString> expect;
+    for (const Publication& p : t.all()) expect.push_back(t.key_of(p));
+    EXPECT_EQ(t.keys(), expect);
+    EXPECT_TRUE(std::is_sorted(expect.begin(), expect.end()));
+  }
 }
 
 TEST(Patricia, SingleLeafIsRoot) {
