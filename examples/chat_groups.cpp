@@ -48,8 +48,8 @@ int main() {
               room.distinct_publications());
   const auto& trie = room.pubsub(members[0]).trie();
   for (const Publication& p : trie.all()) {
-    std::printf("  [%s] %s\n", trie.key_of(p).prefix(8).to_string().c_str(),
-                p.payload.c_str());
+    std::printf("  [%s] %.*s\n", trie.key_of(p).prefix(8).to_string().c_str(),
+                static_cast<int>(p.payload.size()), p.payload.data());
   }
   std::printf("\n(Message order is by publication key — the store is a set, as in\n"
               "the paper; ordering/threading would be an application concern.)\n");

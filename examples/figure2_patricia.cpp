@@ -34,8 +34,8 @@ void print_trie(const char* who, const PatriciaTrie& t) {
   std::printf("  %s.T: %zu publications, root hash %.16s...\n", who, t.size(),
               t.root() ? to_hex(t.root()->hash).c_str() : "(empty)");
   for (const Publication& p : t.all()) {
-    std::printf("    key %s  payload \"%s\"\n", t.key_of(p).to_string().c_str(),
-                p.payload.c_str());
+    std::printf("    key %s  payload \"%.*s\"\n", t.key_of(p).to_string().c_str(),
+                static_cast<int>(p.payload.size()), p.payload.data());
   }
 }
 

@@ -307,15 +307,22 @@ Digest hash_children(const Digest& left, const Digest& right) {
   return to_digest(state);
 }
 
-BitString publication_key(sim::NodeId origin, std::string_view payload, std::size_t m) {
-  SSPS_ASSERT(m >= 1 && m <= 256);
+Digest publication_digest(sim::NodeId origin, std::string_view payload) {
   Sha256 h;
   std::array<std::uint8_t, 8> id_bytes;
   store_le64(id_bytes.data(), origin.value);
   h.update(std::span<const std::uint8_t>(id_bytes.data(), id_bytes.size()));
   h.update(payload);
-  const Digest d = h.finish();
-  return BitString::from_bytes(std::span<const std::uint8_t>(d.data(), d.size()), m);
+  return h.finish();
+}
+
+BitString publication_key(const Digest& digest, std::size_t m) {
+  SSPS_ASSERT(m >= 1 && m <= 256);
+  return BitString::from_bytes(digest, m);
+}
+
+BitString publication_key(sim::NodeId origin, std::string_view payload, std::size_t m) {
+  return publication_key(publication_digest(origin, payload), m);
 }
 
 std::string to_hex(const Digest& d) {

@@ -65,6 +65,12 @@ Digest hash_label(const BitString& label);
 /// covers every leaf below it.
 Digest hash_children(const Digest& left, const Digest& right);
 
+/// SHA-256(le64(v.id) ∘ p): the digest whose first m bits are h̄_m(v.id, p).
+Digest publication_digest(sim::NodeId origin, std::string_view payload);
+
+/// The first m bits of a publication digest (m <= 256).
+BitString publication_key(const Digest& digest, std::size_t m);
+
 /// h̄_m(v.id, p): the m-bit publication key (m <= 256).
 BitString publication_key(sim::NodeId origin, std::string_view payload, std::size_t m);
 

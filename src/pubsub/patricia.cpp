@@ -34,7 +34,15 @@ std::unique_ptr<PatriciaTrie::Node> PatriciaTrie::clone(const Node& node) {
   return out;
 }
 
+Payload Payload::keyed(sim::NodeId origin, std::string bytes) {
+  const Digest digest = publication_digest(origin, bytes);
+  return Payload(std::make_shared<const Body>(Body{std::move(bytes), origin, digest}));
+}
+
 BitString PatriciaTrie::key_of(const Publication& p) const {
+  if (const std::optional<Digest> digest = p.payload.digest_for(p.origin)) {
+    return publication_key(*digest, key_bits_);
+  }
   return publication_key(p.origin, p.payload, key_bits_);
 }
 

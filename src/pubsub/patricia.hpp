@@ -12,17 +12,68 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pubsub/hash.hpp"
 
 namespace ssps::pubsub {
 
-/// One publication: originator + opaque payload. The key is derived, not
-/// stored with the payload on the wire.
+/// A publication's payload bytes as one immutable body that every copy
+/// shares: flooded PublishNew copies, Publish batches and trie leaves hold a
+/// reference, never their own string. A body built by keyed() also carries
+/// publication_digest(origin, bytes), computed there from its own bytes;
+/// every other body (from a string: decoded off the wire, restored from a
+/// snapshot, injected, or built in tests) carries none.
+class Payload {
+ public:
+  Payload() = default;
+  Payload(std::string bytes)  // NOLINT
+      : body_(std::make_shared<const Body>(Body{std::move(bytes), {}, std::nullopt})) {}
+  Payload(const char* bytes) : Payload(std::string(bytes)) {}  // NOLINT
+
+  /// A body keyed for `origin`: the only way a digest enters a body.
+  static Payload keyed(sim::NodeId origin, std::string bytes);
+
+  std::string_view view() const {
+    return body_ ? std::string_view(body_->bytes) : std::string_view("", 0);
+  }
+  operator std::string_view() const { return view(); }  // NOLINT
+  const char* data() const { return view().data(); }
+  std::size_t size() const { return view().size(); }
+
+  /// publication_digest(origin, bytes) if this body was keyed for exactly
+  /// `origin`; nullopt otherwise, so a caller that pairs the body with any
+  /// other origin hashes afresh.
+  std::optional<Digest> digest_for(sim::NodeId origin) const {
+    if (!body_ || !body_->digest || body_->origin != origin) return std::nullopt;
+    return body_->digest;
+  }
+
+  /// Byte equality; whether either side is keyed does not matter.
+  bool operator==(const Payload& other) const {
+    return body_ == other.body_ || view() == other.view();
+  }
+
+ private:
+  struct Body {
+    std::string bytes;
+    sim::NodeId origin;
+    std::optional<Digest> digest;  ///< publication_digest(origin, bytes)
+  };
+
+  explicit Payload(std::shared_ptr<const Body> body) : body_(std::move(body)) {}
+
+  std::shared_ptr<const Body> body_;
+};
+
+/// One publication: originator + opaque payload. Copying it copies a
+/// reference to the shared payload body. The key h̄_m(origin, payload) is
+/// derived, never sent; key_of() takes it from the body's digest only when
+/// the body was keyed for this very origin, and hashes otherwise.
 struct Publication {
   sim::NodeId origin;
-  std::string payload;
+  Payload payload;
   /// Round the publication was published in — telemetry metadata, not
   /// identity and not wire data: delivery-latency tracking reads
   /// `deliver_round - born` when a copy first reaches a node (the trie
@@ -78,7 +129,8 @@ class PatriciaTrie {
   /// already present. Publications are never removed (§4.2 model).
   bool insert(const Publication& p);
 
-  /// Derives the key of `p` under this trie's m.
+  /// Derives the key of `p` under this trie's m, from the payload's digest
+  /// when the body was keyed for `p.origin`, else by hashing.
   BitString key_of(const Publication& p) const;
 
   bool contains(const Publication& p) const;

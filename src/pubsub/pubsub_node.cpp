@@ -25,7 +25,10 @@ void PubSubProtocol::timeout() {
 }
 
 void PubSubProtocol::publish(std::string payload) {
-  Publication p{overlay_->self(), std::move(payload), sink_->round()};
+  // A publication is born only here, so only here is its body keyed: every
+  // copy that floods or syncs out of this trie then shares one digest.
+  const sim::NodeId self = overlay_->self();
+  Publication p{self, Payload::keyed(self, std::move(payload)), sink_->round()};
   if (!trie_.insert(p)) return;
   sink_->publication_delivered(0);  // reached the origin by definition
   if (config_.flooding) flood(p, sim::NodeId::null());

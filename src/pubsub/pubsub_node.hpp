@@ -246,16 +246,15 @@ class PubSubNode final : public core::SubscriberNode {
     // origin (8) + payload length (8) + born (8) minimum per entry.
     if (count > dec.remaining() / 24) return false;
     for (std::uint64_t i = 0; i < count; ++i) {
-      Publication p;
       std::uint64_t origin = 0, born = 0;
-      if (!dec.u64(origin) || !dec.string(p.payload) || !dec.u64(born)) {
+      std::string payload;
+      if (!dec.u64(origin) || !dec.string(payload) || !dec.u64(born)) {
         return false;
       }
-      p.origin = sim::NodeId{origin};
-      p.born = born;
       // add_local, not publish: restored publications are pre-existing
-      // state, neither re-flooded nor re-counted as deliveries.
-      pubsub_->add_local(p);
+      // state, neither re-flooded nor re-counted as deliveries, and their
+      // bodies are unkeyed, so insert hashes them.
+      pubsub_->add_local(Publication{sim::NodeId{origin}, std::move(payload), born});
     }
     return dec.done();
   }

@@ -92,8 +92,12 @@ bool decode_summary(Decoder& d, pubsub::NodeSummary& out) {
 bool decode_publication(Decoder& d, pubsub::Publication& out) {
   // `born` is a telemetry stamp, not wire data (see encode_publication):
   // decoded publications are born at 0, and re-encoding skips the field,
-  // so the byte round-trip is still exact.
-  return decode_node(d, out.origin) && d.string(out.payload);
+  // so the byte round-trip is still exact. The payload becomes a fresh,
+  // unkeyed body: no digest crosses the wire, so the receiver hashes it.
+  std::string payload;
+  if (!decode_node(d, out.origin) || !d.string(payload)) return false;
+  out.payload = std::move(payload);
+  return true;
 }
 
 /// Smallest possible encoding of each repeated element — the divisor that

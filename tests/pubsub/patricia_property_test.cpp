@@ -67,8 +67,8 @@ TEST_P(PatriciaProperty, AllReturnsEveryInsertedPublicationInKeyOrder) {
   // Same multiset.
   std::set<std::string> want;
   std::set<std::string> have;
-  for (const auto& p : pubs) want.insert(p.payload);
-  for (const auto& p : got) have.insert(p.payload);
+  for (const auto& p : pubs) want.emplace(p.payload);
+  for (const auto& p : got) have.emplace(p.payload);
   EXPECT_EQ(want, have);
 }
 

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
+#include <utility>
+
+#include "common/rng.hpp"
 
 namespace ssps::pubsub {
 namespace {
@@ -203,6 +207,107 @@ TEST(Patricia, RootHashChangesWithEveryInsert) {
     ASSERT_NE(t.root()->hash, prev);
     prev = t.root()->hash;
   }
+}
+
+// The payload memo: a digest sits only in a body keyed from its own bytes,
+// and is offered only for the origin it was keyed for.
+
+/// `len` random bytes (any value, NULs included).
+std::string random_bytes(ssps::Rng& rng, std::size_t len) {
+  std::string out(len, '\0');
+  for (char& c : out) c = static_cast<char>(rng.next());
+  return out;
+}
+
+/// Lengths around the SHA-256 block and padding boundaries: with the 8-byte
+/// origin, 55 and 56 bytes straddle the one-block limit and 64 fills it.
+constexpr std::size_t kPayloadLengths[] = {0, 1, 55, 56, 64, 300};
+
+TEST(PayloadMemo, KeyedBodyCarriesTheDigestOfItsOwnBytes) {
+  ssps::Rng rng(41);
+  for (std::size_t len : kPayloadLengths) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const sim::NodeId origin{rng.next() | 1};
+      const std::string bytes = random_bytes(rng, len);
+      const Payload body = Payload::keyed(origin, bytes);
+      EXPECT_EQ(body.view(), bytes);
+      EXPECT_EQ(body.digest_for(origin), publication_digest(origin, bytes));
+    }
+  }
+}
+
+TEST(PayloadMemo, DigestIsOfferedForNoOtherOrigin) {
+  ssps::Rng rng(43);
+  for (std::size_t len : kPayloadLengths) {
+    const sim::NodeId origin{rng.next() | 1};
+    const Payload body = Payload::keyed(origin, random_bytes(rng, len));
+    EXPECT_FALSE(body.digest_for(sim::NodeId::null()).has_value());
+    EXPECT_FALSE(body.digest_for(sim::NodeId{origin.value - 1}).has_value());
+    EXPECT_FALSE(body.digest_for(sim::NodeId{origin.value + 1}).has_value());
+    EXPECT_FALSE(body.digest_for(sim::NodeId{origin.value ^ (1ULL << 63)}).has_value());
+  }
+}
+
+TEST(PayloadMemo, KeyOfEqualsPublicationKeyKeyedOrNotAndAfterReassignment) {
+  ssps::Rng rng(47);
+  for (std::size_t m : {1u, 64u, 256u}) {
+    const PatriciaTrie t(m);
+    for (std::size_t len : kPayloadLengths) {
+      const sim::NodeId origin{rng.next() | 1};
+      const std::string bytes = random_bytes(rng, len);
+      const Publication keyed{origin, Payload::keyed(origin, bytes)};
+      const Publication plain{origin, bytes};
+      for (const Publication& p : {keyed, plain}) {
+        EXPECT_EQ(t.key_of(p), publication_key(p.origin, p.payload, m));
+        Publication moved = p;
+        moved.origin = sim::NodeId{origin.value + 1};
+        EXPECT_EQ(t.key_of(moved), publication_key(moved.origin, moved.payload, m));
+        Publication rewritten = p;
+        rewritten.payload = random_bytes(rng, len + 1);
+        EXPECT_EQ(t.key_of(rewritten),
+                  publication_key(rewritten.origin, rewritten.payload, m));
+      }
+    }
+  }
+}
+
+TEST(PayloadMemo, OnlyKeyedPlacesADigestInABody) {
+  // No constructor takes a digest or an origin: keyed() is the only way in.
+  static_assert(!std::is_constructible_v<Payload, std::string, Digest>);
+  static_assert(!std::is_constructible_v<Payload, sim::NodeId, std::string>);
+  static_assert(!std::is_constructible_v<Payload, sim::NodeId, std::string, Digest>);
+  const sim::NodeId origin{5};
+  for (const Payload& body : {Payload(), Payload("abc"), Payload(std::string("abc"))}) {
+    EXPECT_FALSE(body.digest_for(origin).has_value());
+    EXPECT_FALSE(body.digest_for(sim::NodeId::null()).has_value());
+  }
+  // Copies, moves and assignments share the keyed body, bytes and digest
+  // together; assigning new bytes replaces the body with an unkeyed one.
+  const Payload keyed = Payload::keyed(origin, "abc");
+  Payload copy = keyed;
+  Payload assigned;
+  assigned = keyed;
+  Payload source = keyed;
+  Payload moved = std::move(source);
+  for (const Payload* body : {&copy, &assigned, &moved}) {
+    EXPECT_EQ(body->data(), keyed.data());
+    EXPECT_EQ(body->digest_for(origin), publication_digest(origin, body->view()));
+  }
+  copy = "xyz";
+  assigned = std::string("xyz");
+  EXPECT_EQ(copy.view(), "xyz");
+  EXPECT_FALSE(copy.digest_for(origin).has_value());
+  EXPECT_FALSE(assigned.digest_for(origin).has_value());
+  EXPECT_EQ(keyed.digest_for(origin), publication_digest(origin, "abc"));
+}
+
+TEST(PayloadMemo, EqualityIsByBytes) {
+  const sim::NodeId origin{9};
+  EXPECT_EQ(Payload::keyed(origin, "same"), Payload("same"));
+  EXPECT_EQ(Payload(), Payload(""));
+  EXPECT_NE(Payload::keyed(origin, "same"), Payload::keyed(origin, "other"));
+  const Publication keyed{origin, Payload::keyed(origin, "p")};
+  EXPECT_EQ(keyed, (Publication{origin, "p"}));
 }
 
 }  // namespace

@@ -236,5 +236,37 @@ TEST(Publications, AblationFloodingOffStillConvergesFloodingOnFaster) {
   EXPECT_LT(with_flooding, without);
 }
 
+// Every copy of a publication shares the origin's payload body: PublishNew
+// floods and anti-entropy Publish batches hand on a reference, and each
+// trie stores one. A change that copies payloads again fails here.
+class SharedPayload : public ::testing::TestWithParam<bool> {};
+
+TEST_P(SharedPayload, EverySubscriberStoresTheOriginsBytes) {
+  PubSubConfig cfg;
+  cfg.flooding = GetParam();
+  PubSubSystem sys(core::SkipRingSystem::Options{.seed = 31, .fd_delay = 0}, cfg);
+  const auto ids = sys.add_pubsub_subscribers(64);
+  ASSERT_TRUE(sys.run_until_legit(3000).has_value());
+  sys.pubsub(ids[0]).publish(std::string(64, 's'));
+  const auto rounds =
+      sys.net().run_until([&] { return sys.publications_converged(); }, 4000);
+  ASSERT_TRUE(rounds.has_value());
+  const std::vector<Publication> at_origin = sys.pubsub(ids[0]).trie().all();
+  ASSERT_EQ(at_origin.size(), 1u);
+  for (sim::NodeId id : sys.active_ids()) {
+    const std::vector<Publication> stored = sys.pubsub(id).trie().all();
+    ASSERT_EQ(stored.size(), 1u);
+    EXPECT_EQ(stored[0].payload.data(), at_origin[0].payload.data())
+        << "subscriber " << id.value << " holds its own copy";
+  }
+}
+
+std::string delivery_name(const ::testing::TestParamInfo<bool>& info) {
+  return info.param ? "PublishNew" : "PublishBatches";
+}
+
+INSTANTIATE_TEST_SUITE_P(FloodingOnAndOff, SharedPayload, ::testing::Bool(),
+                         delivery_name);
+
 }  // namespace
 }  // namespace ssps::pubsub

@@ -1,7 +1,9 @@
 // Wire codec: frame round-trips, totality over damaged inputs, clone
 // fidelity, and the corrupting-link damage model.
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -26,6 +28,8 @@ using ssps::core::LabeledRef;
 using ssps::pubsub::BitString;
 using ssps::pubsub::Digest;
 using ssps::pubsub::NodeSummary;
+using ssps::pubsub::PatriciaTrie;
+using ssps::pubsub::Payload;
 using ssps::pubsub::Publication;
 using ssps::pubsub::TopicEnvelope;
 using ssps::sim::MessagePool;
@@ -228,6 +232,56 @@ TEST(WireCodec, NonCanonicalBitStringPaddingIsRejected) {
   DecodeResult result = decode_message(bytes, decode_pool);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error.status, DecodeStatus::kBadPayload);
+}
+
+// No payload digest crosses the wire: decoding builds fresh, unkeyed
+// bodies, so the receiver keys every decoded publication from its decoded
+// origin and bytes, also when those bytes were altered in flight.
+TEST(WireCodec, DecodedPublicationsCarryFreshUnkeyedBodies) {
+  const NodeId origin{13};
+  const Publication sent{origin, Payload::keyed(origin, "breaking news"), 0};
+  const Publication empty{NodeId{12}, Payload::keyed(NodeId{12}, ""), 0};
+  const PatriciaTrie trie(64);
+  MessagePool pool;
+  std::vector<PooledMsg> msgs;
+  msgs.push_back(pool.make<pmsg::PublishNew>(sent));
+  msgs.push_back(pool.make<pmsg::Publish>(std::vector<Publication>{sent, empty}));
+  for (const PooledMsg& msg : msgs) {
+    for (const bool altered : {false, true}) {
+      SCOPED_TRACE(std::string(msg->name()) + (altered ? " altered" : ""));
+      std::vector<std::uint8_t> bytes = encode_or_die(*msg);
+      if (altered) {
+        // 'b' -> 'B' inside the payload bytes, then re-seal the CRC so the
+        // frame decodes into a publication the sender never keyed.
+        const std::string_view text = "breaking news";
+        const auto at = std::search(bytes.begin(), bytes.end(), text.begin(), text.end());
+        ASSERT_NE(at, bytes.end());
+        *at = 'B';
+        std::uint32_t crc = crc32({bytes.data(), 1});
+        crc = crc32({bytes.data() + 13, bytes.size() - 13}, crc);
+        for (int i = 0; i < 4; ++i) {
+          bytes[9 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+        }
+      }
+      MessagePool decode_pool;
+      DecodeResult result = decode_message(bytes, decode_pool);
+      ASSERT_TRUE(result.ok()) << decode_status_name(result.error.status);
+      std::vector<Publication> decoded;
+      if (const auto* pn = sim::msg_cast<pmsg::PublishNew>(*result.msg)) {
+        decoded.push_back(pn->pub);
+      } else {
+        decoded = sim::msg_cast<pmsg::Publish>(*result.msg)->pubs;
+      }
+      ASSERT_FALSE(decoded.empty());
+      EXPECT_EQ(decoded[0].payload == sent.payload, !altered);
+      for (const Publication& p : decoded) {
+        EXPECT_NE(p.payload.data(), sent.payload.data());
+        EXPECT_NE(p.payload.data(), empty.payload.data());
+        EXPECT_FALSE(p.payload.digest_for(p.origin).has_value());
+        EXPECT_EQ(trie.key_of(p), ssps::pubsub::publication_key(p.origin, p.payload, 64));
+      }
+    }
+  }
 }
 
 TEST(WireCodec, ElementCountBombIsRejectedWithoutAllocating) {
