@@ -58,10 +58,7 @@ class Coordinator {
     }
 
     const auto start = std::chrono::steady_clock::now();
-    replica_.install_hook([this](sim::Network& net, std::size_t unit,
-                                 std::size_t delivered) {
-      post_unit(net, unit, delivered);
-    });
+    replica_.install_lockstep([this](std::size_t unit) { barrier(unit); });
     const scenario::ScenarioReport& report = replica_.run();
     wall_ms_ = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -203,11 +200,9 @@ class Coordinator {
     std::exit(1);
   }
 
-  // ---- the barrier hook -------------------------------------------------
+  // ---- the barrier ------------------------------------------------------
 
-  void post_unit(sim::Network& net, std::size_t unit, std::size_t delivered) {
-    (void)net;
-    (void)delivered;
+  void barrier(std::size_t unit) {
     units_ = unit;
     // Every replica digests the same pre-restore state point: daemons in
     // RoundDone, the coordinator here.
@@ -236,21 +231,15 @@ class Coordinator {
       for (const Relay& relay : relay_queues_[target]) {
         relays_forwarded_ += 1;
         relay_bytes_ += relay.frame.size();
-        send_to(target, relay);
+        queue(target, relay);
       }
+      if (killed != kNoShard) queue(target, Restore{unit, killed});
+      queue(target, RoundGo{unit + 1});
+      flush(target);
     }
     if (killed != kNoShard) {
-      Restore ev;
-      ev.round = unit;
-      ev.shard = killed;
-      restore_events_.push_back(ev);
-      for (std::size_t shard = 0; shard < opts_.procs; ++shard) {
-        send_to(shard, ev);
-      }
+      restore_events_.push_back(Restore{unit, killed});
       replica_.apply_restore(killed);
-    }
-    for (std::size_t shard = 0; shard < opts_.procs; ++shard) {
-      send_to(shard, RoundGo{unit + 1});
     }
   }
 
@@ -411,14 +400,20 @@ class Coordinator {
     }
   }
 
-  template <typename Msg>
-  void send_to(std::size_t shard, const Msg& msg) {
-    std::vector<std::uint8_t> frame;
-    encode_ctrl(CtrlMsg{msg}, frame);
-    if (!conns_[shard].sock.send_all(frame)) {
+  /// Appends `msg` to the pending write to `shard`, writing once
+  /// kCtrlWriteBytes are pending. One shard's frames at a time: flush
+  /// before queueing for another.
+  void queue(std::size_t shard, const CtrlMsg& msg) {
+    encode_ctrl(msg, out_);
+    if (out_.size() >= kCtrlWriteBytes) flush(shard);
+  }
+
+  void flush(std::size_t shard) {
+    if (!conns_[shard].sock.send_all(out_)) {
       abort_deployment("lost shard " + std::to_string(shard) +
                        " while forwarding");
     }
+    out_.clear();
   }
 
   // ---- finalization -----------------------------------------------------
@@ -503,6 +498,7 @@ class Coordinator {
   net::Listener listener_;
   std::vector<Conn> conns_;
   std::vector<std::vector<Relay>> relay_queues_;
+  std::vector<std::uint8_t> out_;  // frames pending for one shard
   std::vector<Restore> restore_events_;
   bool kill_done_ = false;
   std::size_t units_ = 0;

@@ -38,7 +38,6 @@ void encode_ctrl(const CtrlMsg& msg, std::vector<std::uint8_t>& out) {
         } else if constexpr (std::is_same_v<T, RoundDone>) {
           type = CtrlType::kRoundDone;
           payload.u64(m.round);
-          payload.u64(m.delivered);
           payload.u64(m.digest);
           payload.u64(m.relays);
         } else if constexpr (std::is_same_v<T, Relay>) {
@@ -100,8 +99,7 @@ CtrlParse parse_ctrl(std::span<const std::uint8_t> frame) {
     }
     case CtrlType::kRoundDone: {
       RoundDone m;
-      if (!d.u64(m.round) || !d.u64(m.delivered) || !d.u64(m.digest) ||
-          !d.u64(m.relays) || !d.done()) {
+      if (!d.u64(m.round) || !d.u64(m.digest) || !d.u64(m.relays) || !d.done()) {
         return bad();
       }
       out.msg = m;

@@ -7,10 +7,11 @@
 // can mistake the other's frames.
 //
 // The per-unit barrier exchange (all within one TCP connection per
-// daemon, so ordering is guaranteed):
+// daemon, so ordering is guaranteed; frames are written in batches of
+// kCtrlWriteBytes):
 //
 //   daemon  -> coord : Relay*  (its shard's cross-shard sends, seq order)
-//   daemon  -> coord : RoundDone{round, delivered, digest, relays}
+//   daemon  -> coord : RoundDone{round, digest, relays}
 //   coord   -> daemon: Relay*  (sends addressed to this daemon's shard)
 //   coord   -> daemon: Restore{round, shard}*  (lockstep recovery events)
 //   coord   -> daemon: RoundGo{round + 1}
@@ -46,12 +47,11 @@ struct RoundGo {
   std::uint64_t round = 0;
 };
 
-/// Barrier arrival: the sender finished unit `round` having delivered
-/// `delivered` messages, its replica state digests to `digest`, and it
-/// sent `relays` Relay frames ahead of this ack.
+/// Barrier arrival: the sender finished unit `round`, its replica state
+/// digests to `digest`, and it sent `relays` Relay frames ahead of this
+/// ack.
 struct RoundDone {
   std::uint64_t round = 0;
-  std::uint64_t delivered = 0;
   std::uint64_t digest = 0;
   std::uint64_t relays = 0;
 };
@@ -85,6 +85,12 @@ using CtrlMsg =
 
 /// Appends the full control frame for `msg` to `out`.
 void encode_ctrl(const CtrlMsg& msg, std::vector<std::uint8_t>& out);
+
+/// Both sides write a unit's frames in batches: frames are appended with
+/// encode_ctrl, written whenever this many bytes are pending, and the
+/// rest at the end of the sender's turn. A unit costs each connection a
+/// few writes instead of one per relay, and the pending bytes stay small.
+inline constexpr std::size_t kCtrlWriteBytes = 64 * 1024;
 
 struct CtrlParse {
   std::optional<CtrlMsg> msg;

@@ -53,12 +53,10 @@ class Daemon {
                    wire::decode_status_name(hello.status));
       return kExitHandshake;
     }
-    replica_.install_hook([this](sim::Network& net, std::size_t unit,
-                                 std::size_t delivered) {
-      post_unit(net, unit, delivered);
-    });
+    replica_.install_lockstep([this](std::size_t unit) { barrier(unit); });
     const scenario::ScenarioReport& report = replica_.run();
-    send_ctrl(Report{report.to_json().dump(2)});
+    queue(Report{report.to_json().dump(2)});
+    flush();
     // Hold the state until the coordinator has byte-compared every report.
     const std::optional<CtrlMsg> last = read_ctrl(opts_.round_timeout_ms);
     if (!last || !std::holds_alternative<Shutdown>(*last)) {
@@ -68,10 +66,11 @@ class Daemon {
   }
 
  private:
-  // The barrier hook. Divergence and protocol failures are fatal to the
-  // whole deployment, so the daemon reports and exits right here rather
-  // than unwinding through the scheduler.
-  void post_unit(sim::Network& net, std::size_t unit, std::size_t delivered) {
+  // The barrier. Divergence and protocol failures are fatal to the whole
+  // deployment, so the daemon reports and exits right here rather than
+  // unwinding through the scheduler.
+  void barrier(std::size_t unit) {
+    sim::Network& net = replica_.net();
     if (unit < opts_.replay_upto) {
       // Silent local replay, no barrier traffic — but mirror the previous
       // incarnation's persist decisions (track_persist) so the disk audit
@@ -81,29 +80,26 @@ class Daemon {
       return;
     }
     const bool rejoining = opts_.replay_upto > 0 && unit == opts_.replay_upto;
+    std::size_t relays = 0;
     if (rejoining) {
       track_persist(net);  // the persist the old incarnation may have died in
       adopt_disk_snapshots(net);
       // The fleet already exchanged this round's relays before we died;
       // the coordinator regenerates our outbox from its own replica.
-      send_done(unit, 0, 0);
     } else {
       persist_snapshots(net);
       const std::vector<Relay> outbox = replica_.collect_outbox(opts_.shard);
-      for (const Relay& relay : outbox) send_ctrl(relay);
-      send_done(unit, delivered, outbox.size());
+      for (const Relay& relay : outbox) queue(relay);
+      relays = outbox.size();
     }
-    barrier_wait(unit);
-  }
-
-  void send_done(std::size_t unit, std::size_t delivered, std::size_t relays) {
     RoundDone done;
     done.round = unit;
-    done.delivered = delivered;
     done.digest = replica_.digest();
     done.relays = relays;
-    send_ctrl(done);
-    if (opts_.dup_acks) send_ctrl(done);  // barrier must dedupe
+    queue(done);
+    if (opts_.dup_acks) queue(done);  // barrier must dedupe
+    flush();
+    barrier_wait(unit);
   }
 
   /// Blocks until the coordinator releases round `unit`, applying the
@@ -232,10 +228,16 @@ class Daemon {
     return ids;
   }
 
-  void send_ctrl(CtrlMsg msg) {
-    std::vector<std::uint8_t> out;
-    encode_ctrl(msg, out);
-    if (!sock_.send_all(out)) die(kExitCoordinatorGone, "coordinator hung up");
+  /// Appends `msg` to the pending write, writing once kCtrlWriteBytes
+  /// are pending; flush() writes the rest.
+  void queue(const CtrlMsg& msg) {
+    encode_ctrl(msg, out_);
+    if (out_.size() >= kCtrlWriteBytes) flush();
+  }
+
+  void flush() {
+    if (!sock_.send_all(out_)) die(kExitCoordinatorGone, "coordinator hung up");
+    out_.clear();
   }
 
   std::optional<CtrlMsg> read_ctrl(int timeout_ms) {
@@ -261,6 +263,7 @@ class Daemon {
   Replica replica_;
   net::Socket sock_;
   net::FrameAssembler stream_;
+  std::vector<std::uint8_t> out_;  // frames pending for the coordinator
   std::optional<SnapshotStore> store_;
   std::map<sim::NodeId, std::vector<std::uint8_t>> persisted_;
   std::map<sim::NodeId, std::vector<std::uint8_t>> prev_persisted_;

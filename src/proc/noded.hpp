@@ -34,7 +34,7 @@ struct NodedOptions {
 /// Runs the daemon to completion. Exit codes: 0 success, 2 bad spec,
 /// 3 divergence (relay bytes, digest, or snapshot mismatch), 4 handshake
 /// failure, 5 coordinator vanished/aborted, 6 barrier timeout. Divergence
-/// and protocol failures exit from inside the barrier hook.
+/// and protocol failures exit from inside the barrier.
 int run_noded(const NodedOptions& opts);
 
 }  // namespace ssps::proc

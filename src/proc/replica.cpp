@@ -1,14 +1,65 @@
 #include "proc/replica.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
 #include "common/encode.hpp"
 #include "scenario/builtin.hpp"
 #include "sched/serial.hpp"
+#include "sim/network.hpp"
 #include "wire/codec.hpp"
 
 namespace ssps::proc {
+namespace {
+
+/// The deployment's scheduler: SerialScheduler's round, then the barrier.
+/// Every other virtual keeps the base default, which is what
+/// SerialScheduler uses too, so the execution and the report are the
+/// serial round's.
+class LockstepScheduler final : public sched::Scheduler {
+ public:
+  explicit LockstepScheduler(Replica::Barrier barrier) : barrier_(std::move(barrier)) {}
+
+  std::size_t advance(sim::Network& net) override {
+    const std::size_t delivered = round_.advance(net);
+    barrier_(++units_);
+    return delivered;
+  }
+  unsigned threads() const override { return 1; }
+  std::string_view name() const override { return "lockstep"; }
+
+ private:
+  sched::SerialScheduler round_;
+  Replica::Barrier barrier_;
+  std::size_t units_ = 0;
+};
+
+/// The in-flight envelope `relay` names — its seq, with matching from and
+/// to — or nullptr. The lockstep round is serial, so at the barrier the
+/// lane holds this round's sends in ascending seq order (see
+/// sim::EngineSeam::lane) and one binary search finds the seq.
+sim::Envelope* find_relayed(sim::Network& net, const Relay& relay) {
+  std::vector<sim::Envelope>& lane = sim::EngineSeam(net).lane();
+  const auto it = std::lower_bound(
+      lane.begin(), lane.end(), relay.seq,
+      [](const sim::Envelope& env, std::uint64_t seq) { return env.seq < seq; });
+  if (it == lane.end() || it->seq != relay.seq || it->from.value != relay.from ||
+      it->to.value != relay.to) {
+    return nullptr;
+  }
+  return &*it;
+}
+
+Replica::RelayCheck compare(const Relay& relay, const sim::Envelope* env) {
+  if (env == nullptr) return Replica::RelayCheck::kUnknown;
+  std::vector<std::uint8_t> local;
+  if (!wire::encode_message(*env->msg, local)) return Replica::RelayCheck::kMismatch;
+  if (local != relay.frame) return Replica::RelayCheck::kMismatch;
+  return Replica::RelayCheck::kOk;
+}
+
+}  // namespace
 
 bool build_scenario(const ScenarioChoice& choice, scenario::ScenarioSpec& out) {
   if (!scenario::is_builtin(choice.name)) return false;
@@ -30,8 +81,8 @@ std::string deploy_unsupported(const scenario::ScenarioSpec& spec) {
            "schedulers have no per-round barrier point)";
   }
   if (spec.exec.threads > 1) {
-    return "deployment replicas are serial (sender attribution is "
-           "single-threaded)";
+    return "deployment replicas run the serial lockstep round (one "
+           "round worker per process)";
   }
   return "";
 }
@@ -39,10 +90,8 @@ std::string deploy_unsupported(const scenario::ScenarioSpec& spec) {
 Replica::Replica(scenario::ScenarioSpec spec, std::size_t procs)
     : procs_(procs), runner_(std::move(spec)) {}
 
-void Replica::install_hook(sched::HookScheduler::PostUnit post_unit) {
-  net().set_attribute_sends(true);
-  net().set_scheduler(std::make_unique<sched::HookScheduler>(
-      std::make_unique<sched::SerialScheduler>(), std::move(post_unit)));
+void Replica::install_lockstep(Barrier barrier) {
+  net().set_scheduler(std::make_unique<LockstepScheduler>(std::move(barrier)));
 }
 
 std::uint64_t Replica::digest() {
@@ -58,17 +107,17 @@ std::uint64_t Replica::digest() {
 
 std::vector<Relay> Replica::collect_outbox(std::size_t shard) {
   std::vector<Relay> out;
-  net().for_each_pending([&](const sim::Envelope& env) {
-    if (env.from.is_null()) return;
-    if (shard_of(env.from, procs_) != shard) return;
-    if (shard_of(env.to, procs_) == shard) return;  // process-local
+  for (const sim::Envelope& env : sim::EngineSeam(net()).lane()) {
+    if (env.from.is_null()) continue;
+    if (shard_of(env.from, procs_) != shard) continue;
+    if (shard_of(env.to, procs_) == shard) continue;  // process-local
     Relay relay;
     relay.from = env.from.value;
     relay.to = env.to.value;
     relay.seq = env.seq;
-    if (!wire::encode_message(*env.msg, relay.frame)) return;
+    if (!wire::encode_message(*env.msg, relay.frame)) continue;
     out.push_back(std::move(relay));
-  });
+  }
   return out;
 }
 
@@ -83,28 +132,24 @@ const char* Replica::relay_check_name(RelayCheck c) {
 }
 
 Replica::RelayCheck Replica::verify_relay(const Relay& relay) {
-  const sim::Envelope* env =
-      net().find_pending(sim::NodeId{relay.from}, relay.seq);
-  if (env == nullptr || env->to.value != relay.to) return RelayCheck::kUnknown;
-  std::vector<std::uint8_t> local;
-  if (!wire::encode_message(*env->msg, local)) return RelayCheck::kMismatch;
-  if (local != relay.frame) return RelayCheck::kMismatch;
-  return RelayCheck::kOk;
+  return compare(relay, find_relayed(net(), relay));
 }
 
 Replica::RelayCheck Replica::apply_relay(const Relay& relay) {
-  const RelayCheck check = verify_relay(relay);
+  sim::Envelope* env = find_relayed(net(), relay);
+  const RelayCheck check = compare(relay, env);
   if (check != RelayCheck::kOk) return check;
   wire::DecodeResult decoded = wire::decode_message(relay.frame, relay_pool_);
   if (!decoded.ok()) return RelayCheck::kUndecodable;
   // The wire deliberately omits telemetry stamps (Publication::born), so
   // the decoded copy adopts them from the verified-identical local
   // envelope — otherwise the swap would skew delivery-latency histograms.
-  const sim::Envelope* env =
-      net().find_pending(sim::NodeId{relay.from}, relay.seq);
+  // The envelope keeps its routing fields (to, from, sent_at, seq).
   decoded.msg->adopt_offwire(*env->msg);
-  net().replace_pending_message(sim::NodeId{relay.from}, relay.seq,
-                                std::move(decoded.msg));
+  sim::EngineSeam(net()).reclaim(*env);
+  env->msg = decoded.msg.get();
+  env->pool = decoded.msg.pool();
+  env->handle = decoded.msg.release();
   return RelayCheck::kOk;
 }
 

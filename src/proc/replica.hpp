@@ -1,19 +1,21 @@
 // Replica: the deterministic core every deployment process runs.
 //
-// The deployment's determinism argument (ISSUE 10): every process —
-// the ssps_deploy coordinator and each ssps_noded daemon — runs a FULL
-// deterministic replica of the scenario (same spec, same seed, serial
-// round scheduler), gated into lockstep by a barrier hook at every
-// schedule unit. A daemon "hosts" the shard of nodes whose ids map to it
-// (shard_of); within a round, the messages those nodes sent to other
-// shards are wire-encoded in the simulator's canonical send order —
-// pending-lane order, i.e. ascending seq — and relayed through the
-// coordinator to the target shard, which byte-compares each relay
-// against the envelope its own replica generated (matched by the
-// (sender, seq) stamp) and then swaps the wire-decoded message into the
-// in-flight lane, so delivery consumes the bytes that actually crossed
-// the socket. Any byte of disagreement is divergence and aborts the
-// deployment; agreement means the live execution makes identical
+// The deployment's determinism argument: every process — the
+// ssps_deploy coordinator and each ssps_noded daemon — runs a FULL
+// deterministic replica of the scenario (same spec, same seed), driven
+// by the lockstep scheduler: SerialScheduler's round, then the barrier
+// at every schedule unit. A daemon "hosts" the shard of nodes whose ids
+// map to it (shard_of); within a round, the messages those nodes sent to
+// other shards are wire-encoded in the simulator's canonical send order
+// — in-flight lane order, i.e. ascending seq — and relayed through the
+// coordinator to the target shard. The target finds the envelope its own
+// replica generated by binary search on seq (the serial round only
+// appends to the lane, in seq order), checks the (from, to) stamp,
+// byte-compares the relay against it and swaps the wire-decoded message
+// in place, so delivery consumes the bytes that actually crossed the
+// socket. The replica reaches the lane through sim::EngineSeam, like
+// every scheduler. Any byte of disagreement is divergence and aborts
+// the deployment; agreement means the live execution makes identical
 // protocol decisions to the simulator, which is why a live report is
 // byte-identical to ssps_run's for the same seed.
 //
@@ -25,12 +27,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "proc/ctrl.hpp"
 #include "scenario/runner.hpp"
-#include "sched/hook.hpp"
 #include "sim/message_pool.hpp"
 
 namespace ssps::proc {
@@ -60,17 +62,21 @@ struct ScenarioChoice {
 bool build_scenario(const ScenarioChoice& choice, scenario::ScenarioSpec& out);
 
 /// Rejects specs the deployment can't run in lockstep (timed/async
-/// schedulers, multi-threaded rounds). Returns an error message or "".
+/// schedulers, multi-threaded rounds: the lockstep round is serial).
+/// Returns an error message or "".
 std::string deploy_unsupported(const scenario::ScenarioSpec& spec);
 
 class Replica {
  public:
+  /// Called at the end of every schedule unit with its 1-based number.
+  using Barrier = std::function<void(std::size_t unit)>;
+
   Replica(scenario::ScenarioSpec spec, std::size_t procs);
 
-  /// Installs the barrier hook (serial scheduler wrapped in a
-  /// HookScheduler) and turns on sender attribution. Must be called
-  /// before run(), after which every schedule unit ends in `post_unit`.
-  void install_hook(sched::HookScheduler::PostUnit post_unit);
+  /// Installs the lockstep scheduler. Must be called before run(), after
+  /// which every schedule unit is SerialScheduler's round followed by
+  /// `barrier`.
+  void install_lockstep(Barrier barrier);
 
   const scenario::ScenarioReport& run() { return runner_.run(); }
 
@@ -85,13 +91,13 @@ class Replica {
 
   /// The cross-shard sends originated by `shard`'s nodes this round, in
   /// canonical (seq) order, wire-encoded. Envelopes without a wire
-  /// encoding or without sender attribution (harness-originated traffic,
-  /// which every replica generates locally) don't travel.
+  /// encoding or without a sender (harness-originated traffic, which
+  /// every replica generates locally) don't travel.
   std::vector<Relay> collect_outbox(std::size_t shard);
 
   enum class RelayCheck {
     kOk,           ///< matched the local envelope byte-for-byte
-    kUnknown,      ///< no in-flight envelope stamped (from, seq)
+    kUnknown,      ///< no in-flight envelope stamped (from, to, seq)
     kMismatch,     ///< local envelope encodes to different bytes
     kUndecodable,  ///< relay bytes don't decode (damaged in flight)
   };
@@ -101,7 +107,7 @@ class Replica {
   RelayCheck verify_relay(const Relay& relay);
 
   /// verify_relay + swaps the wire-decoded message into the in-flight
-  /// lane, so delivery consumes the socket bytes.
+  /// envelope, so delivery consumes the socket bytes.
   RelayCheck apply_relay(const Relay& relay);
 
   /// Lockstep recovery event: crash + recover (stale-snapshot path) every

@@ -43,8 +43,8 @@ struct ExecutionSpec {
   sim::TimedConfig timed;
 
   /// A send/deliver event trace (sim/trace.hpp) will be attached to the
-  /// run. Tracing attributes sends to the acting node through a single
-  /// slot, so it is serial-only.
+  /// run. The trace's event ring and flow map are single members written
+  /// on every send and delivery, so tracing is serial-only.
   bool trace = false;
 
   /// Checks the combination for contradictions; returns a human-readable

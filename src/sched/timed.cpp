@@ -19,7 +19,6 @@ TimedScheduler::TimedScheduler(sim::Network& net, sim::TimedConfig cfg,
                 0x1d8e4e27c47d124fULL) {
   SSPS_ASSERT_MSG(net.pending_messages() == 0,
                   "TimedScheduler: switch modes before the first send");
-  net.set_attribute_sends(true);
 }
 
 TimedScheduler::~TimedScheduler() {

@@ -24,8 +24,8 @@ namespace ssps::sched {
 class TimedScheduler final : public Scheduler {
  public:
   /// Builds the engine for `net`, which must have nothing in flight yet
-  /// (switch modes before the first send), and turns on the sender
-  /// attribution link routing keys on; install it with set_scheduler.
+  /// (switch modes before the first send); install it with set_scheduler.
+  /// Link routing keys on Envelope::from, which every engine maintains.
   /// `corrupter` is the wire-damage model corrupting links apply (null =
   /// LinkProfile::corrupt is inert); it must outlive the engine.
   TimedScheduler(sim::Network& net, sim::TimedConfig cfg,

@@ -79,28 +79,6 @@ void Network::reclaim(const Envelope& env) {
   env.pool->destroy(env.msg, env.handle);
 }
 
-const Envelope* Network::find_pending(NodeId from, std::uint64_t seq) const {
-  for (const Envelope& env : pending_) {
-    if (env.seq == seq && env.from == from) return &env;
-  }
-  return nullptr;
-}
-
-bool Network::replace_pending_message(NodeId from, std::uint64_t seq,
-                                      PooledMsg msg) {
-  SSPS_ASSERT(msg);
-  for (Envelope& env : pending_) {
-    if (env.seq == seq && env.from == from) {
-      reclaim(env);
-      env.msg = msg.get();
-      env.pool = msg.pool();
-      env.handle = msg.release();
-      return true;
-    }
-  }
-  return false;
-}
-
 void Network::crash(NodeId id) {
   Slot* slot = find_slot(id);
   SSPS_ASSERT_MSG(slot != nullptr && slot->node != nullptr,
@@ -211,12 +189,18 @@ void Network::deliver_one(const Envelope& env) {
   SSPS_ASSERT(slot != nullptr && slot->node != nullptr);
   metrics_.on_deliver(*env.msg, env.to);
   if (trace_ != nullptr) [[unlikely]] trace_deliver(env);
+  main_ctx_.acting = env.to;
   slot->node->handle(PooledMsg(env.pool, env.msg, env.handle));
+  main_ctx_.acting = NodeId::null();
 }
 
-void Network::fire_timeout(Slot& slot) {
-  slot.last_timeout = step_;
-  slot.node->timeout();
+void Network::fire_timeout(std::size_t index) {
+  // Sequential phases only (the sweep, step-grained engines), so the
+  // Timeout's sends go through the main context.
+  slots_[index].last_timeout = step_;
+  main_ctx_.acting = id_at(index);
+  slots_[index].node->timeout();
+  main_ctx_.acting = NodeId::null();
 }
 
 std::size_t Network::round_begin(std::vector<Envelope>& batch) {
@@ -277,14 +261,11 @@ std::size_t Network::deliver_grouped_range(std::size_t begin, std::size_t end,
     }
     ctx.metrics->on_deliver(*env.msg, env.to);
     if (trace_ != nullptr) [[unlikely]] trace_deliver(env);
-    else if (attribute_sends_) acting_node_ = env.to;
+    ctx.acting = env.to;
     slot->node->handle(PooledMsg(env.pool, env.msg, env.handle));
     ++delivered;
   }
-  // Attribute each handler's sends to the handling node (trace_deliver
-  // does the same when tracing); the guard keeps this a no-write under
-  // the parallel scheduler, where both are off.
-  if (attribute_sends_) acting_node_ = NodeId::null();
+  ctx.acting = NodeId::null();
   return delivered;
 }
 
@@ -296,17 +277,14 @@ void Network::timeout_sweep() {
   // order within a round is unobservable. Index-based iteration over a
   // size snapshot: a timeout() may spawn (reallocating the table), and
   // nodes born mid-round first fire next round — as before.
-  const bool attribute = trace_ != nullptr || attribute_sends_;
   const std::size_t population = slots_.size();
   std::size_t timeouts = 0;
   for (std::size_t i = 0; i < population; ++i) {
     if (slots_[i].node != nullptr) {
-      if (attribute) [[unlikely]] acting_node_ = id_at(i);
-      fire_timeout(slots_[i]);
+      fire_timeout(i);
       ++timeouts;
     }
   }
-  if (attribute) acting_node_ = NodeId::null();
   last_round_timeouts_ = timeouts;
 }
 
@@ -384,8 +362,8 @@ std::optional<std::size_t> Network::run_until(const std::function<bool()>& pred,
 void Network::set_scheduler(std::unique_ptr<sched::Scheduler> scheduler) {
   SSPS_ASSERT(scheduler != nullptr);
   SSPS_ASSERT_MSG(!in_parallel_phase_, "set_scheduler: mid-round");
-  SSPS_ASSERT_MSG((trace_ == nullptr && !attribute_sends_) || scheduler->threads() == 1,
-                  "set_scheduler: tracing and sender attribution are serial-only");
+  SSPS_ASSERT_MSG(trace_ == nullptr || scheduler->threads() == 1,
+                  "set_scheduler: tracing is serial-only");
   if (scheduler_ != nullptr) {
     SSPS_ASSERT_MSG(pending_messages() == pending_.size(),
                     "set_scheduler: the installed engine still holds in-flight "
@@ -439,22 +417,18 @@ void Network::attach_trace(Trace* trace) {
   SSPS_ASSERT_MSG(trace == nullptr || scheduler_threads() == 1,
                   "attach_trace: tracing requires the serial scheduler");
   trace_ = trace;
-  if (trace == nullptr) {
-    flow_ids_.clear();
-    acting_node_ = NodeId::null();
-  }
+  if (trace == nullptr) flow_ids_.clear();
 }
 
-void Network::trace_send(NodeId to, const Message& msg, bool enqueued) {
+void Network::trace_send(NodeId from, NodeId to, const Message& msg, bool enqueued) {
   const std::uint64_t flow = ++next_flow_;
   // Swallowed sends get an event but no map entry: their pool slot is
   // recycled immediately, and a reused slot must not alias this flow.
   if (enqueued) flow_ids_[&msg] = flow;
-  trace_->record(round_, acting_node_, to, msg.name(), TraceEventKind::kSend, flow);
+  trace_->record(round_, from, to, msg.name(), TraceEventKind::kSend, flow);
 }
 
 void Network::trace_deliver(const Envelope& env) {
-  acting_node_ = env.to;
   std::uint64_t flow = 0;
   auto it = flow_ids_.find(env.msg);
   if (it != flow_ids_.end()) {

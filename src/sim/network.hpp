@@ -25,9 +25,9 @@
 // delivery batch with a single swap. Delivery order is a canonical
 // function of (seed, call sequence) — independent of container internals,
 // so runs replay bit-for-bit on any standard library. All send-side
-// effects (lane append, metrics, pool allocation) are routed through a
-// SendContext so a parallel worker's sends land in its private lane
-// without any atomics on the hot path.
+// effects (lane append, metrics, pool allocation, sender attribution) are
+// routed through a SendContext so a parallel worker's sends land in its
+// private lane without any atomics on the hot path.
 #pragma once
 
 #include <concepts>
@@ -67,9 +67,9 @@ struct Envelope {
   NodeId to;
   /// Sender attribution: the node whose action executed the send, or null
   /// for harness-originated traffic (publishes, injections, control
-  /// plane). The timed scheduler keys link selection and fault exemption
-  /// on it; only maintained while a trace is attached or sender
-  /// attribution is on (Network::set_attribute_sends).
+  /// plane). Always maintained, from the sending context's acting node.
+  /// The timed scheduler keys link selection and fault exemption on it;
+  /// the deployment relays each node's sends to its target's shard by it.
   NodeId from;
   Message* msg = nullptr;
   MessagePool* pool = nullptr;
@@ -100,6 +100,11 @@ struct SendContext {
   /// Sends swallowed because the target crashed (§3.3); folded into the
   /// Network's main context at the round barrier.
   std::uint64_t swallowed_to_dead = 0;
+  /// The node whose action is executing on this context: the `from` of
+  /// every send it makes. The Network sets it around each delivery and
+  /// Timeout it runs and clears it afterwards, so it is null for sends
+  /// from outside any action (harness publishes, injections).
+  NodeId acting;
 };
 
 namespace detail {
@@ -218,7 +223,7 @@ class Network {
     const NodeId to_cell = to.value <= slots_.size() ? to : NodeId::null();
     ctx.metrics->on_send_id(ctx.metrics->label_id(*msg), msg->wire_size(), to_cell);
     const bool enqueued = alive(to);
-    if (trace_ != nullptr) [[unlikely]] trace_send(to, *msg, enqueued);
+    if (trace_ != nullptr) [[unlikely]] trace_send(ctx.acting, to, *msg, enqueued);
     if (!enqueued) {
       // Target crashed or never existed: the message invokes no action
       // (its pool slot is recycled as `msg` goes out of scope).
@@ -380,47 +385,11 @@ class Network {
 
   /// Attaches a structured event trace recording every send and delivery
   /// with flow correlation (see src/telemetry/perfetto.hpp for the
-  /// exporter). Serial-only: tracing attributes sends to the acting node
-  /// via a single member, so the scheduler must stay single-threaded
-  /// while a trace is attached. Pass nullptr to detach.
+  /// exporter). Serial-only: the event ring and the flow map are single
+  /// members written on every send and delivery, so the scheduler must
+  /// stay single-threaded while a trace is attached. Pass nullptr to
+  /// detach.
   void attach_trace(Trace* trace);
-
-  /// Maintains sender attribution (Envelope::from) on every node-
-  /// originated send even without a trace. The timed scheduler routes by
-  /// sender (link class, fault exemption), and the multi-process
-  /// deployment shards in-flight messages by sending node. Round delivery
-  /// never reads `from` (grouping, shuffling and crash drops all key on
-  /// `to`), so flipping this changes no round delivery decision and no
-  /// report byte. Serial-only, like tracing: attribution goes through the
-  /// single acting_node_ member.
-  void set_attribute_sends(bool on) {
-    SSPS_ASSERT_MSG(!on || scheduler_threads() == 1,
-                    "set_attribute_sends: attribution is serial-only");
-    attribute_sends_ = on;
-  }
-
-  /// Visits every in-flight round-lane envelope in canonical send (seq)
-  /// order — pending_ appends in send order and only the round barrier
-  /// reorders, so iteration order IS the simulator's canonical order.
-  /// Read-only: the deployment layer uses it to extract the envelopes its
-  /// shard originated.
-  template <typename Fn>
-  void for_each_pending(Fn&& fn) const {
-    for (const Envelope& env : pending_) fn(env);
-  }
-
-  /// The in-flight envelope stamped (from, seq), or nullptr. Seq values
-  /// are unique (single monotone counter), so the pair over-identifies;
-  /// `from` is kept in the key as a cross-process consistency check.
-  const Envelope* find_pending(NodeId from, std::uint64_t seq) const;
-
-  /// Swaps the payload of the in-flight envelope stamped (from, seq) for
-  /// `msg`, keeping the envelope's routing fields (to, sent_at, seq).
-  /// The deployment transport uses this to substitute the bytes that
-  /// actually travelled the socket for the replica-generated message —
-  /// delivery then consumes the wire-decoded object. Returns false if no
-  /// such envelope is in flight.
-  bool replace_pending_message(NodeId from, std::uint64_t seq, PooledMsg msg);
 
   ssps::Rng& rng() { return rng_; }
 
@@ -464,7 +433,7 @@ class Network {
   void enqueue(SendContext& ctx, NodeId to, PooledMsg&& msg) {
     Envelope env;
     env.to = to;
-    env.from = acting_node_;
+    env.from = ctx.acting;
     env.msg = msg.get();
     env.pool = msg.pool();
     env.sent_at = step_;
@@ -501,7 +470,7 @@ class Network {
   /// Delivers one envelope already taken off the lane (step-grained
   /// engines); its target must be alive.
   void deliver_one(const Envelope& env);
-  void fire_timeout(Slot& slot);
+  void fire_timeout(std::size_t index);
   /// Reclaims an envelope without delivering it: the message invokes no
   /// action (crash drops, link loss, discarded branch slots).
   void reclaim(const Envelope& env);
@@ -513,7 +482,7 @@ class Network {
   void for_each_in_flight(const std::function<void(const Envelope&)>& fn) const;
 
   // ---- Telemetry hooks (cold paths; only reached when attached) -------
-  void trace_send(NodeId to, const Message& msg, bool enqueued);
+  void trace_send(NodeId from, NodeId to, const Message& msg, bool enqueued);
   void trace_deliver(const Envelope& env);
   /// Forgets a message's flow id before its pool slot is recycled on a
   /// non-delivery path (crash drop, destructor drain) — a reused slot
@@ -557,14 +526,6 @@ class Network {
   telemetry::RoundProbe* round_probe_ = nullptr;
   /// Optional structured event trace (attach_trace; forces serial).
   Trace* trace_ = nullptr;
-  /// Node whose action is currently executing — the `from` attribution
-  /// for sends. Only maintained while a trace is attached or sender
-  /// attribution is on (both force the serial scheduler, so the single
-  /// member is race-free); null for sends from outside any action
-  /// (harness injections, publishes).
-  NodeId acting_node_;
-  /// Keep acting_node_ maintained without a trace (set_attribute_sends).
-  bool attribute_sends_ = false;
   /// In-flight flow correlation: message -> flow id, assigned in send
   /// order. Only populated while a trace is attached.
   std::unordered_map<const Message*, std::uint64_t> flow_ids_;
@@ -587,11 +548,10 @@ class Network {
   std::vector<std::uint32_t> scatter_offsets_;
 };
 
-/// The engine seam: everything a scheduler (src/sched) may do to a
-/// Network beyond its public API. A scheduler builds one around the
-/// Network it advances; the seam holds no state of its own. (Sender
-/// attribution, which the timed engine needs, is the public
-/// Network::set_attribute_sends flag.)
+/// The engine seam: everything a scheduler (src/sched, and the
+/// deployment's lockstep scheduler in src/proc) may do to a Network
+/// beyond its public API. A scheduler builds one around the Network it
+/// advances; the seam holds no state of its own.
 class EngineSeam {
  public:
   explicit EngineSeam(Network& net) : net_(net) {}
@@ -626,6 +586,10 @@ class EngineSeam {
   void reclaim(const Envelope& env) { net_.reclaim(env); }
 
   // ---- Lane, main context, shard fold targets ----------------------------
+  /// The in-flight lane. Main-context sends append with ascending seq, so
+  /// after a serial round it is sorted by seq (the async stepper's
+  /// swap-remove and the parallel merge, whose worker envelopes carry
+  /// seq 0, do not keep that order).
   std::vector<Envelope>& lane() { return net_.pending_; }
   SendContext& main_ctx() { return net_.main_ctx_; }
   Metrics& fold_metrics() { return net_.metrics_; }
@@ -638,7 +602,7 @@ class EngineSeam {
   // ---- Single actions (step-grained engines) -----------------------------
   void tick() { ++net_.step_; }
   void deliver_one(const Envelope& env) { net_.deliver_one(env); }
-  void fire_timeout(std::size_t slot) { net_.fire_timeout(net_.slots_[slot]); }
+  void fire_timeout(std::size_t slot) { net_.fire_timeout(slot); }
   bool alive_at(std::size_t slot) const { return net_.slots_[slot].node != nullptr; }
   Step last_timeout(std::size_t slot) const { return net_.slots_[slot].last_timeout; }
 

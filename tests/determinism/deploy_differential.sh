@@ -5,7 +5,9 @@
 # the same (scenario, seed, nodes) — after stripping the deploy_* header
 # keys only the live run carries. Covered shapes: n = 64 steady across 4
 # processes, and the scrambled churn-wave variant (multi-topic +
-# stabilization-from-arbitrary-state) across 3.
+# stabilization-from-arbitrary-state) across 3. The steady shape runs
+# with --dup-acks (every daemon sends each barrier ack twice), so the
+# coordinator's duplicate-ack branch runs end to end.
 #
 #   usage: deploy_differential.sh <ssps_deploy> <ssps_noded> <ssps_run>
 set -u
@@ -17,11 +19,12 @@ workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 status=0
 
+# check <name> <scenario> <seed> <nodes> <procs> <flags for both> [<deploy-only flags>]
 check() {
-  local name=$1 scenario=$2 seed=$3 nodes=$4 procs=$5 extra=$6
+  local name=$1 scenario=$2 seed=$3 nodes=$4 procs=$5 extra=$6 deploy_extra=${7:-}
   local live="$workdir/$name-live.json" sim="$workdir/$name-sim.json"
   if ! "$deploy" --noded "$noded" --scenario "$scenario" --seed "$seed" \
-      --nodes "$nodes" --procs "$procs" $extra --quiet --out "$live"; then
+      --nodes "$nodes" --procs "$procs" $extra $deploy_extra --quiet --out "$live"; then
     echo "FAILED DEPLOY: $name"
     status=1
     return
@@ -48,7 +51,7 @@ check() {
   echo "ok: $name"
 }
 
-check steady-64 steady 7 64 4 ""
+check steady-64 steady 7 64 4 "" "--dup-acks"
 check churn-wave-scrambled-64 churn-wave 5 64 3 "--scramble"
 
 exit $status

@@ -40,7 +40,7 @@ std::vector<std::pair<std::string, std::vector<std::uint8_t>>> corpus(
     out.emplace_back(name, std::move(frame));
   };
   ctrl("round-go", proc::RoundGo{42});
-  ctrl("round-done", proc::RoundDone{42, 17, 0xdeadbeefu, 3});
+  ctrl("round-done", proc::RoundDone{42, 0xdeadbeefu, 3});
   proc::Relay relay;
   relay.from = 5;
   relay.to = 9;
@@ -175,7 +175,7 @@ TEST(FrameAssembler, OversizeOffsetCountsConsumedFrames) {
 TEST(FrameAssembler, BufferedTracksPartialFrame) {
   MessagePool pool;
   std::vector<std::uint8_t> frame;
-  proc::encode_ctrl(proc::RoundDone{1, 2, 3, 4}, frame);
+  proc::encode_ctrl(proc::RoundDone{1, 2, 3}, frame);
   FrameAssembler assembler;
   assembler.feed(std::span(frame.data(), 5));
   EXPECT_EQ(assembler.buffered(), 5u);

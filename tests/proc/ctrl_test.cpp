@@ -26,7 +26,7 @@ TEST(CtrlCodec, RoundtripsEveryType) {
   relay.frame = {0x01, 0x02, 0x03, 0x04};
   const std::vector<CtrlMsg> samples = {
       RoundGo{12},
-      RoundDone{12, 34, 0xabcdef0123456789ull, 5},
+      RoundDone{12, 0xabcdef0123456789ull, 5},
       relay,
       Restore{6, 2},
       Report{"{\"ok\": true}"},
@@ -40,11 +40,10 @@ TEST(CtrlCodec, RoundtripsEveryType) {
 }
 
 TEST(CtrlCodec, FieldFidelity) {
-  const CtrlParse done = parse_ctrl(encoded(RoundDone{9, 17, 42, 3}));
+  const CtrlParse done = parse_ctrl(encoded(RoundDone{9, 42, 3}));
   ASSERT_TRUE(done.ok());
   const auto& d = std::get<RoundDone>(*done.msg);
   EXPECT_EQ(d.round, 9u);
-  EXPECT_EQ(d.delivered, 17u);
   EXPECT_EQ(d.digest, 42u);
   EXPECT_EQ(d.relays, 3u);
 
@@ -71,7 +70,7 @@ TEST(CtrlCodec, FlippedByteFailsChecksum) {
 }
 
 TEST(CtrlCodec, TruncationIsStructured) {
-  const std::vector<std::uint8_t> frame = encoded(RoundDone{1, 2, 3, 4});
+  const std::vector<std::uint8_t> frame = encoded(RoundDone{1, 2, 3});
   for (std::size_t cut = 0; cut < frame.size(); ++cut) {
     const CtrlParse parsed =
         parse_ctrl(std::span(frame.data(), cut));

@@ -1,7 +1,7 @@
 // Replica: the lockstep core's determinism properties, exercised
-// in-process (no sockets) — hook transparency, digest agreement across
-// replicas, relay byte-verification and swap neutrality, lockstep restore
-// events.
+// in-process (no sockets) — lockstep-scheduler transparency, digest
+// agreement across replicas, relay lookup, byte-verification and swap
+// neutrality, lockstep restore events.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -10,6 +10,8 @@
 
 #include "proc/replica.hpp"
 #include "scenario/runner.hpp"
+#include "sim/network.hpp"
+#include "wire/codec.hpp"
 
 namespace ssps::proc {
 namespace {
@@ -46,17 +48,16 @@ TEST(BuildScenario, RejectsUnknownNames) {
   EXPECT_FALSE(build_scenario(choice, spec));
 }
 
-TEST(Replica, HookIsReportNeutral) {
-  // Wrapping the scheduler in a HookScheduler and turning on sender
-  // attribution must not change a single report byte — that neutrality is
-  // what lets a live deployment byte-match plain ssps_run.
+TEST(Replica, LockstepIsReportNeutral) {
+  // Running the lockstep scheduler instead of the plain serial one must
+  // not change a single report byte — that neutrality is what lets a live
+  // deployment byte-match plain ssps_run.
   scenario::ScenarioRunner plain(spec_of(steady_choice()));
   const std::string want = plain.run().to_json().dump(2);
 
   Replica replica(spec_of(steady_choice()), 3);
   std::size_t units = 0;
-  replica.install_hook(
-      [&](sim::Network&, std::size_t, std::size_t) { ++units; });
+  replica.install_lockstep([&](std::size_t unit) { EXPECT_EQ(unit, ++units); });
   const std::string got = replica.run().to_json().dump(2);
   EXPECT_GT(units, 0u);
   EXPECT_EQ(got, want);
@@ -67,7 +68,7 @@ TEST(Replica, DigestSequencesAgreeAcrossReplicas) {
   std::vector<std::uint64_t> digests_b;
   for (auto* digests : {&digests_a, &digests_b}) {
     Replica replica(spec_of(steady_choice()), 2);
-    replica.install_hook([&, digests](sim::Network&, std::size_t, std::size_t) {
+    replica.install_lockstep([&, digests](std::size_t) {
       digests->push_back(replica.digest());
     });
     replica.run();
@@ -85,7 +86,7 @@ TEST(Replica, RelaySwapIsReportNeutral) {
 
   Replica replica(spec_of(steady_choice()), 3);
   std::size_t swapped = 0;
-  replica.install_hook([&](sim::Network&, std::size_t, std::size_t) {
+  replica.install_lockstep([&](std::size_t) {
     for (std::size_t shard = 0; shard < 3; ++shard) {
       for (const Relay& relay : replica.collect_outbox(shard)) {
         ASSERT_EQ(replica.verify_relay(relay), Replica::RelayCheck::kOk);
@@ -102,8 +103,11 @@ TEST(Replica, RelaySwapIsReportNeutral) {
 TEST(Replica, VerifyRelayRejectsForeignAndDamagedFrames) {
   Replica replica(spec_of(steady_choice()), 2);
   bool checked = false;
-  replica.install_hook([&](sim::Network&, std::size_t, std::size_t) {
-    if (checked) return;
+  replica.install_lockstep([&](std::size_t) {
+    const std::vector<sim::Envelope>& lane = sim::EngineSeam(replica.net()).lane();
+    // Wait for a round with older sends behind its lane: the stale case
+    // below needs a seq under the first one in flight.
+    if (checked || lane.empty() || lane.front().seq == 0) return;
     std::vector<Relay> outbox = replica.collect_outbox(0);
     if (outbox.empty()) outbox = replica.collect_outbox(1);
     if (outbox.empty()) return;
@@ -111,6 +115,19 @@ TEST(Replica, VerifyRelayRejectsForeignAndDamagedFrames) {
     Relay unknown = outbox[0];
     unknown.seq += 100000;  // no such envelope in flight
     EXPECT_EQ(replica.verify_relay(unknown), Replica::RelayCheck::kUnknown);
+    Relay foreign = outbox[0];
+    foreign.from += 1;  // a real seq, sent by another node
+    EXPECT_EQ(replica.verify_relay(foreign), Replica::RelayCheck::kUnknown);
+    Relay misrouted = outbox[0];
+    misrouted.to += 1;  // a real seq, addressed elsewhere
+    EXPECT_EQ(replica.verify_relay(misrouted), Replica::RelayCheck::kUnknown);
+    const sim::Envelope& first = lane.front();
+    Relay stale;  // the first envelope in flight, under the seq below it
+    stale.from = first.from.value;
+    stale.to = first.to.value;
+    stale.seq = first.seq - 1;
+    ASSERT_TRUE(wire::encode_message(*first.msg, stale.frame));
+    EXPECT_EQ(replica.verify_relay(stale), Replica::RelayCheck::kUnknown);
     Relay damaged = outbox[0];
     damaged.frame.back() ^= 0x01;  // bytes disagree with the local envelope
     EXPECT_EQ(replica.verify_relay(damaged), Replica::RelayCheck::kMismatch);
@@ -125,7 +142,7 @@ TEST(Replica, LockstepRestoreKeepsReplicasIdentical) {
   // path's determinism argument), and the oracle must stay green.
   const auto run_with_restore = [](std::string& out_json) {
     Replica replica(spec_of(steady_choice()), 2);
-    replica.install_hook([&](sim::Network&, std::size_t unit, std::size_t) {
+    replica.install_lockstep([&](std::size_t unit) {
       if (unit == 5) replica.apply_restore(1);
     });
     const scenario::ScenarioReport& report = replica.run();
