@@ -123,34 +123,4 @@ int SkipRingSpec::edge_level(const Label& a, const Label& b) {
   return std::max(a.length(), b.length());
 }
 
-int SkipRingSpec::route(const Label& from, const Label& to,
-                        std::vector<std::uint64_t>* load) const {
-  std::size_t cur = index_of(from);
-  const std::size_t target = index_of(to);
-  const Dyadic goal = to.r();
-  int hops = 0;
-  while (cur != target) {
-    const NodeSpec& s = spec_[cur];
-    std::size_t best = cur;
-    Dyadic best_dist = ring_distance(order_[cur].r(), goal);
-    auto try_neighbor = [&](const Label& nbr) {
-      const Dyadic d = ring_distance(nbr.r(), goal);
-      if (d < best_dist) {
-        best_dist = d;
-        best = index_of(nbr);
-      }
-    };
-    if (s.left) try_neighbor(*s.left);
-    if (s.right) try_neighbor(*s.right);
-    if (s.ring) try_neighbor(*s.ring);
-    for (const Label& l : s.shortcuts) try_neighbor(l);
-    SSPS_ASSERT_MSG(best != cur, "greedy routing stuck");
-    cur = best;
-    ++hops;
-    if (load != nullptr && cur != target) (*load)[cur] += 1;
-    SSPS_ASSERT(hops <= static_cast<int>(n_) + 1);
-  }
-  return hops;
-}
-
 }  // namespace ssps::core

@@ -65,16 +65,6 @@ class SkipRingSpec {
   /// The level of edge (a, b) per Definition 2: max(|a|, |b|).
   static int edge_level(const Label& a, const Label& b);
 
-  /// Greedy routing from `from` to `to`: hop to the neighbor minimizing
-  /// the remaining ring distance. Returns the hop count; if `load` is
-  /// non-null (indexed by ring-order position), increments it for every
-  /// intermediate node. Used by the congestion experiment (E9).
-  int route(const Label& from, const Label& to,
-            std::vector<std::uint64_t>* load) const;
-
-  /// Ring-order position of a label (the index into ring_order()).
-  std::size_t position(const Label& label) const { return index_of(label); }
-
  private:
   std::size_t index_of(const Label& label) const;
 

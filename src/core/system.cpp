@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "core/skip_ring_spec.hpp"
-#include "sim/trace.hpp"
 
 namespace ssps::core {
 
@@ -81,27 +80,6 @@ std::size_t SkipRingSystem::nonconforming_count() const {
     return alive > 0 ? alive - 1 : 0;
   }
   return probe_.nonconforming;
-}
-
-std::string SkipRingSystem::to_dot() const {
-  std::vector<sim::NodeId> nodes = subscriber_ids();
-  std::vector<sim::DotEdge> edges;
-  for (sim::NodeId id : nodes) {
-    const SubscriberProtocol& sub = subscriber(id);
-    auto add = [&](const std::optional<LabeledRef>& slot, const char* kind) {
-      if (slot && slot->node) edges.push_back(sim::DotEdge{id, slot->node, kind});
-    };
-    add(sub.left(), "ring");
-    add(sub.right(), "ring");
-    add(sub.ring(), "cyc");
-    for (const auto& [label, node] : sub.shortcuts()) {
-      if (node) edges.push_back(sim::DotEdge{id, node, "shortcut"});
-    }
-  }
-  return sim::to_dot(nodes, edges, [this](sim::NodeId id) {
-    const auto& label = subscriber(id).label();
-    return std::to_string(id.value) + "\n" + (label ? label->to_string() : "⊥");
-  });
 }
 
 // ---------------------------------------------------------------------------

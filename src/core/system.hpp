@@ -203,10 +203,6 @@ class SkipRingSystem {
   /// rounds used (nullopt = did not converge).
   std::optional<std::size_t> run_until_legit(std::size_t max_rounds);
 
-  /// Graphviz rendering of the current overlay (ring edges black,
-  /// shortcuts green); see src/sim/trace.hpp.
-  std::string to_dot() const;
-
  private:
   /// Re-validates the database-level facts (consistency, values alive and
   /// non-supervisor) and rebuilds the flat label-index -> node assignment;

@@ -20,10 +20,9 @@
 // byte-identical to ssps_run's for the same seed.
 //
 // Relay messages decode into a replica-owned scratch pool, not the
-// simulator's arena: the report never serializes pool telemetry
-// (pool_reserved_bytes is deliberately omitted), but keeping the arena
-// untouched makes the no-perturbation argument structural rather than
-// accounting-dependent.
+// simulator's arena: the report never serializes pool telemetry, but
+// keeping the arena untouched makes the no-perturbation argument
+// structural rather than accounting-dependent.
 #pragma once
 
 #include <cstdint>

@@ -118,7 +118,6 @@ Json timeseries_to_json(const TimeSeriesReport& ts) {
     entry["in_flight"] = s.in_flight;
     entry["alive"] = s.alive;
     entry["nonconforming"] = s.nonconforming;
-    // pool_reserved_bytes is thread-variant and deliberately omitted.
     samples.push_back(std::move(entry));
   }
   j["samples"] = std::move(samples);

@@ -116,12 +116,11 @@ std::size_t ParallelScheduler::advance(sim::Network& net) {
   seam.set_parallel_phase(false);
 
   // Deterministic merge, in worker order: repatriate deferred frees to
-  // the pools that own them, splice each lane onto the main in-flight
-  // buffer — reproducing the serial emission order, since the shards
-  // partition the grouped batch contiguously in target-id order — and
-  // fold the swallowed counters. The sequential timeout sweep then
-  // appends its sends after every lane, exactly as the serial round
-  // does.
+  // the pools that own them and splice each lane onto the main in-flight
+  // buffer, which reproduces the serial emission order, since the shards
+  // partition the grouped batch contiguously in target-id order. The
+  // sequential timeout sweep then appends its sends after every lane,
+  // exactly as the serial round does.
   std::size_t delivered = 0;
   for (std::unique_ptr<Worker>& wp : workers_) {
     Worker& w = *wp;
@@ -131,8 +130,6 @@ std::size_t ParallelScheduler::advance(sim::Network& net) {
     w.free_lane.deferred.clear();
     seam.lane().insert(seam.lane().end(), w.lane.begin(), w.lane.end());
     w.lane.clear();
-    seam.main_ctx().swallowed_to_dead += w.ctx.swallowed_to_dead;
-    w.ctx.swallowed_to_dead = 0;
     delivered += w.delivered;
   }
   seam.timeout_sweep();

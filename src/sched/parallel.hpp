@@ -28,11 +28,11 @@
 //      consumes the same buffer contents in the same order with the same
 //      RNG stream — so the rounds stay locked together forever.
 //   4. Everything else is commutative bookkeeping. Per-worker Metrics
-//      shards hold integer counters folded (in worker-id order) into the
-//      main Metrics when read; per-worker MessagePools keep allocation
-//      single-threaded, with cross-pool frees deferred to per-worker
-//      lanes and repatriated at the round barrier. Neither pool handles
-//      nor metrics label ids are observable in traces or reports.
+//      shards hold integer counters folded (in worker-id order, row by
+//      row on MsgTypeId) into the main Metrics when read; per-worker
+//      MessagePools keep allocation single-threaded, with cross-pool
+//      frees deferred to per-worker lanes and repatriated at the round
+//      barrier. Pool handles are not observable in traces or reports.
 //
 // Consequently the delivery trace and the JSON report of a T-thread run
 // are byte-identical to the 1-thread run for every scenario and seed —

@@ -40,7 +40,9 @@ class Message {
   /// profiles.
   MsgTypeId metrics_type() const { return metrics_type_; }
 
-  /// Stable action label, used as the metrics key (e.g. "SetData").
+  /// Stable action label, used as the metrics key (e.g. "SetData"). One
+  /// label per metrics_type(), in storage that outlives every Metrics:
+  /// the counters keep the view (return a string literal).
   virtual std::string_view name() const = 0;
 
   /// Estimated serialized size in bytes; used for byte accounting in the

@@ -1,63 +1,6 @@
 #include "sim/metrics.hpp"
 
-#include <algorithm>
-
 namespace ssps::sim {
-
-namespace {
-
-std::size_t node_index(NodeId id) { return static_cast<std::size_t>(id.value - 1); }
-
-}  // namespace
-
-std::uint32_t Metrics::intern(std::string_view name) {
-  auto it = label_ids_.find(name);
-  if (it != label_ids_.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(label_names_.size());
-  label_names_.emplace_back(name);
-  label_ids_.emplace(label_names_.back(), id);
-  return id;
-}
-
-std::uint32_t Metrics::label_of_slow(const Message& m, MsgTypeId type) {
-  if (type != 0) {
-    if (type >= label_of_type_.size()) label_of_type_.resize(type + 1, 0);
-    std::uint32_t& cached = label_of_type_[type];
-    if (cached == 0) cached = intern(m.name()) + 1;
-    return cached - 1;
-  }
-  return intern(m.name());  // untagged (legacy/test) message
-}
-
-void Metrics::grow_deliver_table(std::size_t at_index, std::uint32_t label) {
-  // Amortized growth in both dimensions; the flat table is rebuilt when
-  // the label universe outgrows the stride (rare: labels are protocol
-  // action names, all seen within the first rounds).
-  const std::size_t rows =
-      std::max({at_index + 1, received_.size() * 2, std::size_t{16}});
-  std::uint32_t stride = labeled_stride_;
-  if (label >= stride) {
-    stride = std::max<std::uint32_t>({label + 1, stride * 2, 16});
-  }
-  std::vector<std::uint64_t> flat(rows * stride, 0);
-  for (std::size_t row = 0; row < received_.size(); ++row) {
-    for (std::uint32_t l = 0; l < labeled_stride_; ++l) {
-      flat[row * stride + l] = received_labeled_[row * labeled_stride_ + l];
-    }
-  }
-  received_labeled_ = std::move(flat);
-  labeled_stride_ = stride;
-  received_.resize(rows, 0);
-}
-
-void Metrics::on_send(std::string_view name, std::size_t bytes, NodeId to) {
-  count_send(intern(name), bytes);
-  count_sent_to(to);
-}
-
-void Metrics::on_deliver(std::string_view name, NodeId at) {
-  count_deliver(intern(name), at);
-}
 
 void Metrics::on_inject(std::size_t bytes) {
   total_injected_ += 1;
@@ -70,44 +13,17 @@ void Metrics::on_reject(std::size_t bytes) {
 }
 
 void Metrics::fold_into(Metrics& dst) const {
-  if (total_sent_ == 0 && total_delivered_ == 0 && total_injected_ == 0 &&
-      total_rejected_ == 0) {
-    return;
+  if (dst.rows_.size() < rows_.size()) dst.rows_.resize(rows_.size());
+  for (std::size_t type = 0; type < rows_.size(); ++type) {
+    const TypeRow& row = rows_[type];
+    if (row.count == 0) continue;
+    TypeRow& into = dst.rows_[type];
+    into.name = row.name;
+    into.count += row.count;
+    into.bytes += row.bytes;
   }
-  // Shard label id -> dst label id, resolved by name on first use.
-  constexpr std::uint32_t kUnmapped = ~0u;
-  std::vector<std::uint32_t> remap(label_names_.size(), kUnmapped);
-  auto dst_label = [&](std::uint32_t l) {
-    if (remap[l] == kUnmapped) remap[l] = dst.intern(label_names_[l]);
-    return remap[l];
-  };
-  for (std::uint32_t l = 0; l < by_label_.size(); ++l) {
-    const MessageCounter& c = by_label_[l];
-    if (c.count == 0 && c.bytes == 0) continue;
-    const std::uint32_t d = dst_label(l);
-    if (d >= dst.by_label_.size()) dst.by_label_.resize(d + 1);
-    dst.by_label_[d].count += c.count;
-    dst.by_label_[d].bytes += c.bytes;
-  }
-  for (std::size_t row = 0; row < received_.size(); ++row) {
-    if (received_[row] == 0) continue;  // untouched node: whole row is zero
-    for (std::uint32_t l = 0; l < labeled_stride_; ++l) {
-      const std::uint64_t v = received_labeled_[row * labeled_stride_ + l];
-      if (v == 0) continue;
-      const std::uint32_t d = dst_label(l);
-      if (row >= dst.received_.size() || d >= dst.labeled_stride_) {
-        dst.grow_deliver_table(row, d);
-      }
-      dst.received_labeled_[row * dst.labeled_stride_ + d] += v;
-    }
-    if (row >= dst.received_.size()) dst.grow_deliver_table(row, 0);
-    dst.received_[row] += received_[row];
-  }
-  for (std::size_t row = 0; row < sent_to_.size(); ++row) {
-    if (sent_to_[row] == 0) continue;
-    if (row >= dst.sent_to_.size()) dst.sent_to_.resize(sent_to_.size(), 0);
-    dst.sent_to_[row] += sent_to_[row];
-  }
+  if (dst.received_.size() < received_.size()) dst.received_.resize(received_.size(), 0);
+  for (std::size_t i = 0; i < received_.size(); ++i) dst.received_[i] += received_[i];
   dst.total_sent_ += total_sent_;
   dst.total_delivered_ += total_delivered_;
   dst.total_bytes_ += total_bytes_;
@@ -115,17 +31,11 @@ void Metrics::fold_into(Metrics& dst) const {
   dst.injected_bytes_ += injected_bytes_;
   dst.total_rejected_ += total_rejected_;
   dst.rejected_bytes_ += rejected_bytes_;
-  dst.view_sent_ = kViewInvalid;  // by_label_ moved without a counted send
 }
 
 void Metrics::reset() {
-  by_label_.clear();
-  by_label_view_.clear();
-  view_sent_ = kViewInvalid;
+  rows_.clear();
   received_.clear();
-  sent_to_.clear();
-  received_labeled_.clear();
-  labeled_stride_ = 0;
   total_sent_ = 0;
   total_delivered_ = 0;
   total_bytes_ = 0;
@@ -133,56 +43,40 @@ void Metrics::reset() {
   injected_bytes_ = 0;
   total_rejected_ = 0;
   rejected_bytes_ = 0;
+  view_sent_ = kViewInvalid;
 }
 
 std::uint64_t Metrics::sent(std::string_view name) const {
-  auto it = label_ids_.find(name);
-  if (it == label_ids_.end() || it->second >= by_label_.size()) return 0;
-  return by_label_[it->second].count;
-}
-
-std::uint64_t Metrics::sent_bytes(std::string_view name) const {
-  auto it = label_ids_.find(name);
-  if (it == label_ids_.end() || it->second >= by_label_.size()) return 0;
-  return by_label_[it->second].bytes;
+  std::uint64_t total = 0;
+  for (const TypeRow& row : rows_) {
+    if (row.name == name) total += row.count;
+  }
+  return total;
 }
 
 std::uint64_t Metrics::received_by(NodeId id) const {
-  const std::size_t index = node_index(id);
+  const auto index = static_cast<std::size_t>(id.value - 1);
   return index < received_.size() ? received_[index] : 0;
-}
-
-std::uint64_t Metrics::sent_by(NodeId id) const {
-  const std::size_t index = node_index(id);
-  return index < sent_to_.size() ? sent_to_[index] : 0;
-}
-
-const std::uint64_t* Metrics::find_received_cell(NodeId id,
-                                                 std::string_view name) const {
-  const std::size_t index = node_index(id);
-  if (index >= received_.size()) return nullptr;
-  auto it = label_ids_.find(name);
-  if (it == label_ids_.end() || it->second >= labeled_stride_) return nullptr;
-  return &received_labeled_[index * labeled_stride_ + it->second];
-}
-
-std::uint64_t Metrics::received_by(NodeId id, std::string_view name) const {
-  const std::uint64_t* cell = find_received_cell(id, name);
-  return cell != nullptr ? *cell : 0;
 }
 
 const std::vector<std::pair<std::string, MessageCounter>>& Metrics::by_label()
     const {
   if (view_sent_ == total_sent_) return by_label_view_;
-  by_label_view_.clear();
-  by_label_view_.reserve(by_label_.size());
-  for (std::uint32_t id = 0; id < by_label_.size(); ++id) {
-    const MessageCounter& counter = by_label_[id];
-    if (counter.count == 0 && counter.bytes == 0) continue;
-    by_label_view_.emplace_back(label_names_[id], counter);
+  std::vector<TypeRow> sorted;
+  for (const TypeRow& row : rows_) {
+    if (row.count != 0) sorted.push_back(row);
   }
-  std::sort(by_label_view_.begin(), by_label_view_.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::sort(sorted.begin(), sorted.end(),
+            [](const TypeRow& a, const TypeRow& b) { return a.name < b.name; });
+  by_label_view_.clear();
+  for (const TypeRow& row : sorted) {
+    if (by_label_view_.empty() || by_label_view_.back().first != row.name) {
+      by_label_view_.emplace_back(std::string(row.name), MessageCounter{});
+    }
+    MessageCounter& counter = by_label_view_.back().second;
+    counter.count += row.count;
+    counter.bytes += row.bytes;
+  }
   view_sent_ = total_sent_;
   return by_label_view_;
 }

@@ -187,7 +187,7 @@ std::size_t Network::pending_for(NodeId id) const {
 void Network::deliver_one(const Envelope& env) {
   Slot* slot = find_slot(env.to);
   SSPS_ASSERT(slot != nullptr && slot->node != nullptr);
-  metrics_.on_deliver(*env.msg, env.to);
+  metrics_.on_deliver(env.to);
   if (trace_ != nullptr) [[unlikely]] trace_deliver(env);
   main_ctx_.acting = env.to;
   slot->node->handle(PooledMsg(env.pool, env.msg, env.handle));
@@ -259,7 +259,7 @@ std::size_t Network::deliver_grouped_range(std::size_t begin, std::size_t end,
       reclaim(env);
       continue;
     }
-    ctx.metrics->on_deliver(*env.msg, env.to);
+    ctx.metrics->on_deliver(env.to);
     if (trace_ != nullptr) [[unlikely]] trace_deliver(env);
     ctx.acting = env.to;
     slot->node->handle(PooledMsg(env.pool, env.msg, env.handle));
@@ -312,7 +312,6 @@ void Network::push_sample(std::uint64_t at, std::size_t delivered,
   sample.timeouts = timeouts;
   sample.in_flight = pending_messages();
   sample.alive = alive_count_;
-  sample.pool_reserved_bytes = pool_reserved_bytes();
   round_probe_->push(sample);
 }
 

@@ -97,9 +97,6 @@ struct SendContext {
   /// the Network's own tracker, or a worker's private shard folded at
   /// the round barrier).
   telemetry::LatencyTracker* latency = nullptr;
-  /// Sends swallowed because the target crashed (§3.3); folded into the
-  /// Network's main context at the round barrier.
-  std::uint64_t swallowed_to_dead = 0;
   /// The node whose action is executing on this context: the `from` of
   /// every send it makes. The Network sets it around each delivery and
   /// Timeout it runs and clears it afterwards, so it is null for sends
@@ -215,21 +212,12 @@ class Network {
   void send(NodeId to, PooledMsg msg) {
     SSPS_ASSERT(msg);
     SendContext& ctx = send_ctx();
-    // Per-node offered-load cells exist only for addresses the slot table
-    // has ever issued. Anything else — e.g. a garbage reference decoded
-    // from a corrupted message, which can be any 64-bit value — still
-    // counts in the totals but gets no cell: the per-node tables index by
-    // id, and an attacker-chosen id must not size an allocation.
-    const NodeId to_cell = to.value <= slots_.size() ? to : NodeId::null();
-    ctx.metrics->on_send_id(ctx.metrics->label_id(*msg), msg->wire_size(), to_cell);
+    ctx.metrics->on_send(*msg);
     const bool enqueued = alive(to);
     if (trace_ != nullptr) [[unlikely]] trace_send(ctx.acting, to, *msg, enqueued);
-    if (!enqueued) {
-      // Target crashed or never existed: the message invokes no action
-      // (its pool slot is recycled as `msg` goes out of scope).
-      ++ctx.swallowed_to_dead;
-      return;
-    }
+    // Target crashed or never existed: the message invokes no action (its
+    // pool slot is recycled as `msg` goes out of scope).
+    if (!enqueued) return;
     enqueue(ctx, to, std::move(msg));
   }
 
@@ -514,7 +502,7 @@ class Network {
   Round last_snapshot_round_ = 0;
 
   /// The Network's own send context (lane = pending_, shard = metrics_,
-  /// arena = pool_); aggregates the workers' swallowed counters at fold.
+  /// arena = pool_).
   SendContext main_ctx_;
   /// Set by the parallel scheduler around its concurrent delivery phase;
   /// structure mutations (spawn/crash/inject) assert against it.

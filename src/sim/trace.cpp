@@ -1,6 +1,5 @@
 #include "sim/trace.hpp"
 
-#include <map>
 #include <sstream>
 
 namespace ssps::sim {
@@ -45,34 +44,6 @@ std::string Trace::to_text() const {
     out << "[r" << e.round << "] " << e.from.value << " -> " << e.to.value << " : "
         << label_names_[e.label] << "\n";
   }
-  return out.str();
-}
-
-std::string to_dot(const std::vector<NodeId>& nodes, const std::vector<DotEdge>& edges,
-                   const std::function<std::string(NodeId)>& node_label) {
-  static const std::map<std::string, std::string> kColors = {
-      {"ring", "black"}, {"cyc", "black"}, {"shortcut", "forestgreen"},
-      {"supervisor", "royalblue"}, {"stale", "red"}};
-  std::ostringstream out;
-  out << "digraph overlay {\n"
-      << "  rankdir=LR;\n"
-      << "  node [shape=circle, fontsize=10];\n";
-  for (NodeId n : nodes) {
-    std::string label = node_label ? node_label(n) : std::to_string(n.value);
-    // Escape double quotes for DOT.
-    std::string escaped;
-    for (char c : label) {
-      if (c == '"') escaped += '\\';
-      escaped += c;
-    }
-    out << "  n" << n.value << " [label=\"" << escaped << "\"];\n";
-  }
-  for (const DotEdge& e : edges) {
-    auto color = kColors.find(e.kind);
-    out << "  n" << e.from.value << " -> n" << e.to.value << " [color="
-        << (color == kColors.end() ? "gray" : color->second) << "];\n";
-  }
-  out << "}\n";
   return out.str();
 }
 

@@ -1,16 +1,15 @@
-// Observability tooling: structured event log + Graphviz topology export.
+// Observability tooling: a structured event log.
 //
 // The simulator and harnesses stay silent by default; attaching a Trace
 // (Network::attach_trace) records message-level events with bounded
-// memory, and `to_dot` renders any overlay adjacency for inspection
-// (`dot -Tsvg overlay.dot`).
+// memory.
 //
-// TraceEvent is a POD: labels are interned to dense ids exactly like
-// sim::Metrics interns action names, so recording an event is a ring
-// store with no allocation — an attached trace no longer perturbs the
-// hot path. Send/deliver pairs share a `flow` correlation id, which is
-// what the Perfetto exporter (src/telemetry/perfetto.hpp) turns into
-// message-flow arrows between round spans.
+// TraceEvent is a POD: the Trace interns labels to dense ids, so
+// recording an event is a ring store with no allocation — an attached
+// trace no longer perturbs the hot path. Send/deliver pairs share a
+// `flow` correlation id, which is what the Perfetto exporter
+// (src/telemetry/perfetto.hpp) turns into message-flow arrows between
+// round spans.
 #pragma once
 
 #include <cstdint>
@@ -98,19 +97,5 @@ class Trace {
   std::unordered_map<std::string, std::uint32_t, StringHash, std::equal_to<>>
       label_ids_;  // name -> id
 };
-
-/// An overlay edge for rendering.
-struct DotEdge {
-  NodeId from;
-  NodeId to;
-  /// Rendering class; mapped to a color (e.g. "ring", "shortcut", "cyc").
-  std::string kind;
-};
-
-/// Renders nodes + edges as a Graphviz digraph. `node_label` supplies the
-/// display text per node (e.g. "id=5\nlabel=011").
-std::string to_dot(const std::vector<NodeId>& nodes,
-                   const std::vector<DotEdge>& edges,
-                   const std::function<std::string(NodeId)>& node_label);
 
 }  // namespace ssps::sim

@@ -8,12 +8,10 @@
 // last `capacity` rounds and counts what it evicted, which bounds memory
 // for arbitrarily long runs.
 //
-// Determinism: every field the scenario report serializes (round,
-// delivered, timeouts, in_flight, alive, nonconforming) is a function of
-// the simulated state at the round barrier, so the emitted time series is
-// bit-identical across worker counts. pool_reserved_bytes is the one
-// thread-VARIANT field (worker pools grow with the worker count); it is
-// kept for in-process diagnostics and never serialized.
+// Determinism: every field (round, delivered, timeouts, in_flight, alive,
+// nonconforming) is a function of the simulated state at the round
+// barrier, so the emitted time series is bit-identical across worker
+// counts.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +38,6 @@ struct RoundSample {
   /// Nodes (or topics, for multi-topic runs) not yet in a legit state;
   /// filled by the enricher when one is installed, 0 otherwise.
   std::uint64_t nonconforming = 0;
-  /// Bytes reserved by every message arena (thread-variant; diagnostics
-  /// only — never serialized into reports).
-  std::uint64_t pool_reserved_bytes = 0;
 };
 
 /// Bounded ring buffer of RoundSamples.

@@ -55,6 +55,7 @@ struct SimTrace {
   std::uint64_t bytes = 0;
   std::size_t pending = 0;
   std::vector<std::pair<std::string, std::uint64_t>> by_label;
+  std::vector<std::uint64_t> received_by;  // Metrics::received_by, per alive node
 
   bool operator==(const SimTrace&) const = default;
 };
@@ -98,6 +99,7 @@ SimTrace run_sim(unsigned threads) {
   for (const auto& [label, counter] : metrics.by_label()) {
     trace.by_label.emplace_back(label, counter.count);
   }
+  for (NodeId id : net.alive_ids()) trace.received_by.push_back(metrics.received_by(id));
   return trace;
 }
 
@@ -231,8 +233,6 @@ TEST(ParallelScheduler, TelemetrySectionsPopulatedAndThreadInvariant) {
   for (std::size_t i = 0; i < serial.timeseries->samples.size(); ++i) {
     const auto& a = serial.timeseries->samples[i];
     const auto& b = parallel.timeseries->samples[i];
-    // Every serialized field; pool_reserved_bytes is thread-variant by
-    // design and deliberately excluded.
     EXPECT_EQ(a.round, b.round) << i;
     EXPECT_EQ(a.delivered, b.delivered) << i;
     EXPECT_EQ(a.timeouts, b.timeouts) << i;

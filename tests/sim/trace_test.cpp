@@ -1,9 +1,7 @@
-// Trace/DOT tooling tests.
+// Trace tooling tests.
 #include "sim/trace.hpp"
 
 #include <gtest/gtest.h>
-
-#include "core/system.hpp"
 
 namespace ssps::sim {
 namespace {
@@ -71,42 +69,6 @@ TEST(Trace, ClearResets) {
   t.clear();
   EXPECT_TRUE(t.events().empty());
   EXPECT_EQ(t.dropped(), 0u);
-}
-
-TEST(ToDot, RendersNodesAndColoredEdges) {
-  const std::vector<NodeId> nodes{NodeId{1}, NodeId{2}};
-  const std::vector<DotEdge> edges{{NodeId{1}, NodeId{2}, "ring"},
-                                   {NodeId{2}, NodeId{1}, "shortcut"},
-                                   {NodeId{1}, NodeId{2}, "unknown-kind"}};
-  const std::string dot =
-      to_dot(nodes, edges, [](NodeId n) { return "N" + std::to_string(n.value); });
-  EXPECT_NE(dot.find("digraph overlay"), std::string::npos);
-  EXPECT_NE(dot.find("n1 [label=\"N1\"]"), std::string::npos);
-  EXPECT_NE(dot.find("n1 -> n2 [color=black]"), std::string::npos);
-  EXPECT_NE(dot.find("n2 -> n1 [color=forestgreen]"), std::string::npos);
-  EXPECT_NE(dot.find("[color=gray]"), std::string::npos);
-}
-
-TEST(ToDot, EscapesQuotesInLabels) {
-  const std::vector<NodeId> nodes{NodeId{1}};
-  const std::string dot =
-      to_dot(nodes, {}, [](NodeId) { return std::string("say \"hi\""); });
-  EXPECT_NE(dot.find("say \\\"hi\\\""), std::string::npos);
-}
-
-TEST(ToDot, LiveSystemExportContainsEveryRingEdge) {
-  core::SkipRingSystem sys(core::SkipRingSystem::Options{.seed = 3, .fd_delay = 0});
-  sys.add_subscribers(8);
-  ASSERT_TRUE(sys.run_until_legit(500).has_value());
-  const std::string dot = sys.to_dot();
-  // Every subscriber appears with its label.
-  for (sim::NodeId id : sys.subscriber_ids()) {
-    EXPECT_NE(dot.find("n" + std::to_string(id.value) + " [label=\""),
-              std::string::npos);
-  }
-  // There are ring (black) and shortcut (green) edges.
-  EXPECT_NE(dot.find("[color=black]"), std::string::npos);
-  EXPECT_NE(dot.find("[color=forestgreen]"), std::string::npos);
 }
 
 }  // namespace
