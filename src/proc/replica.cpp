@@ -77,8 +77,8 @@ bool build_scenario(const ScenarioChoice& choice, scenario::ScenarioSpec& out) {
 
 std::string deploy_unsupported(const scenario::ScenarioSpec& spec) {
   if (spec.exec.scheduler != scenario::Scheduler::kRounds) {
-    return "deployment runs round-scheduled scenarios only (timed/async "
-           "schedulers have no per-round barrier point)";
+    return "deployment runs round-scheduled scenarios only (the timed "
+           "scheduler has no per-round barrier point)";
   }
   if (spec.exec.threads > 1) {
     return "deployment replicas run the serial lockstep round (one "
@@ -144,7 +144,7 @@ Replica::RelayCheck Replica::apply_relay(const Relay& relay) {
   // The wire deliberately omits telemetry stamps (Publication::born), so
   // the decoded copy adopts them from the verified-identical local
   // envelope — otherwise the swap would skew delivery-latency histograms.
-  // The envelope keeps its routing fields (to, from, sent_at, seq).
+  // The envelope keeps its routing fields (to, from, seq).
   decoded.msg->adopt_offwire(*env->msg);
   sim::EngineSeam(net()).reclaim(*env);
   env->msg = decoded.msg.get();

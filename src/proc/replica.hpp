@@ -60,8 +60,8 @@ struct ScenarioChoice {
 /// scenario name.
 bool build_scenario(const ScenarioChoice& choice, scenario::ScenarioSpec& out);
 
-/// Rejects specs the deployment can't run in lockstep (timed/async
-/// schedulers, multi-threaded rounds: the lockstep round is serial).
+/// Rejects specs the deployment can't run in lockstep (the timed
+/// scheduler, multi-threaded rounds: the lockstep round is serial).
 /// Returns an error message or "".
 std::string deploy_unsupported(const scenario::ScenarioSpec& spec);
 

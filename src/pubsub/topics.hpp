@@ -61,7 +61,7 @@ class TopicSink final : public core::MessageSink {
     net_->send(to, net_->pool().make<TopicEnvelope>(topic_, std::move(msg)));
   }
   sim::MessagePool& pool() override { return net_->pool(); }
-  sim::Round round() const override { return net_->unit_now(); }
+  sim::Round round() const override { return net_->round(); }
   void publication_delivered(sim::Round latency) override {
     // Topic ids start at 1 (the universe is [1, topics]), so the sink's
     // topic never collides with the kNoTopic sentinel.

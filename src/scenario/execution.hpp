@@ -1,7 +1,7 @@
 // ExecutionSpec: how a scenario executes, separated from what it does.
 //
-// One struct names the scheduler flavor (rounds, async steps, timed
-// intervals), the round-scheduler worker count and the timed link model,
+// One struct names the scheduler flavor (rounds or timed intervals), the
+// round-scheduler worker count and the timed link model,
 // and owns the flag-combination rules the tools used to re-implement ad
 // hoc: validate() is the single place that knows which combinations are
 // contradictory, so ssps_run and ssps_sweep reject them identically
@@ -19,7 +19,6 @@ namespace ssps::scenario {
 /// Scheduler flavor used for the phase budgets.
 enum class Scheduler {
   kRounds,  ///< synchronous rounds (serial or parallel round scheduler)
-  kAsync,   ///< randomized asynchronous steps (sched::AsyncScheduler)
   /// Event-driven virtual clock with per-link latency/loss/duplication/
   /// reordering (sim/link.hpp). Budgets count one-second intervals, so
   /// phase durations and latency percentiles read as virtual seconds.
@@ -32,9 +31,9 @@ struct ExecutionSpec {
   /// Round-scheduler worker count (1 = serial). Any value produces the
   /// same report byte-for-byte apart from the recorded `threads` header
   /// field (sched/parallel.hpp); only wall-clock changes. Ignored by the
-  /// async and timed schedulers (both are single-threaded by contract) —
-  /// a spec-authored combination is tolerated, but validate() rejects it
-  /// when a user asks for it explicitly (see below).
+  /// timed scheduler (single-threaded by contract) — a spec-authored
+  /// combination is tolerated, but validate() rejects it when a user asks
+  /// for it explicitly (see below).
   unsigned threads = 1;
 
   /// Link latency/fault model for Scheduler::kTimed (ignored otherwise).

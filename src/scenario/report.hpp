@@ -41,8 +41,8 @@ struct OracleSummary {
   std::vector<std::string> details;
 };
 
-/// Everything measured over one phase. Under Scheduler::kAsync the two
-/// duration fields count async steps instead of rounds.
+/// Everything measured over one phase. The two duration fields count
+/// scheduler units: rounds, or virtual seconds under Scheduler::kTimed.
 struct PhaseReport {
   std::string name;
   std::size_t rounds = 0;          ///< scheduler budget consumed (incl. wait)
@@ -86,11 +86,11 @@ struct PhaseReport {
 
 /// Delivery-latency distribution over the whole run: publish to each
 /// subscriber's first receipt (telemetry/latency.hpp), measured on the
-/// scheduler's clock — rounds, async steps, or virtual seconds — named by
+/// scheduler's clock — rounds or virtual seconds — named by
 /// `unit`. Clock values are thread-invariant, so the section is identical
 /// across worker counts.
 struct LatencyReport {
-  /// Unit of every percentile: "rounds", "steps", or "virtual-seconds".
+  /// Unit of every percentile: "rounds" or "virtual-seconds".
   std::string unit = "rounds";
   telemetry::Histogram::Summary global;
   /// topic -> summary (multi-topic runs; empty in single-topic mode).
@@ -98,11 +98,9 @@ struct LatencyReport {
 };
 
 /// Health samples from the telemetry::RoundProbe ring buffer (the last
-/// ScenarioSpec::timeseries_capacity samples of the run). Round/timed runs
-/// sample once per round; async runs sample every AsyncConfig::probe_stride
-/// steps, with each sample's `round` field holding the step count.
+/// ScenarioSpec::timeseries_capacity samples of the run), one per unit.
 struct TimeSeriesReport {
-  /// Clock the samples' `round` field ticks in: "rounds", "steps", or
+  /// Clock the samples' `round` field ticks in: "rounds" or
   /// "virtual-seconds".
   std::string unit = "rounds";
   std::uint64_t dropped = 0;  ///< samples evicted from the ring
@@ -121,8 +119,8 @@ struct ScenarioReport {
   /// that may differ between otherwise byte-identical reports (determinism
   /// harnesses strip it before comparing across thread counts).
   unsigned threads = 1;
-  /// The clock every duration in the report ticks in: "rounds", "steps"
-  /// (async), or "virtual-seconds" (timed). Together with the two section
+  /// The clock every duration in the report ticks in: "rounds" or
+  /// "virtual-seconds" (timed). Together with the two section
   /// `unit` fields, the only lines the timed-equivalence harness strips
   /// before comparing timed-default reports against round reports.
   std::string clock = "rounds";

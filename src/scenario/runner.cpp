@@ -5,7 +5,6 @@
 
 #include "common/assert.hpp"
 #include "core/label.hpp"
-#include "sched/async.hpp"
 
 namespace ssps::scenario {
 
@@ -18,15 +17,7 @@ constexpr std::uint64_t kRunnerSeedSalt = 0x5c3ec0de5c3ec0deULL;
 /// The unit every duration and latency figure in the report is measured
 /// in — the clock the spec's scheduler advances.
 const char* clock_label(Scheduler scheduler) {
-  switch (scheduler) {
-    case Scheduler::kRounds:
-      return "rounds";
-    case Scheduler::kAsync:
-      return "steps";
-    case Scheduler::kTimed:
-      return "virtual-seconds";
-  }
-  return "rounds";
+  return scheduler == Scheduler::kTimed ? "virtual-seconds" : "rounds";
 }
 
 }  // namespace
@@ -42,9 +33,8 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec)
   report_.mode = spec_.mode;
   report_.supervisors = spec_.supervisors;
   report_.topics = spec_.topics;
-  // The round-scheduler worker count the run actually uses: async and
-  // timed specs never install the pool (see the guard below), so they
-  // report 1.
+  // The round-scheduler worker count the run actually uses: timed specs
+  // never install the pool (see the guard below), so they report 1.
   report_.threads =
       spec_.exec.scheduler == Scheduler::kRounds ? spec_.exec.threads : 1;
   report_.clock = clock_label(spec_.exec.scheduler);
@@ -81,28 +71,21 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec)
                                                          corrupter_.get());
     timed_ = timed.get();
     net().set_scheduler(std::move(timed));
-  } else if (spec_.exec.scheduler == Scheduler::kAsync) {
-    // The async stepper sits behind the same seam as the other flavors:
-    // one unit = one randomized step, probe sampling on the step stride,
-    // latency and telemetry on the step clock.
-    net().set_scheduler(std::make_unique<sched::AsyncScheduler>());
   }
   // Crash-recovery needs periodic state snapshots to restart from; any
   // scheduler flavor can take them (the capture is a pure state read).
   if (spec_.snapshot_every > 0) net().enable_snapshots(spec_.snapshot_every);
-  // Async/timed schedulers are single-threaded by contract, so a worker
-  // pool would be dead weight — threads only applies to the round
+  // The timed scheduler is single-threaded by contract, so a worker pool
+  // would be dead weight — threads only applies to the round
   // scheduler (a spec-authored mismatch is tolerated and ignored; the
   // tools reject user-requested ones via ExecutionSpec::validate).
   if (spec_.exec.threads > 1 && spec_.exec.scheduler == Scheduler::kRounds) {
     net().set_threads(spec_.exec.threads);
   }
 
-  // Per-phase telemetry ring: every scheduler samples through its own
-  // Scheduler::sample hook — round/timed runs once per round after the
-  // barrier, async runs every AsyncConfig::probe_stride steps on the step
-  // clock. The enricher supplies the one field the Network cannot compute
-  // itself.
+  // Per-phase telemetry ring: every scheduler samples once per unit after
+  // the barrier. The enricher supplies the one field the Network cannot
+  // compute itself.
   if (spec_.timeseries_capacity > 0) {
     probe_ = std::make_unique<telemetry::RoundProbe>(spec_.timeseries_capacity);
     probe_->set_enricher([this](telemetry::RoundSample& s) {
@@ -205,7 +188,7 @@ const PhaseReport& ScenarioRunner::run_phase(std::size_t index) {
 
   sim::Network& network = net();
   network.metrics().reset();
-  const std::uint64_t unit_start = network.unit_now();
+  const std::uint64_t unit_start = network.round();
   // The corruption count is cumulative over the run; the phase reports a
   // delta.
   const std::uint64_t corrupted_start = timed_ != nullptr ? timed_->corrupted() : 0;
@@ -235,7 +218,7 @@ const PhaseReport& ScenarioRunner::run_phase(std::size_t index) {
         wait_converged(phase.max_rounds, oracle_enabled(phase), out.converged);
   }
 
-  out.rounds = static_cast<std::size_t>(network.unit_now() - unit_start);
+  out.rounds = static_cast<std::size_t>(network.round() - unit_start);
   if (timed_ != nullptr) out.corrupted = timed_->corrupted() - corrupted_start;
   sample(phase, out);
   if (oracle_enabled(phase)) {
@@ -584,7 +567,7 @@ void ScenarioRunner::apply_supervisor_changes(const Phase& phase, PhaseReport& o
 void ScenarioRunner::run_budget(std::size_t budget) {
   if (budget == 0) return;
   // One call for every flavor: the installed scheduler defines the unit
-  // (round, timed interval, or async step).
+  // (round or timed interval).
   net().run_units(budget);
 }
 
@@ -689,16 +672,12 @@ std::size_t ScenarioRunner::wait_converged(std::size_t max_rounds, bool oracle_t
   auto settled = [this, oracle_too] {
     return converged() && (!oracle_too || check_oracle().ok());
   };
-  // One wait for every flavor: run_until probes once per unit under the
-  // round/timed schedulers and once per settle_stride (~one action per
-  // alive node) under the async stepper. The returned duration is in the
-  // scheduler's own units — step-grained schedulers report elapsed steps
-  // (stride x iterations), matching PhaseReport::rounds' units.
-  const std::uint64_t start = net().unit_now();
+  // One wait for every flavor: run_until probes once per unit, rounds or
+  // timed intervals alike, matching PhaseReport::rounds' units.
+  const std::uint64_t start = net().round();
   const auto used = net().run_until(settled, max_rounds);
   converged_out = used.has_value();
-  return used.value_or(
-      static_cast<std::size_t>(net().unit_now() - start));
+  return used.value_or(static_cast<std::size_t>(net().round() - start));
 }
 
 // ---------------------------------------------------------------------------

@@ -121,8 +121,8 @@ struct Phase {
 
   PublishLoad publish;
 
-  /// Scheduler budget executed after the actions (rounds, or async steps
-  /// when the spec selects Scheduler::kAsync).
+  /// Scheduler budget executed after the actions, in units (rounds, or
+  /// virtual seconds under Scheduler::kTimed).
   std::size_t run = 0;
 
   /// After the budget, keep scheduling until the system is converged

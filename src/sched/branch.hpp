@@ -25,10 +25,10 @@ class BranchScheduler final : public Scheduler {
  public:
   // ---- Branch-point API (driven by mc::Explorer) ----------------------
 
-  /// Starts a round: advances the step clock, swaps the in-flight buffer
-  /// out as this round's batch (seeded shuffle + group by target), and
-  /// returns the batch size. Grouped slots [0, batch) are then pending
-  /// delivery; group_end(v) bounds target id v's group.
+  /// Starts a round: swaps the in-flight buffer out as this round's batch
+  /// (seeded shuffle + group by target) and returns the batch size.
+  /// Grouped slots [0, batch) are then pending delivery; group_end(v)
+  /// bounds target id v's group.
   std::size_t prime(sim::Network& net) { return sim::EngineSeam(net).round_begin(); }
 
   /// The i-th grouped slot of the primed batch. Valid until barrier();
@@ -61,7 +61,8 @@ class BranchScheduler final : public Scheduler {
   }
 
   /// Finishes the round once every slot has been delivered or discarded:
-  /// fires the id-order timeout sweep and advances the round clock.
+  /// fires the id-order timeout sweep (the due Timeouts) and advances the
+  /// round clock.
   void barrier(sim::Network& net) {
     sim::EngineSeam seam(net);
     seam.timeout_sweep();

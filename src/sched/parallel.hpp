@@ -40,7 +40,7 @@
 //
 // Constraints: topology mutations (spawn/crash/inject) must happen
 // between rounds (Network asserts this during the parallel phase); the
-// timed and asynchronous schedulers are unaffected and stay serial.
+// timed scheduler is unaffected and stays serial.
 #pragma once
 
 #include <condition_variable>

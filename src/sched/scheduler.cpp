@@ -10,8 +10,7 @@ void Scheduler::sample(sim::Network& net, std::size_t delivered) {
   // Sample after the unit barrier: any parallel phase is over, so the
   // lane and the alive count are stable and every serialized field is a
   // pure function of the simulated state (worker-count-invariant).
-  sim::EngineSeam seam(net);
-  seam.push_sample(net.round(), delivered, seam.last_round_timeouts());
+  sim::EngineSeam(net).push_sample(delivered);
 }
 
 std::unique_ptr<Scheduler> make_round_scheduler(unsigned threads) {

@@ -1,16 +1,17 @@
 // Execution seam of the simulated network.
 //
 // sim::Network::run_unit() delegates to the installed Scheduler, which
-// executes one *schedule unit* — a synchronous round, a timed interval, or
-// a single asynchronous step. A scheduler is a policy over the paper's
-// model (nodes joined by non-FIFO channels, fair receipt, weakly fair
-// execution); the Network holds only the model itself. Every scheduler
-// drives it through one narrow interface, sim::EngineSeam (round phases,
-// grouped slots, the in-flight lane, the main SendContext, shard fold
-// targets), and keeps whatever else its policy needs as its own state:
-// the timed engine's event heap and link model (timed.hpp), the async
-// engine's fairness indexes (async.hpp). Front-ends like the
-// ScenarioRunner never special-case a mode.
+// executes one *schedule unit* — a synchronous round or a timed interval.
+// A scheduler is a policy over the paper's model (nodes joined by
+// non-FIFO channels, fair receipt, weakly fair execution); the Network
+// holds only the model itself. Every scheduler drives it through one
+// narrow interface, sim::EngineSeam (round phases, grouped slots, the
+// in-flight lane, the main SendContext, shard fold targets), and keeps
+// whatever else its policy needs as its own state: the timed engine's
+// event heap and link model (timed.hpp). Unequal process speeds are not
+// an engine: every engine's round ends in the Network's timeout sweep,
+// which Network::set_max_timeout_period gates per node. Front-ends like
+// the ScenarioRunner never special-case a mode.
 //
 // The contract every implementation must honor: for a fixed (seed, call
 // sequence), the delivery trace — which message reaches which node in
@@ -45,7 +46,6 @@ class Scheduler {
   enum class Unit {
     kRound,     ///< one synchronous round
     kInterval,  ///< one virtual-clock interval (timed mode; = 1 round)
-    kStep,      ///< one asynchronous step (a single delivery or Timeout)
   };
 
   virtual ~Scheduler() = default;
@@ -54,20 +54,16 @@ class Scheduler {
   /// messages delivered by it.
   virtual std::size_t advance(sim::Network& net) = 0;
 
-  /// The unit advance() executes.
+  /// The unit advance() executes; every unit advances the round clock.
+  /// Kept only because the benchmark's timing decorator overrides it.
   virtual Unit unit() const { return Unit::kRound; }
 
   /// Telemetry hook, called by Network::run_unit after every advance (the
-  /// probe attach-point is on the Network). The default samples the
-  /// attached RoundProbe once per unit — correct for round-grained
-  /// schedulers; the async scheduler overrides it to sample window
-  /// counters every AsyncConfig::probe_stride steps instead.
+  /// probe attach-point is on the Network): samples the attached
+  /// RoundProbe once per unit.
   virtual void sample(sim::Network& net, std::size_t delivered);
 
-  /// How many units a convergence wait (Network::run_until) batches
-  /// between predicate probes. 1 for round-grained schedulers (a round is
-  /// already a batch of work); the async scheduler returns ~one action per
-  /// alive node so the probe isn't priced once per single delivery.
+  /// Kept only because the benchmark's timing decorator overrides it.
   virtual std::size_t settle_stride(const sim::Network& net) const {
     (void)net;
     return 1;
@@ -96,7 +92,7 @@ class Scheduler {
 
   // ---- In-flight messages held off the Network's lane ------------------
   // The Network answers its in-flight queries (pending_messages,
-  // pending_for, weakly_connected) and the crash drop over its own lane
+  // weakly_connected) and the crash drop over its own lane
   // plus whatever the engine holds. The defaults — nothing held — are
   // correct for every round-grained scheduler: their in-flight messages
   // all sit on the lane between units. A wrapper must forward both.

@@ -130,7 +130,6 @@ void TimedScheduler::route(sim::EngineSeam& seam, const sim::Envelope& env,
       sim::Envelope dup;
       dup.to = routed.to;
       dup.from = routed.from;
-      dup.sent_at = routed.sent_at;
       dup.seq = seam.next_seq();
       dup.msg = copy.get();
       dup.pool = copy.pool();
@@ -144,7 +143,7 @@ void TimedScheduler::route(sim::EngineSeam& seam, const sim::Envelope& env,
 }
 
 void TimedScheduler::push(sim::Step at, const sim::Envelope& env) {
-  events_.push_back(Event{at, env.seq, env});
+  events_.push_back(Event{at, env});
   std::push_heap(events_.begin(), events_.end(), later);
 }
 

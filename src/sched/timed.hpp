@@ -60,17 +60,16 @@ class TimedScheduler final : public Scheduler {
 
  private:
   /// One scheduled delivery: the envelope plus its virtual delivery time.
-  /// Equal-time events pop in send (`seq`) order — the deterministic
+  /// Equal-time events pop in send (`env.seq`) order — the deterministic
   /// tie-break that makes the constant-latency special case reproduce the
   /// round batch order exactly.
   struct Event {
     sim::Step at = 0;
-    std::uint64_t seq = 0;
     sim::Envelope env;
   };
   /// Min-heap "later than" comparator for std::push_heap/pop_heap.
   static bool later(const Event& a, const Event& b) {
-    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    return a.at != b.at ? a.at > b.at : a.env.seq > b.env.seq;
   }
 
   /// Drains the lane onto the event heap, routing each envelope through

@@ -11,7 +11,7 @@ MsgTypeId allocate_msg_type_id() {
   return ++next;  // 0 stays "untagged"
 }
 
-thread_local FreeLane* tls_free_lane = nullptr;
+constinit thread_local FreeLane* tls_free_lane = nullptr;
 
 }  // namespace detail
 

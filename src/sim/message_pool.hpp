@@ -88,8 +88,9 @@ struct FreeLane {
 
 namespace detail {
 /// Null outside parallel round phases; set by the scheduler's workers
-/// around their delivery slice. See FreeLane.
-extern thread_local FreeLane* tls_free_lane;
+/// around their delivery slice. See FreeLane. constinit for the same
+/// reason as tls_send_ctx (network.hpp): no dynamic-init guard on reads.
+extern thread_local constinit FreeLane* tls_free_lane;
 }  // namespace detail
 
 /// Owning smart handle for a pooled message: unique_ptr semantics (move

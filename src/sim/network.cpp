@@ -12,8 +12,21 @@
 namespace ssps::sim {
 
 namespace detail {
-thread_local SendContext* tls_send_ctx = nullptr;
+constinit thread_local SendContext* tls_send_ctx = nullptr;
 }  // namespace detail
+
+namespace {
+
+/// SplitMix64's finalizer: a bijective 64-bit mix.
+std::uint64_t mix64(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+}  // namespace
 
 Network::Network(std::uint64_t seed) : seed_(seed), rng_(seed) {
   main_ctx_.lane = &pending_;
@@ -52,11 +65,8 @@ NodeId Network::register_node(std::unique_ptr<Node> node) {
   raw->id_ = id;
   raw->net_ = this;
   raw->rng_ = rng_.split();
-  Slot& slot = slots_.back();
-  slot.node = std::move(node);
-  slot.last_timeout = step_;
+  slots_.back().node = std::move(node);
   ++alive_count_;
-  ++topology_epoch_;
   raw->on_register();
   return id;
 }
@@ -91,7 +101,6 @@ void Network::crash(NodeId id) {
   slot->crash_round = round_;
   crash_log_.emplace_back(round_, id);
   --alive_count_;
-  ++topology_epoch_;
 }
 
 std::optional<Round> Network::crash_round(NodeId id) const {
@@ -102,7 +111,6 @@ std::optional<Round> Network::crash_round(NodeId id) const {
 
 void Network::take_snapshots() {
   SSPS_ASSERT_MSG(!in_parallel_phase_, "take_snapshots: mid-round");
-  last_snapshot_round_ = round_;
   common::Encoder enc;
   for (Slot& slot : slots_) {
     if (slot.node == nullptr) continue;
@@ -138,9 +146,7 @@ bool Network::recover(NodeId id, std::unique_ptr<Node> node) {
   raw->net_ = this;
   raw->rng_ = rng_.split();
   slot->node = std::move(node);
-  slot->last_timeout = step_;
   ++alive_count_;
-  ++topology_epoch_;
   raw->on_register();
   // Re-resolve: on_register may spawn, which can reallocate the slot table.
   slot = find_slot(id);
@@ -176,35 +182,15 @@ std::size_t Network::pending_messages() const {
   return pending_.size() + held;
 }
 
-std::size_t Network::pending_for(NodeId id) const {
-  std::size_t count = 0;
-  for_each_in_flight([&](const Envelope& env) {
-    if (env.to == id) ++count;
-  });
-  return count;
-}
-
-void Network::deliver_one(const Envelope& env) {
-  Slot* slot = find_slot(env.to);
-  SSPS_ASSERT(slot != nullptr && slot->node != nullptr);
-  metrics_.on_deliver(env.to);
-  if (trace_ != nullptr) [[unlikely]] trace_deliver(env);
-  main_ctx_.acting = env.to;
-  slot->node->handle(PooledMsg(env.pool, env.msg, env.handle));
-  main_ctx_.acting = NodeId::null();
-}
-
 void Network::fire_timeout(std::size_t index) {
-  // Sequential phases only (the sweep, step-grained engines), so the
-  // Timeout's sends go through the main context.
-  slots_[index].last_timeout = step_;
+  // The sweep is sequential, so the Timeout's sends go through the main
+  // context.
   main_ctx_.acting = id_at(index);
   slots_[index].node->timeout();
   main_ctx_.acting = NodeId::null();
 }
 
 std::size_t Network::round_begin(std::vector<Envelope>& batch) {
-  ++step_;
   // Batch order is canonical (send order — under the parallel scheduler,
   // the round-barrier merge reproduces it exactly; the timed engine's
   // time-then-send order otherwise), so the shuffled delivery order
@@ -280,7 +266,7 @@ void Network::timeout_sweep() {
   const std::size_t population = slots_.size();
   std::size_t timeouts = 0;
   for (std::size_t i = 0; i < population; ++i) {
-    if (slots_[i].node != nullptr) {
+    if (slots_[i].node != nullptr && timeout_due(i)) {
       fire_timeout(i);
       ++timeouts;
     }
@@ -288,28 +274,40 @@ void Network::timeout_sweep() {
   last_round_timeouts_ = timeouts;
 }
 
+bool Network::timeout_due(std::size_t index) const {
+  if (max_timeout_period_ == 1) return true;
+  // A pure function of (seed, slot, k, round): no stream is drawn, so a
+  // run's delivery trace depends on the periods only through the
+  // Timeouts they skip.
+  const std::uint64_t h = mix64(seed_ ^ mix64(index + 0x7f4a7c159e3779b9ULL));
+  const Round period = 1 + (h % max_timeout_period_);
+  const Round phase = (h >> 32) % period;
+  return (round_ + phase) % period == 0;
+}
+
+void Network::set_max_timeout_period(Round k) {
+  SSPS_ASSERT_MSG(k >= 1, "set_max_timeout_period: need k >= 1");
+  SSPS_ASSERT_MSG(!in_parallel_phase_ && send_ctx().acting.is_null(),
+                  "set_max_timeout_period: mid-round");
+  max_timeout_period_ = k;
+}
+
 std::size_t Network::run_unit() {
   const std::size_t delivered = scheduler_->advance(*this);
   // Periodic crash-recovery checkpoints: capture at round boundaries on
   // the configured cadence. Pure state reads (no rng draws), so enabling
-  // snapshots never perturbs a run's delivery trace. The last-round guard
-  // keeps step-grained schedulers (round clock frozen) from re-capturing
-  // every unit.
-  if (snapshot_every_ > 0 && round_ != last_snapshot_round_ &&
-      round_ % snapshot_every_ == 0) {
-    take_snapshots();
-  }
+  // snapshots never perturbs a run's delivery trace.
+  if (snapshot_every_ > 0 && round_ % snapshot_every_ == 0) take_snapshots();
   scheduler_->sample(*this, delivered);
   return delivered;
 }
 
-void Network::push_sample(std::uint64_t at, std::size_t delivered,
-                          std::size_t timeouts) {
+void Network::push_sample(std::size_t delivered) {
   if (round_probe_ == nullptr) return;
   telemetry::RoundSample sample;
-  sample.round = at;
+  sample.round = round_;
   sample.delivered = delivered;
-  sample.timeouts = timeouts;
+  sample.timeouts = last_round_timeouts_;
   sample.in_flight = pending_messages();
   sample.alive = alive_count_;
   round_probe_->push(sample);
@@ -321,21 +319,6 @@ void Network::run_units(std::size_t k) {
 
 std::optional<std::size_t> Network::run_until(const std::function<bool()>& pred,
                                               std::size_t max_units) {
-  if (step_clock_) {
-    // Step-grained schedulers have no quiescent units to skip (a step is
-    // one action, or nothing only when the whole system is empty), so the
-    // loop simply batches settle_stride units between probes. The stride
-    // is pinned before the first unit: probe points must not drift with
-    // the alive count as nodes crash or spawn mid-wait.
-    const Step start = step_;
-    const std::size_t stride = scheduler_->settle_stride(*this);
-    for (std::size_t i = 0; i < max_units; ++i) {
-      if (pred()) return step_ - start;
-      run_units(stride);
-    }
-    if (pred()) return step_ - start;
-    return std::nullopt;
-  }
   // Quiescence short-circuit: a round that delivered zero messages and
   // fired zero timeouts executed no action, so no node variable and no
   // channel changed — a predicate over the simulated state that was false
@@ -375,7 +358,6 @@ void Network::set_scheduler(std::unique_ptr<sched::Scheduler> scheduler) {
     scheduler_->retire();
     retired_schedulers_.push_back(std::move(scheduler_));
   }
-  step_clock_ = scheduler->unit() == sched::Scheduler::Unit::kStep;
   scheduler_ = std::move(scheduler);
 }
 

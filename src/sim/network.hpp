@@ -15,8 +15,9 @@
 // snapshots and the telemetry attach points, and executes every schedule
 // unit through the installed sched::Scheduler. Schedulers reach past the
 // public API only through EngineSeam (below); an engine's own state —
-// the timed engine's event heap, the async engine's fairness indexes —
-// lives in its sched:: class.
+// the timed engine's event heap and link model — lives in its sched::
+// class. Unequal process speeds are a property of the round's Timeout
+// sweep (set_max_timeout_period), so every engine runs them.
 //
 // Large-n layout: nodes live in one dense vector indexed by NodeId (a
 // crashed node leaves a tombstone slot), and all channels share one
@@ -74,12 +75,11 @@ struct Envelope {
   Message* msg = nullptr;
   MessagePool* pool = nullptr;
   MsgHandle handle;
-  Step sent_at = 0;
   /// Canonical send order, stamped on the main lane only (worker-lane
   /// envelopes get 0; the round-barrier merge order already reproduces
-  /// send order for those). Monotone and never reused: the async
-  /// scheduler's oldest-first index and the timed scheduler's
-  /// equal-deadline tie-break both key on it.
+  /// send order for those). Monotone and never reused: the timed
+  /// scheduler's equal-deadline tie-break and the deployment's relay
+  /// lookup both key on it.
   std::uint64_t seq = 0;
 };
 
@@ -106,8 +106,10 @@ struct SendContext {
 
 namespace detail {
 /// Null outside parallel round phases; a parallel round worker points
-/// this at its own context around its delivery slice.
-extern thread_local SendContext* tls_send_ctx;
+/// this at its own context around its delivery slice. constinit: with a
+/// constant initializer no TU emits a dynamic-init guard, so a read
+/// outside network.cpp is a plain TLS load.
+extern thread_local constinit SendContext* tls_send_ctx;
 }  // namespace detail
 
 class Trace;
@@ -180,11 +182,6 @@ class Network {
   /// pair a cheap topology epoch for incremental probes.
   std::size_t slot_count() const { return slots_.size(); }
 
-  /// Bumped by every spawn, crash and recover — the events that change
-  /// the alive set or compact the lane. A step-grained engine rebuilds
-  /// its indexes over slots and lane whenever this moves.
-  std::uint64_t topology_epoch() const { return topology_epoch_; }
-
   /// Every crash since construction, in crash order: (round, node). Rounds
   /// are non-decreasing, so "crashes visible under a detection delay" is a
   /// prefix of this log (see sim::FailureDetector::visible_crash_count).
@@ -245,15 +242,12 @@ class Network {
   /// plus whatever the installed engine holds (the timed event heap).
   std::size_t pending_messages() const;
 
-  /// Number of messages pending for one node.
-  std::size_t pending_for(NodeId id) const;
-
   // ---- Scheduling -----------------------------------------------------
 
   /// Executes one schedule unit of the installed scheduler — a
   /// synchronous round (deliver every message pending at round start in
-  /// randomized order, then fire every alive node's Timeout; the paper's
-  /// "timeout interval"), a timed interval, or a single asynchronous step
+  /// randomized order, then fire the Timeout of every alive node that is
+  /// due; the paper's "timeout interval") or a timed interval
   /// (sched::Scheduler::Unit) — then lets the scheduler sample any
   /// attached probe. Returns the number of messages it delivered.
   std::size_t run_unit();
@@ -261,18 +255,14 @@ class Network {
   /// Runs `k` schedule units.
   void run_units(std::size_t k);
 
-  /// Runs schedule units until `pred()` holds or `max_units` probe
-  /// opportunities elapse. Returns the number of units executed, or
-  /// nullopt if the predicate never held.
+  /// Runs schedule units until `pred()` holds or `max_units` units
+  /// elapse. Returns the number of units executed, or nullopt if the
+  /// predicate never held.
   ///
   /// `pred` must be a function of the simulated system state (every
-  /// convergence probe is). Round-grained schedulers probe once per
-  /// round, and rounds that executed no action at all are skipped without
-  /// re-evaluating it (see the quiescence note in network.cpp).
-  /// Step-grained schedulers batch settle_stride() units (~one action per
-  /// alive node) between probes so the probe isn't priced per single
-  /// delivery; the budget counts probes, keeping it comparable to a round
-  /// budget.
+  /// convergence probe is). It is probed once per unit, and units that
+  /// executed no action at all are skipped without re-evaluating it (see
+  /// the quiescence note in network.cpp).
   std::optional<std::size_t> run_until(const std::function<bool()>& pred,
                                        std::size_t max_units);
 
@@ -293,18 +283,21 @@ class Network {
   /// Worker count of the installed round scheduler.
   unsigned scheduler_threads() const;
 
-  /// Current round (advanced by round-grained units).
+  /// Current round: advanced once per unit (a timed interval is one
+  /// round). Every run_until budget, phase duration, delivery-latency
+  /// stamp and probe sample index is denominated in it.
   Round round() const { return round_; }
 
-  /// Current step (advanced by every unit: once per round or interval,
-  /// once per asynchronous step).
-  Step now() const { return step_; }
-
-  /// The installed scheduler's unit clock: the step clock for a
-  /// step-grained scheduler, the round clock otherwise. Every run_until
-  /// budget, phase duration, delivery-latency stamp and probe sample
-  /// index is denominated in it.
-  std::uint64_t unit_now() const { return step_clock_ ? step_ : round_; }
+  /// Unequal process speeds (the asynchrony of paper §1.1): with k > 1,
+  /// the timeout sweep fires slot i's Timeout only in every p_i-th round,
+  /// with period p_i in [1, k] and a phase both taken from a pure hash of
+  /// (construction seed, slot). Nothing draws from an rng stream, so the
+  /// default k = 1 is exactly lockstep (every alive node fires every
+  /// round), and a run may switch k between units under any engine.
+  /// Deliveries are never gated: a slow node still receives every round,
+  /// so a message chain can complete between two of its Timeouts.
+  /// Requires k >= 1; refuses to run mid-round.
+  void set_max_timeout_period(Round k);
 
   // ---- Crash recovery (periodic snapshots; see Node::snapshot_state) ---
 
@@ -367,8 +360,8 @@ class Network {
   void record_reject(std::size_t bytes) { send_ctx().metrics->on_reject(bytes); }
 
   /// Attaches a time-series probe: the installed scheduler pushes one
-  /// RoundSample per round (or per probe stride of asynchronous steps).
-  /// Pass nullptr to detach. The probe must outlive the attachment.
+  /// RoundSample per unit. Pass nullptr to detach. The probe must
+  /// outlive the attachment.
   void attach_round_probe(telemetry::RoundProbe* probe) { round_probe_ = probe; }
 
   /// Attaches a structured event trace recording every send and delivery
@@ -392,7 +385,6 @@ class Network {
 
   struct Slot {
     std::unique_ptr<Node> node;  // null = tombstone (crashed)
-    Step last_timeout = 0;
     Round crash_round = 0;
     /// Last periodic snapshot of the node's encoded state (empty = never
     /// captured). Deliberately kept across crash(): recover() restores
@@ -424,7 +416,6 @@ class Network {
     env.from = ctx.acting;
     env.msg = msg.get();
     env.pool = msg.pool();
-    env.sent_at = step_;
     // The canonical send counter lives on the main lane; worker lanes are
     // merged in send-reproducing order anyway, and a shared counter would
     // be a cross-thread write on the parallel hot path.
@@ -435,12 +426,11 @@ class Network {
 
   // ---- Round phases (reached through EngineSeam) -----------------------
 
-  /// Phase A (sequential): advances the step clock and turns `batch`
-  /// (consumed) into this round's delivery batch: the seeded shuffle,
-  /// then the stable group-by-target counting sort. Returns the batch
-  /// size; after it, scatter_offsets_[v] is the END offset of target id
-  /// v's group in grouped_ (so shard slice boundaries are
-  /// scatter_offsets_ lookups).
+  /// Phase A (sequential): turns `batch` (consumed) into this round's
+  /// delivery batch: the seeded shuffle, then the stable group-by-target
+  /// counting sort. Returns the batch size; after it, scatter_offsets_[v]
+  /// is the END offset of target id v's group in grouped_ (so shard slice
+  /// boundaries are scatter_offsets_ lookups).
   std::size_t round_begin(std::vector<Envelope>& batch);
 
   /// Phase B: delivers grouped_[begin, end) — a contiguous run of target
@@ -451,19 +441,20 @@ class Network {
   std::size_t deliver_grouped_range(std::size_t begin, std::size_t end,
                                     SendContext& ctx);
 
-  /// Phase C (sequential): fires Timeouts in id order; sends append to
-  /// the main in-flight buffer, after every merged delivery lane.
+  /// Phase C (sequential): fires the due Timeouts in id order; sends
+  /// append to the main in-flight buffer, after every merged delivery
+  /// lane.
   void timeout_sweep();
-
-  /// Delivers one envelope already taken off the lane (step-grained
-  /// engines); its target must be alive.
-  void deliver_one(const Envelope& env);
+  /// True if slot `index` fires its Timeout this round (always, at the
+  /// default period 1; see set_max_timeout_period).
+  bool timeout_due(std::size_t index) const;
   void fire_timeout(std::size_t index);
   /// Reclaims an envelope without delivering it: the message invokes no
   /// action (crash drops, link loss, discarded branch slots).
   void reclaim(const Envelope& env);
-  /// Pushes one probe sample (no-op without an attached probe).
-  void push_sample(std::uint64_t at, std::size_t delivered, std::size_t timeouts);
+  /// Pushes one probe sample for the unit just finished (no-op without
+  /// an attached probe).
+  void push_sample(std::size_t delivered);
   /// Reclaims every pending message addressed to `to` (crash path).
   void drop_pending_for(NodeId to);
   /// Calls fn for every in-flight envelope: the lane, then the engine's.
@@ -479,13 +470,11 @@ class Network {
 
   std::vector<Slot> slots_;  // index = NodeId.value - 1
   std::size_t alive_count_ = 0;
-  std::uint64_t topology_epoch_ = 0;
   std::vector<Envelope> pending_;  // all in-flight messages, send order
   std::vector<std::pair<Round, NodeId>> crash_log_;  // crash order
   Round round_ = 0;
-  Step step_ = 0;
-  /// unit_now() reads the step clock (installed scheduler is step-grained).
-  bool step_clock_ = false;
+  /// set_max_timeout_period's k (1 = every alive node fires every round).
+  Round max_timeout_period_ = 1;
   std::uint64_t seed_ = 0;  // construction seed (engines salt their streams)
   ssps::Rng rng_;
   MessagePool pool_;
@@ -497,9 +486,6 @@ class Network {
   // ---- Snapshot / recovery state ---------------------------------------
   /// Periodic snapshot cadence in rounds (0 = off).
   Round snapshot_every_ = 0;
-  /// Last round at which the periodic capture ran (run_unit may be called
-  /// by step-grained schedulers that never advance the round clock).
-  Round last_snapshot_round_ = 0;
 
   /// The Network's own send context (lane = pending_, shard = metrics_,
   /// arena = pool_).
@@ -510,7 +496,7 @@ class Network {
   /// Timeouts fired by the last round's sweep (for the quiescence check).
   std::size_t last_round_timeouts_ = 0;
 
-  /// Optional per-round time-series sink (attach_round_probe).
+  /// Optional per-unit time-series sink (attach_round_probe).
   telemetry::RoundProbe* round_probe_ = nullptr;
   /// Optional structured event trace (attach_trace; forces serial).
   Trace* trace_ = nullptr;
@@ -575,9 +561,8 @@ class EngineSeam {
 
   // ---- Lane, main context, shard fold targets ----------------------------
   /// The in-flight lane. Main-context sends append with ascending seq, so
-  /// after a serial round it is sorted by seq (the async stepper's
-  /// swap-remove and the parallel merge, whose worker envelopes carry
-  /// seq 0, do not keep that order).
+  /// after a serial round it is sorted by seq (the parallel merge, whose
+  /// worker envelopes carry seq 0, does not keep that order).
   std::vector<Envelope>& lane() { return net_.pending_; }
   SendContext& main_ctx() { return net_.main_ctx_; }
   Metrics& fold_metrics() { return net_.metrics_; }
@@ -587,19 +572,8 @@ class EngineSeam {
   std::uint64_t next_seq() { return net_.next_send_seq_++; }
   std::uint64_t seed() const { return net_.seed_; }
 
-  // ---- Single actions (step-grained engines) -----------------------------
-  void tick() { ++net_.step_; }
-  void deliver_one(const Envelope& env) { net_.deliver_one(env); }
-  void fire_timeout(std::size_t slot) { net_.fire_timeout(slot); }
-  bool alive_at(std::size_t slot) const { return net_.slots_[slot].node != nullptr; }
-  Step last_timeout(std::size_t slot) const { return net_.slots_[slot].last_timeout; }
-
   // ---- Probe samples -----------------------------------------------------
-  bool probing() const { return net_.round_probe_ != nullptr; }
-  void push_sample(std::uint64_t at, std::size_t delivered, std::size_t timeouts) {
-    net_.push_sample(at, delivered, timeouts);
-  }
-  std::size_t last_round_timeouts() const { return net_.last_round_timeouts_; }
+  void push_sample(std::size_t delivered) { net_.push_sample(delivered); }
 
  private:
   Network& net_;

@@ -26,7 +26,8 @@ struct NodeId {
 /// Round index of the synchronous-round scheduler (one "timeout interval").
 using Round = std::uint64_t;
 
-/// Step index of the asynchronous scheduler (one action execution).
+/// Tick of the timed engine's virtual clock (sim::kTicksPerInterval ticks
+/// make one interval, i.e. one round).
 using Step = std::uint64_t;
 
 }  // namespace ssps::sim

@@ -1,13 +1,15 @@
 // Theorem 8 (Network Convergence): BuildSR reaches a legitimate skip ring
 // from arbitrary initial states. Parameterized sweeps over system size,
-// seeds and corruption classes, plus asynchronous-scheduler stress.
+// seeds and corruption classes, plus stress under unequal process speeds.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string_view>
 
 #include "core/chaos.hpp"
 #include "core/system.hpp"
-#include "sched/async.hpp"
+#include "scenario/execution.hpp"
+#include "sched/timed.hpp"
 
 namespace ssps::core {
 namespace {
@@ -106,23 +108,60 @@ INSTANTIATE_TEST_SUITE_P(Sweep, SplitBrain,
                                            Case{25, 4}, Case{32, 5}, Case{64, 6}),
                          case_name);
 
-TEST(Convergence, AsyncSchedulerReachesLegitimacyToo) {
-  // Self-stabilization must not depend on round synchrony: run the
-  // randomized asynchronous scheduler (with its fairness bounds only)
-  // until quiescence, then verify legitimacy directly.
+TEST(Convergence, UnequalSpeedsReachLegitimacyToo) {
+  // Self-stabilization must not depend on round synchrony: let nodes fire
+  // their Timeouts at unequal rates (periods of up to 4 rounds), then
+  // verify legitimacy directly.
   for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     SkipRingSystem sys(SkipRingSystem::Options{.seed = seed, .fd_delay = 0});
     sys.add_subscribers(24);
     ChaosOptions chaos;
     chaos.seed = seed + 100;
     corrupt_system(sys, chaos);
-    sys.net().set_scheduler(std::make_unique<sched::AsyncScheduler>());
+    sys.net().set_max_timeout_period(4);
     bool legit = false;
     for (int block = 0; block < 200 && !legit; ++block) {
-      sys.net().run_units(5000);
+      sys.net().run_units(200);
       legit = sys.topology_legit();
     }
     EXPECT_TRUE(legit) << "seed=" << seed << ": " << sys.legitimacy_violation();
+  }
+}
+
+TEST(Convergence, DISABLED_HoldsLegitimacyUnderUnequalTimeoutPeriods) {
+  // Known defect, pinned here and not yet fixed: under unequal Timeout
+  // periods a corrupted ring can reach legitimacy and keep relapsing.
+  // Node A's stored right neighbour carries a stale label; A's Timeout
+  // introduces that pair to its left partner B as an IntroduceShortcut
+  // (partner_ref falls back to the neighbour itself when the partner
+  // chain is empty); the label is none of B's expected shortcut keys, so
+  // B linearizes it and delegates it straight back to A, whose consider()
+  // overwrites its stored label because the node matches. The claim
+  // checked: after first reaching legitimacy, the ring stays legitimate
+  // for 20 consecutive rounds within 5,000 rounds. It fails for serial
+  // seed 64 and lan seed 29 and holds for every other seed here; under
+  // lockstep (period 1) those two hold too.
+  for (const std::string_view profile : {"serial", "lan"}) {
+    for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+      SkipRingSystem sys(SkipRingSystem::Options{.seed = seed, .fd_delay = 0});
+      if (profile != "serial") {
+        scenario::ExecutionSpec exec;
+        ASSERT_TRUE(scenario::apply_latency_profile(exec, profile));
+        sys.net().set_scheduler(
+            std::make_unique<sched::TimedScheduler>(sys.net(), exec.timed));
+      }
+      sys.add_subscribers(24);
+      ChaosOptions chaos;
+      chaos.seed = seed + 100;
+      corrupt_system(sys, chaos);
+      sys.net().set_max_timeout_period(4);
+      int streak = 0;
+      for (int round = 0; round < 5000 && streak < 20; ++round) {
+        sys.net().run_unit();
+        streak = sys.topology_legit() ? streak + 1 : 0;
+      }
+      EXPECT_GE(streak, 20) << profile << " seed " << seed;
+    }
   }
 }
 

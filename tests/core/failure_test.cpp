@@ -120,8 +120,7 @@ TEST(CrashRecovery, QueuedUnsubscribeFromCrashedNodeIsHarmless) {
 TEST(CrashRecovery, AliveCountExcludesTombstones) {
   // Regression guard for the dense node table: crashed nodes leave
   // tombstone slots behind, and alive_count()/alive_ids() must count only
-  // live nodes — the async convergence waits size their step chunks by
-  // alive_count(), and the oracle sizes SR(n) by the live population.
+  // live nodes — the oracle sizes SR(n) by the live population.
   SkipRingSystem sys(SkipRingSystem::Options{.seed = 21, .fd_delay = 0});
   const auto ids = sys.add_subscribers(8);
   ASSERT_TRUE(sys.run_until_legit(1500).has_value());

@@ -1,14 +1,12 @@
 // Torture: everything at once. Churn + crashes + state corruption +
-// publication traffic on one long-running system, interleaved with both
-// schedulers — if any interaction between the mechanisms is broken, this
-// is where it surfaces.
+// publication traffic on one long-running system, with bursts of lockstep
+// rounds and of unequal process speeds — if any interaction between the
+// mechanisms is broken, this is where it surfaces.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "core/chaos.hpp"
 #include "pubsub/pubsub_node.hpp"
-#include "sched/async.hpp"
-#include "sched/serial.hpp"
 
 namespace ssps::core {
 namespace {
@@ -81,13 +79,14 @@ TEST_P(Torture, EverythingAtOnceEventuallyStabilizes) {
         break;
       }
     }
-    // A burst of progress under either scheduler.
+    // A burst of progress: a few lockstep rounds, or a longer stretch in
+    // which nodes fire their Timeouts at unequal rates.
     if (rng.chance(1, 2)) {
       sys.net().run_units(rng.between(2, 8));
     } else {
-      sys.net().set_scheduler(std::make_unique<sched::AsyncScheduler>());
-      sys.net().run_units(rng.between(500, 3000));
-      sys.net().set_scheduler(std::make_unique<sched::SerialScheduler>());
+      sys.net().set_max_timeout_period(4);
+      sys.net().run_units(rng.between(25, 150));
+      sys.net().set_max_timeout_period(1);
     }
   }
 

@@ -4,7 +4,6 @@
 
 #include "scenario/builtin.hpp"
 #include "scenario/runner.hpp"
-#include "sched/async.hpp"
 #include "sched/timed.hpp"
 
 namespace ssps::scenario {
@@ -215,6 +214,36 @@ TEST(ChaosChurn, FaultCountersAndRecoveriesSurfaceInTheReport) {
   EXPECT_NE(json.find("\"recovered\""), std::string::npos);
 }
 
+TEST(ChaosChurn, SplitPartitionUnderUnequalSpeedsStaysOracleGreen) {
+  // Unequal process speeds combined with every other fault at once:
+  // chaos-churn's lossy, duplicating, reordering and corrupting links and
+  // its crash-recovery wave, from a scrambled start, with two zones cut
+  // from each other for the first 10 virtual seconds of the crash wave
+  // (ssps_chaos's `split` schedule) and Timeout periods of up to 4 rounds.
+  for (const std::size_t n : {16, 32}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      ScenarioSpec spec = scrambled_variant(builtin_scenario("chaos-churn", seed, n));
+      spec.oracle = true;
+      spec.exec.timed.zones = 2;
+      spec.exec.timed.remote = spec.exec.timed.local;
+      for (Phase& phase : spec.phases) {
+        if (phase.name != "crash-wave") continue;
+        sim::PartitionWindow cut;
+        cut.from_s = 0;
+        cut.to_s = 10;
+        cut.zone_a = 0;
+        cut.zone_b = 1;
+        phase.partitions.push_back(cut);
+      }
+      ScenarioRunner runner(std::move(spec));
+      runner.net().set_max_timeout_period(4);
+      const ScenarioReport& report = runner.run();
+      EXPECT_TRUE(report.ok) << "n=" << n << " seed " << seed;
+      EXPECT_TRUE(report.oracle_ok) << "n=" << n << " seed " << seed;
+    }
+  }
+}
+
 TEST(ChaosChurn, ReportsWithoutFaultsOmitTheFaultFields) {
   // Pre-existing scenarios must stay byte-identical: the new report
   // fields only appear when their counters are nonzero.
@@ -288,58 +317,6 @@ TEST(CustomSpec, SingleTopicChurnConverges) {
   EXPECT_TRUE(runner.single().topology_legit());
 }
 
-TEST(CustomSpec, AsyncTimeseriesAndLatencyUseTheStepClock) {
-  // Regression: async runs used to emit an always-empty timeseries ring
-  // and latency figures stamped with the (never-advancing) round counter.
-  // They now sample every AsyncConfig::probe_stride steps and measure on
-  // the step clock, and the report says so.
-  ScenarioSpec spec;
-  spec.name = "custom-async-probe";
-  spec.seed = 17;
-  spec.nodes = 8;
-  spec.mode = Mode::kSingleTopic;
-  spec.exec.scheduler = Scheduler::kAsync;
-  spec.timeseries_capacity = 64;
-
-  Phase bootstrap;
-  bootstrap.name = "bootstrap";
-  bootstrap.churn.joins = 8;
-  bootstrap.converge = true;
-  bootstrap.max_rounds = 5000;
-  spec.phases.push_back(bootstrap);
-
-  Phase pubs;
-  pubs.name = "publish";
-  pubs.publish.count = 4;
-  pubs.converge = true;
-  pubs.max_rounds = 5000;
-  spec.phases.push_back(pubs);
-
-  ScenarioRunner runner(spec);
-  const ScenarioReport& report = runner.run();
-  ASSERT_TRUE(report.ok);
-  EXPECT_EQ(report.clock, "steps");
-  EXPECT_EQ(report.latency.unit, "steps");
-  ASSERT_TRUE(report.timeseries.has_value());
-  EXPECT_EQ(report.timeseries->unit, "steps");
-  ASSERT_FALSE(report.timeseries->samples.empty());
-  // Samples tick on the step clock: strictly increasing multiples of the
-  // probe stride (the round counter would sit at a handful of rounds).
-  const auto& samples = report.timeseries->samples;
-  const sim::Step stride = sched::AsyncConfig{}.probe_stride;
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    if (i > 0) {
-      EXPECT_LT(samples[i - 1].round, samples[i].round);
-    }
-    EXPECT_EQ(samples[i].round % stride, 0u);
-  }
-  EXPECT_GE(samples.back().round, 2 * stride);
-  // Latency percentiles are step-denominated: a publish needs many steps
-  // to reach every subscriber.
-  EXPECT_GT(report.latency.global.count, 0u);
-  EXPECT_GT(report.latency.global.p50, 0u);
-}
-
 TEST(TimedScheduler, DefaultProfileMatchesRoundReports) {
   // The in-process face of tests/determinism/timed_equivalence.sh: with
   // the default link profile the timed engine's report is byte-identical
@@ -390,13 +367,15 @@ TEST(TimedScheduler, LossyScrambledRecoveryAt64Nodes) {
   EXPECT_GT(runner.timed()->dropped(), 0u);
 }
 
-TEST(CustomSpec, AsyncSchedulerPhasesAreDeterministic) {
+TEST(CustomSpec, UnequalSpeedPhasesAreDeterministic) {
+  // The Timeout periods are a pure hash of (seed, slot): a run with the
+  // setting applied before run() replays byte for byte, and differs from
+  // the lockstep run.
   ScenarioSpec spec;
-  spec.name = "custom-async";
+  spec.name = "custom-unequal-speeds";
   spec.seed = 13;
   spec.nodes = 6;
   spec.mode = Mode::kSingleTopic;
-  spec.exec.scheduler = Scheduler::kAsync;
 
   Phase bootstrap;
   bootstrap.name = "bootstrap";
@@ -405,14 +384,17 @@ TEST(CustomSpec, AsyncSchedulerPhasesAreDeterministic) {
   bootstrap.max_rounds = 5000;
   spec.phases.push_back(bootstrap);
 
-  auto run_once = [&] {
+  auto run_once = [&](sim::Round k) {
     ScenarioRunner runner(spec);
+    runner.net().set_max_timeout_period(k);
     return runner.run().to_json().dump(0);
   };
-  const std::string a = run_once();
-  const std::string b = run_once();
+  const std::string a = run_once(4);
+  const std::string b = run_once(4);
   EXPECT_EQ(a, b);
+  EXPECT_NE(a, run_once(1));
   ScenarioRunner runner(spec);
+  runner.net().set_max_timeout_period(4);
   EXPECT_TRUE(runner.run().ok);
 }
 

@@ -63,11 +63,12 @@ struct SimTrace {
 /// One deterministic workload: a relay ring with cascading pings, crashes
 /// and a spawn between rounds (the only place the parallel scheduler
 /// allows them), and sends to dead nodes (the swallow path runs on
-/// workers).
-SimTrace run_sim(unsigned threads) {
+/// workers). `period` is the max Timeout period.
+SimTrace run_sim(unsigned threads, Round period = 1) {
   constexpr int kNodes = 23;  // not a multiple of any worker count
   Network net(99);
   net.set_threads(threads);
+  net.set_max_timeout_period(period);
   std::vector<NodeId> ids;
   for (int i = 0; i < kNodes; ++i) ids.push_back(net.spawn<Relay>());
   for (int i = 0; i < kNodes; ++i) {
@@ -108,6 +109,16 @@ TEST(ParallelScheduler, SimTraceBitIdenticalAcrossWorkerCounts) {
   EXPECT_GT(serial.delivered, 0u);
   for (unsigned threads : {2u, 3u, 4u, 7u}) {
     EXPECT_EQ(serial, run_sim(threads)) << threads << " workers";
+  }
+}
+
+TEST(ParallelScheduler, UnequalTimeoutPeriodsBitIdenticalAcrossWorkerCounts) {
+  // The period gate runs in the sequential timeout sweep, so unequal
+  // speeds keep the worker-count invariance.
+  const SimTrace serial = run_sim(1, 4);
+  EXPECT_NE(serial.timeouts, run_sim(1).timeouts);
+  for (unsigned threads : {2u, 4u}) {
+    EXPECT_EQ(serial, run_sim(threads, 4)) << threads << " workers";
   }
 }
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "pubsub/pubsub_node.hpp"
-#include "sched/async.hpp"
 #include "sim/network.hpp"
 #include "sim/trace.hpp"
 
@@ -27,63 +26,83 @@ std::vector<NodeId> send_senders(const Trace& trace) {
   return out;
 }
 
-TEST(SenderAttribution, AsyncStepsAttributeSendsToTheActingNode) {
-  PubSubSystem sys(core::SkipRingSystem::Options{.seed = 3, .fd_delay = 0});
-  const std::vector<NodeId> ids = sys.add_pubsub_subscribers(6);
-  ASSERT_TRUE(sys.run_until_legit(1000).has_value());
-  Network& net = sys.net();
-  net.set_scheduler(std::make_unique<sched::AsyncScheduler>());
+/// A message that names the node whose action made it (null = the
+/// harness), independently of the Network's attribution.
+struct Made final : MsgBase<Made> {
+  NodeId maker;
+  bool by_timeout = false;
+  int hops = 0;
+  Made(NodeId m, bool t, int h) : maker(m), by_timeout(t), hops(h) {}
+  std::string_view name() const override { return "Made"; }
+};
+
+/// Forwards each message around a ring until its hops run out, and starts
+/// a new one on every Timeout; every send names this node as its maker.
+class Maker final : public Node {
+ public:
+  void handle(PooledMsg msg) override {
+    const auto* made = msg_cast<Made>(*msg);
+    ASSERT_NE(made, nullptr);
+    if (made->hops > 0) net().emit<Made>(next, id(), false, made->hops - 1);
+  }
+  void timeout() override {
+    ++timeouts;
+    net().emit<Made>(next, id(), true, 2);
+  }
+  NodeId next;
+  std::size_t timeouts = 0;
+};
+
+TEST(SenderAttribution, UnequalSpeedsAttributeSendsToTheActingNode) {
+  // Under unequal Timeout periods each traced send carries the node whose
+  // delivery or Timeout made it, and harness sends carry null. A serial
+  // round's lane holds its sends in send order, so the trace's kSend
+  // events line up with the lane one to one.
+  Network net(3);
+  std::vector<NodeId> ids;
+  for (int i = 0; i < 6; ++i) ids.push_back(net.spawn<Maker>());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    net.node_as<Maker>(ids[i]).next = ids[(i + 1) % ids.size()];
+  }
+  net.set_max_timeout_period(4);
   Trace trace(1 << 16);
   net.attach_trace(&trace);
 
-  std::size_t publish_sends = 0;
-  std::size_t timeout_steps = 0;
+  constexpr std::size_t kRounds = 600;
+  std::size_t harness_sends = 0;
   std::size_t timeout_sends = 0;
   std::size_t delivery_sends = 0;
-  for (std::size_t step = 0; step < 600; ++step) {
-    if (step % 100 == 50) {
-      // A harness publish between steps: no action is executing.
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    if (round % 100 == 50) {
+      // A harness send between rounds: no action is executing.
       trace.clear();
-      sys.pubsub(ids[step / 100]).publish("p" + std::to_string(step));
+      net.emit<Made>(ids[round / 100], NodeId::null(), false, 2);
       for (const NodeId from : send_senders(trace)) {
-        EXPECT_TRUE(from.is_null()) << "publish at step " << step << " sent as " << from.value;
-        ++publish_sends;
+        EXPECT_TRUE(from.is_null()) << "harness send at round " << round;
+        ++harness_sends;
       }
     }
     trace.clear();
-    const std::size_t delivered = net.run_unit();
-    // The node that fired this step's Timeout, if any: its last_timeout
-    // is the current step.
-    NodeId fired;
-    EngineSeam seam(net);
-    for (std::size_t i = 0; i < net.slot_count(); ++i) {
-      if (seam.alive_at(i) && seam.last_timeout(i) == net.now()) {
-        fired = NodeId{i + 1};
-      }
-    }
-    ASSERT_NE(delivered > 0, !fired.is_null()) << "step " << step;
-    NodeId acting = fired;
-    if (delivered > 0) {
-      for (const TraceEvent& ev : trace.events()) {
-        if (ev.kind == TraceEventKind::kDeliver) acting = ev.to;
-      }
-    }
+    net.run_unit();
     const std::vector<NodeId> senders = send_senders(trace);
-    for (const NodeId from : senders) {
-      EXPECT_EQ(from.value, acting.value) << "step " << step;
-    }
-    if (fired) {
-      ++timeout_steps;
-      timeout_sends += senders.size();
-    } else {
-      delivery_sends += senders.size();
+    const std::vector<Envelope>& lane = EngineSeam(net).lane();
+    ASSERT_EQ(senders.size(), lane.size()) << "round " << round;
+    for (std::size_t i = 0; i < lane.size(); ++i) {
+      const auto* made = msg_cast<Made>(*lane[i].msg);
+      ASSERT_NE(made, nullptr);
+      EXPECT_FALSE(made->maker.is_null()) << "round " << round;
+      EXPECT_EQ(senders[i].value, made->maker.value) << "round " << round;
+      EXPECT_EQ(lane[i].from.value, made->maker.value) << "round " << round;
+      ++(made->by_timeout ? timeout_sends : delivery_sends);
     }
   }
   net.attach_trace(nullptr);
-  EXPECT_GT(publish_sends, 0u);
-  EXPECT_GT(timeout_steps, 0u);
+  EXPECT_GT(harness_sends, 0u);
   EXPECT_GT(timeout_sends, 0u);
   EXPECT_GT(delivery_sends, 0u);
+  std::size_t slow = 0;
+  for (const NodeId id : ids) slow += net.node_as<Maker>(id).timeouts < kRounds;
+  EXPECT_GT(slow, 0u);
 }
 
 /// (to, from) of every lane envelope, in lane order.

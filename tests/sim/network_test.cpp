@@ -6,8 +6,6 @@
 
 #include <map>
 
-#include "sched/async.hpp"
-
 namespace ssps::sim {
 namespace {
 
@@ -30,13 +28,17 @@ class Probe final : public Node {
     received.push_back(ping->payload);
     if (echo_to) net().emit<Ping>(echo_to, ping->payload + 1000);
   }
-  void timeout() override { ++timeouts; }
+  void timeout() override {
+    ++timeouts;
+    fired.push_back(net().round());
+  }
   void collect_refs(std::vector<NodeId>& out) const override {
     if (neighbor) out.push_back(neighbor);
   }
 
   std::vector<int> received;
   int timeouts = 0;
+  std::vector<Round> fired;  // the round of each Timeout
   NodeId echo_to = NodeId::null();
   NodeId neighbor = NodeId::null();
 };
@@ -55,9 +57,9 @@ TEST(Network, RoundDeliversAllPendingMessages) {
   Network net(2);
   const NodeId a = net.spawn<Probe>();
   for (int i = 0; i < 5; ++i) net.emit<Ping>(a, i);
-  EXPECT_EQ(net.pending_for(a), 5u);
+  EXPECT_EQ(net.pending_messages(), 5u);
   net.run_unit();
-  EXPECT_EQ(net.pending_for(a), 0u);
+  EXPECT_EQ(net.pending_messages(), 0u);
   EXPECT_EQ(net.node_as<Probe>(a).received.size(), 5u);
 }
 
@@ -134,39 +136,72 @@ TEST(Network, CrashRoundIsRecorded) {
   EXPECT_FALSE(net.crash_round(NodeId{999}).has_value());
 }
 
-TEST(Network, AsyncStepsDeliverEverythingEventually) {
+TEST(Network, TimeoutPeriodLeavesDeliveryAlone) {
+  // Fair receipt under unequal speeds: the period gates Timeouts only, so
+  // every pending message still arrives in the next round.
   Network net(7);
   const NodeId a = net.spawn<Probe>();
   for (int i = 0; i < 50; ++i) net.emit<Ping>(a, i);
-  net.set_scheduler(std::make_unique<sched::AsyncScheduler>());
-  net.run_units(5000);
+  net.set_max_timeout_period(16);
+  net.run_unit();
   EXPECT_EQ(net.node_as<Probe>(a).received.size(), 50u);
 }
 
-TEST(Network, AsyncFairnessBoundsMessageAge) {
-  Network net(8);
-  net.set_scheduler(std::make_unique<sched::AsyncScheduler>(
-      sched::AsyncConfig{.max_message_age = 16}));
-  const NodeId a = net.spawn<Probe>();
-  const NodeId b = net.spawn<Probe>();
-  (void)b;
-  net.emit<Ping>(a, 1);
-  // Within max_message_age + a few steps the message must arrive, no
-  // matter how the scheduler dices.
-  net.run_units(20);
-  EXPECT_EQ(net.node_as<Probe>(a).received.size(), 1u);
+TEST(Network, TimeoutPeriodBoundsEveryNodesGap) {
+  // Weak fairness under unequal speeds: under period k, every alive node
+  // fires at least once in any k consecutive rounds.
+  for (const Round k : {2, 4, 8, 16}) {
+    Network net(8);
+    std::vector<NodeId> ids;
+    for (int i = 0; i < 16; ++i) ids.push_back(net.spawn<Probe>());
+    net.set_max_timeout_period(k);
+    constexpr Round kRounds = 64;
+    net.run_units(kRounds);
+    for (const NodeId id : ids) {
+      const std::vector<Round>& fired = net.node_as<Probe>(id).fired;
+      ASSERT_FALSE(fired.empty()) << "k=" << k;
+      EXPECT_LT(fired.front(), k) << "k=" << k;
+      for (std::size_t i = 1; i < fired.size(); ++i) {
+        EXPECT_LE(fired[i] - fired[i - 1], k) << "k=" << k;
+      }
+      EXPECT_GE(fired.back(), kRounds - k) << "k=" << k;
+    }
+  }
 }
 
-TEST(Network, AsyncFairnessBoundsTimeoutGap) {
+TEST(Network, TimeoutPeriodSlowsSomeNode) {
+  // ... and the speeds really are unequal: some node skips a round, while
+  // period 1 (the default) fires every alive node every round.
   Network net(9);
-  net.set_scheduler(std::make_unique<sched::AsyncScheduler>(
-      sched::AsyncConfig{.max_timeout_gap = 8}));
-  const NodeId a = net.spawn<Probe>();
-  // Keep the scheduler busy with messages to tempt it away from timeouts.
-  const NodeId sinkhole = net.spawn<Probe>();
-  for (int i = 0; i < 100; ++i) net.emit<Ping>(sinkhole, i);
-  net.run_units(100);
-  EXPECT_GE(net.node_as<Probe>(a).timeouts, 5);
+  std::vector<NodeId> ids;
+  for (int i = 0; i < 16; ++i) ids.push_back(net.spawn<Probe>());
+  net.set_max_timeout_period(4);
+  net.run_units(8);
+  bool skipped = false;
+  for (const NodeId id : ids) skipped |= net.node_as<Probe>(id).timeouts < 8;
+  EXPECT_TRUE(skipped);
+  std::vector<int> before;
+  for (const NodeId id : ids) before.push_back(net.node_as<Probe>(id).timeouts);
+  net.set_max_timeout_period(1);
+  net.run_units(8);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(net.node_as<Probe>(ids[i]).timeouts, before[i] + 8);
+  }
+}
+
+/// Changes the Timeout period from inside its own Timeout.
+class Meddler final : public Node {
+ public:
+  void handle(PooledMsg) override {}
+  void timeout() override { net().set_max_timeout_period(2); }
+};
+
+TEST(NetworkDeathTest, TimeoutPeriodRejectsZeroAndMidRoundCalls) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Network net(16);
+  EXPECT_DEATH(net.set_max_timeout_period(0), "need k >= 1");
+  net.spawn<Meddler>();
+  EXPECT_DEATH(net.run_unit(), "mid-round");
 }
 
 TEST(Network, RunUntilStopsEarly) {
@@ -248,7 +283,7 @@ TEST(Network, InjectBypassesMetrics) {
   const NodeId a = net.spawn<Probe>();
   net.inject(a, net.pool().make<Ping>(1));
   EXPECT_EQ(net.metrics().total_sent(), 0u);
-  EXPECT_EQ(net.pending_for(a), 1u);
+  EXPECT_EQ(net.pending_messages(), 1u);
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 // Event-driven timed network: link model, per-message latency, seeded
 // loss/duplication/reordering, partitions, and the round-equivalence of
-// the default profile (sim/link.hpp, sched::TimedScheduler).
+// the default profile (sim/link.hpp, sched::TimedScheduler). Also how
+// long a causal chain takes against its origin's Timeouts, in timed
+// intervals and under unequal Timeout periods.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "scenario/execution.hpp"
 #include "sched/serial.hpp"
 #include "sched/timed.hpp"
 #include "sim/link.hpp"
@@ -249,6 +252,123 @@ TEST(TimedNetwork, CrashDropsQueuedTimedEvents) {
   EXPECT_EQ(net.pending_messages(), 0u);
   net.run_units(6);  // the dead letter must not resurface
   EXPECT_FALSE(net.alive(b));
+}
+
+// ---------------------------------------------------------------------------
+// Causal chains against Timeout gaps
+// ---------------------------------------------------------------------------
+
+struct Hop final : MsgBase<Hop> {
+  int left = 0;     // links still to travel
+  Round start = 0;  // round when the chain began
+  int gap = 0;      // origin's Timeout count when the chain began
+  Hop(int l, Round s, int g) : left(l), start(s), gap(g) {}
+  std::string_view name() const override { return "Hop"; }
+};
+
+/// One member of a forwarding ring. The origin starts a chain of `hops`
+/// links on every Timeout; each member forwards a Hop to `next` until it
+/// has travelled them all, and the last receiver records the chain.
+class ChainNode final : public Node {
+ public:
+  struct Done {
+    Round start = 0;
+    Round end = 0;
+    int start_gap = 0;  // origin's Timeouts when the chain began
+    int end_gap = 0;    // ... and when it completed
+  };
+
+  void handle(PooledMsg msg) override {
+    auto* hop = msg_cast<Hop>(*msg);
+    ASSERT_NE(hop, nullptr);
+    if (hop->left > 1) {
+      net().emit<Hop>(next, hop->left - 1, hop->start, hop->gap);
+    } else {
+      done.push_back({hop->start, net().round(), hop->gap, origin->timeouts});
+    }
+  }
+  void timeout() override {
+    ++timeouts;
+    fired.push_back(net().round());
+    if (hops > 0) net().emit<Hop>(next, hops, net().round(), timeouts);
+  }
+
+  NodeId next;
+  int hops = 0;  // > 0 on the origin only
+  const ChainNode* origin = nullptr;
+  int timeouts = 0;
+  std::vector<Round> fired;  // the round of each Timeout
+  std::vector<Done> done;
+};
+
+/// A ring of `size` ChainNodes whose first member originates `hops`-link
+/// chains; returns the ids (the origin first).
+std::vector<NodeId> build_chain_ring(Network& net, std::size_t size, int hops) {
+  std::vector<NodeId> ids;
+  for (std::size_t i = 0; i < size; ++i) ids.push_back(net.spawn<ChainNode>());
+  const ChainNode& origin = net.node_as<ChainNode>(ids[0]);
+  for (std::size_t i = 0; i < size; ++i) {
+    auto& node = net.node_as<ChainNode>(ids[i]);
+    node.next = ids[(i + 1) % size];
+    node.origin = &origin;
+  }
+  net.node_as<ChainNode>(ids[0]).hops = hops;
+  return ids;
+}
+
+TEST(TimedScheduler, KHopChainSpansAtLeastKIntervalsUnderEveryProfile) {
+  // Handler sends are stamped at the interval end and every latency has a
+  // one-tick floor: each causal hop costs a full interval, whatever the
+  // profile, and the origin fires once per interval — so a k-hop chain
+  // always straddles k - 1 of its origin's Timeouts (under unequal
+  // Timeout periods the 3-hop chain below straddles none).
+  for (const char* profile : {"default", "lan", "wan", "geo"}) {
+    scenario::ExecutionSpec exec;
+    ASSERT_TRUE(scenario::apply_latency_profile(exec, profile));
+    for (int hops : {1, 3, 5}) {
+      Network net(43);
+      const std::vector<NodeId> ids = build_chain_ring(net, 3, hops);
+      net.set_scheduler(std::make_unique<sched::TimedScheduler>(net, exec.timed));
+      net.run_units(40);
+      const auto& last = net.node_as<ChainNode>(ids[static_cast<std::size_t>(hops) % 3]);
+      ASSERT_FALSE(last.done.empty()) << profile << " hops=" << hops;
+      for (const ChainNode::Done& d : last.done) {
+        EXPECT_GE(d.end - d.start, static_cast<Round>(hops))
+            << profile << " hops=" << hops;
+        EXPECT_GE(d.end_gap - d.start_gap, hops - 1) << profile << " hops=" << hops;
+      }
+    }
+  }
+}
+
+TEST(TimeoutPeriod, ThreeHopChainCompletesBetweenTwoTimeoutsOfItsOrigin) {
+  // Unequal process speeds: the chain origin -> b -> c -> origin takes
+  // three rounds, and deliveries are never gated, so an origin whose
+  // Timeout fires only every third round or less often sees each of its
+  // chains finish before its very next Timeout — three hops ran while
+  // the origin did not act. The periods come from the seed's hash, so
+  // the test also requires that some seed gives such a slow origin.
+  std::size_t slow_origins = 0;
+  for (std::uint64_t seed = 41; seed <= 60; ++seed) {
+    Network net(seed);
+    const std::vector<NodeId> ids = build_chain_ring(net, 3, 3);
+    net.set_max_timeout_period(4);
+    net.run_units(200);
+    const auto& origin = net.node_as<ChainNode>(ids[0]);
+    ASSERT_GE(origin.fired.size(), 2u) << "seed " << seed;
+    const Round period = origin.fired[1] - origin.fired[0];
+    for (std::size_t i = 1; i < origin.fired.size(); ++i) {
+      ASSERT_EQ(origin.fired[i] - origin.fired[i - 1], period) << "seed " << seed;
+    }
+    ASSERT_LE(period, 4u) << "seed " << seed;
+    if (period < 3) continue;
+    ++slow_origins;
+    ASSERT_FALSE(origin.done.empty()) << "seed " << seed;
+    for (const ChainNode::Done& d : origin.done) {
+      EXPECT_EQ(d.end_gap, d.start_gap) << "seed " << seed << ", chain from " << d.start;
+    }
+  }
+  EXPECT_GT(slow_origins, 0u);
 }
 
 TEST(TimedNetworkDeathTest, ReplacingAnEngineThatHoldsMessagesAborts) {
