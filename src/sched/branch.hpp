@@ -65,8 +65,7 @@ class BranchScheduler final : public Scheduler {
   /// round clock.
   void barrier(sim::Network& net) {
     sim::EngineSeam seam(net);
-    seam.timeout_sweep();
-    seam.round_end();
+    seam.round_end(seam.timeout_sweep());
   }
 
   /// Messages sent during the current round (the next round's batch), in

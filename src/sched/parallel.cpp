@@ -11,10 +11,11 @@ ParallelScheduler::ParallelScheduler(unsigned threads) {
   workers_.reserve(threads);
   for (unsigned w = 0; w < threads; ++w) {
     auto worker = std::make_unique<Worker>();
-    worker->ctx.lane = &worker->lane;
-    worker->ctx.metrics = &worker->metrics;
-    worker->ctx.pool = &worker->pool;
-    worker->ctx.latency = &worker->latency;
+    for (sim::SendContext* ctx : {&worker->ctx, &worker->timeout_ctx}) {
+      ctx->metrics = &worker->metrics;
+      ctx->pool = &worker->pool;
+      ctx->latency = &worker->latency;
+    }
     worker->free_lane.own = &worker->pool;
     workers_.push_back(std::move(worker));
   }
@@ -36,10 +37,18 @@ void ParallelScheduler::stop_workers() {
   threads_.clear();
 }
 
-void ParallelScheduler::run_slice(Worker& w) {
-  sim::detail::tls_send_ctx = &w.ctx;
+void ParallelScheduler::run_shard(Worker& w) {
+  sim::EngineSeam seam(*net_);
+  // Group the messages addressed to this worker's slot range, deliver
+  // them, then fire the range's Timeouts, each action sending into the
+  // worker's own lane for this round.
+  const auto [begin, end] = seam.group(w.first_slot, w.last_slot);
+  w.grouped = end - begin;
   sim::detail::tls_free_lane = &w.free_lane;
-  w.delivered = sim::EngineSeam(*net_).deliver(w.begin, w.end, w.ctx);
+  sim::detail::tls_send_ctx = &w.ctx;
+  w.delivered = seam.deliver(begin, end, w.ctx);
+  sim::detail::tls_send_ctx = &w.timeout_ctx;
+  w.timeouts = seam.timeouts(w.first_slot, w.last_slot, w.timeout_ctx);
   sim::detail::tls_send_ctx = nullptr;
   sim::detail::tls_free_lane = nullptr;
 }
@@ -53,7 +62,7 @@ void ParallelScheduler::worker_main(std::size_t index) {
       if (shutdown_) return;
       seen = generation_;
     }
-    run_slice(*workers_[index]);
+    run_shard(*workers_[index]);
     {
       std::lock_guard<std::mutex> lk(mu_);
       if (--running_ == 0) done_cv_.notify_one();
@@ -64,39 +73,32 @@ void ParallelScheduler::worker_main(std::size_t index) {
 std::size_t ParallelScheduler::advance(sim::Network& net) {
   SSPS_ASSERT_MSG(!shutdown_, "advance: scheduler was retired");
   sim::EngineSeam seam(net);
-  const std::size_t batch = seam.round_begin();
+  const std::size_t batch = seam.shuffle();
   const std::size_t worker_count = workers_.size();
 
-  // Static shard partition: contiguous slot-id ranges of equal width.
-  // The grouped batch is sorted by target id, so shard w's work is the
-  // contiguous slice [boundary(w), boundary(w + 1)), read off the
-  // counting-sort offsets (after round_begin, group_end(v) is the END of
-  // id v's group).
-  // Workers past the population get an empty slice. The partition never
+  // Static shard partition: contiguous slot ranges of equal width. Each
+  // worker groups, delivers to and times out exactly its own range.
+  // Workers past the population get an empty range. The partition never
   // influences the trace — only which thread performs which
-  // (unobservable, see parallel.hpp) slice of the work.
+  // (unobservable, see parallel.hpp) share of the work. The round's sends
+  // go to the lanes the batch was not read from, so no worker writes a
+  // lane another may still be grouping from.
   const std::size_t slots = net.slot_count();
   const std::size_t chunk = (slots + worker_count - 1) / worker_count;
-  auto boundary = [&](std::size_t shard) {
-    const std::size_t hi = std::min(shard * chunk, slots);
-    return hi == 0 ? std::size_t{0} : static_cast<std::size_t>(seam.group_end(hi));
-  };
   for (std::size_t w = 0; w < worker_count; ++w) {
-    workers_[w]->begin = boundary(w);
-    workers_[w]->end = boundary(w + 1);
-    workers_[w]->delivered = 0;
+    Worker& worker = *workers_[w];
+    worker.first_slot = std::min(w * chunk, slots);
+    worker.last_slot = std::min((w + 1) * chunk, slots);
+    worker.ctx.lane = &worker.lanes[parity_];
+    worker.timeout_ctx.lane = &worker.timeout_lanes[parity_];
   }
-  SSPS_ASSERT(boundary(worker_count) == batch);
 
-  // Concurrent delivery phase. The mutex hand-offs publish net_ and the
-  // slice bounds to the workers, and every worker-side write (node
-  // state, lanes, shards) back to this thread — which is the round
+  // The concurrent phase. The mutex hand-offs publish net_, the shuffled
+  // batch and the ranges to the workers, and every worker-side write
+  // (node state, lanes, shards) back to this thread — which is the round
   // barrier the incremental probes' plain (non-atomic) version counters
-  // rely on.
-  // Quiescent rounds (empty batch) skip the wake/barrier handshake —
-  // every slice is empty, so sharding nothing is trace-safe and drain
-  // loops don't pay N-1 futile wakeups per round.
-  const bool fan_out = worker_count > 1 && batch > 0;
+  // rely on. The calling thread is worker 0.
+  const bool fan_out = worker_count > 1;
   seam.set_parallel_phase(true);
   net_ = &net;
   if (fan_out) {
@@ -107,7 +109,7 @@ std::size_t ParallelScheduler::advance(sim::Network& net) {
     }
     work_cv_.notify_all();
   }
-  run_slice(*workers_[0]);  // the calling thread is worker 0
+  run_shard(*workers_[0]);
   if (fan_out) {
     std::unique_lock<std::mutex> lk(mu_);
     done_cv_.wait(lk, [&] { return running_ == 0; });
@@ -115,25 +117,30 @@ std::size_t ParallelScheduler::advance(sim::Network& net) {
   net_ = nullptr;
   seam.set_parallel_phase(false);
 
-  // Deterministic merge, in worker order: repatriate deferred frees to
-  // the pools that own them and splice each lane onto the main in-flight
-  // buffer, which reproduces the serial emission order, since the shards
-  // partition the grouped batch contiguously in target-id order. The
-  // sequential timeout sweep then appends its sends after every lane,
-  // exactly as the serial round does.
+  // The round barrier, in worker order: the batch is consumed, deferred
+  // frees go back to the pools that own them, and every delivery lane and
+  // then every Timeout lane is parked as a segment of the in-flight lane.
+  // Deliveries by target, then Timeouts by id, is exactly the serial
+  // round's send order.
+  seam.consume();
+  std::size_t grouped = 0;
   std::size_t delivered = 0;
+  std::size_t timeouts = 0;
   for (std::unique_ptr<Worker>& wp : workers_) {
     Worker& w = *wp;
     for (const sim::DeferredFree& f : w.free_lane.deferred) {
       f.pool->reclaim(f.handle);
     }
     w.free_lane.deferred.clear();
-    seam.lane().insert(seam.lane().end(), w.lane.begin(), w.lane.end());
-    w.lane.clear();
+    seam.park(w.lanes[parity_]);
+    grouped += w.grouped;
     delivered += w.delivered;
+    timeouts += w.timeouts;
   }
-  seam.timeout_sweep();
-  seam.round_end();
+  for (std::unique_ptr<Worker>& wp : workers_) seam.park(wp->timeout_lanes[parity_]);
+  parity_ ^= 1;
+  SSPS_ASSERT(grouped == batch);
+  seam.round_end(timeouts);
   return delivered;
 }
 

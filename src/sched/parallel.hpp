@@ -1,32 +1,43 @@
-// Deterministic parallel round scheduler: sharded in-flight lanes over a
-// persistent worker pool, bit-identical to the single-threaded core.
+// Deterministic parallel round scheduler: every phase of a round runs on
+// a persistent worker pool, bit-identical to the single-threaded core.
 //
 // Why the trace equality holds by construction:
 //
-//   1. Shuffle + group stay sequential and untouched. Each round begins
-//      exactly as the serial scheduler's does: the merged in-flight
-//      buffer (whose order reproduces the serial send order, see 3) is
-//      swapped out, shuffled with the same seeded stream, and grouped by
-//      target with the same stable counting sort. The batch handed to
-//      the delivery phase is therefore byte-for-byte the serial batch.
-//   2. Sharded delivery is unobservable. The grouped batch is sliced
-//      into contiguous target-id ranges, one per worker. Within a slice
-//      a worker delivers in the serial in-slice order; across slices,
+//   1. The batch is the serial batch. Each round begins as the serial
+//      scheduler's does: the in-flight lane (whose canonical order
+//      reproduces the serial send order, see 3) is shuffled with the same
+//      seeded stream, on the calling thread — as (target, index) keys,
+//      which take the same Fisher-Yates draws as shuffling the envelopes.
+//      The same pass counts each target's messages, which fixes where
+//      every target's group starts. Each worker then copies the messages
+//      addressed to its own slot range into their groups, in shuffled
+//      order: the stable counting sort of the serial round, so the
+//      grouped batch is byte-for-byte the serial one, and each worker
+//      writes only the part it is about to deliver.
+//   2. Sharded actions are unobservable. A worker delivers its part of
+//      the grouped batch in the serial in-slice order, then fires the due
+//      Timeouts of its slot range in id order. Across workers,
 //      interleaving cannot be observed by any node, because a node's
 //      actions touch only that node's state and per-node RNG stream, and
 //      everything sent this round arrives next round (the same argument
-//      that already justifies grouped delivery and the id-order timeout
-//      sweep in the serial core).
-//   3. The merge reproduces the serial send order. A worker's sends
-//      append to its private lane (through its SendContext — no atomics
-//      anywhere on the send path). Serial emission order is "grouped
-//      batch processed front to back"; since the shards partition the
-//      grouped batch contiguously in target-id order, concatenating the
-//      lanes in worker order at the barrier is exactly that order. The
-//      sequential id-order timeout sweep then appends its sends after
-//      all lanes, as in the serial round. The next round's shuffle
-//      consumes the same buffer contents in the same order with the same
-//      RNG stream — so the rounds stay locked together forever.
+//      that already justifies grouped delivery and the id-order Timeout
+//      sweep in the serial core). A Timeout reads shared state only
+//      through the crash log and the round clock (the supervisor's
+//      failure detector), and neither changes during the phase.
+//   3. The parked lanes reproduce the serial send order. A worker's
+//      delivery sends append to its private delivery lane and its Timeout
+//      sends to its private Timeout lane (through its SendContexts — no
+//      atomics anywhere on the send path). Serial emission order is "the
+//      grouped batch front to back, then the Timeouts in id order"; since
+//      the shards partition both contiguously in target-id order, all
+//      delivery lanes in worker order followed by all Timeout lanes in
+//      worker order is exactly that order. The lanes are not copied: the
+//      Network parks them as segments of the in-flight lane, ahead of its
+//      main lane, where harness sends between rounds append. The next
+//      round's shuffle consumes the same sequence with the same RNG
+//      stream — so the rounds stay locked together forever. (That round
+//      sends into each worker's other lane set, so grouping never reads a
+//      lane that is being written.)
 //   4. Everything else is commutative bookkeeping. Per-worker Metrics
 //      shards hold integer counters folded (in worker-id order, row by
 //      row on MsgTypeId) into the main Metrics when read; per-worker
@@ -39,8 +50,9 @@
 // CI enforces this with twin-run cmp across thread counts.
 //
 // Constraints: topology mutations (spawn/crash/inject) must happen
-// between rounds (Network asserts this during the parallel phase); the
-// timed scheduler is unaffected and stays serial.
+// between rounds, never from a handler or a Timeout (Network asserts this
+// during the parallel phase); the timed scheduler is unaffected and stays
+// serial.
 #pragma once
 
 #include <condition_variable>
@@ -61,7 +73,7 @@ namespace ssps::sched {
 class ParallelScheduler final : public Scheduler {
  public:
   /// Spawns `threads - 1` pool threads (the calling thread acts as
-  /// worker 0 during each round's delivery phase).
+  /// worker 0 in every round).
   explicit ParallelScheduler(unsigned threads);
   ~ParallelScheduler() override;
 
@@ -78,24 +90,31 @@ class ParallelScheduler final : public Scheduler {
 
  private:
   /// One worker's private world: message arena, metrics shard, latency
-  /// shard, in-flight lane, deferred-free lane, and the SendContext tying
-  /// them together. Persistent across rounds so slab freelists keep
-  /// recycling.
+  /// shard, delivery and Timeout lanes, deferred-free lane, and the two
+  /// SendContexts tying them together. Persistent across rounds so slab
+  /// freelists keep recycling. The lanes come in two sets used in
+  /// alternate rounds: a round's sends land in one set while its batch is
+  /// read from the other, parked in the Network since the round before.
   struct Worker {
     sim::MessagePool pool;
     sim::Metrics metrics;
     telemetry::LatencyTracker latency;
-    std::vector<sim::Envelope> lane;
+    std::vector<sim::Envelope> lanes[2];
+    std::vector<sim::Envelope> timeout_lanes[2];
     sim::FreeLane free_lane;
-    sim::SendContext ctx;
-    std::size_t begin = 0;  // this round's slice of the grouped batch
-    std::size_t end = 0;
+    sim::SendContext ctx;          // delivery sends -> lanes[parity_]
+    sim::SendContext timeout_ctx;  // Timeout sends -> timeout_lanes[parity_]
+    std::size_t first_slot = 0;    // this round's slot range
+    std::size_t last_slot = 0;
+    std::size_t grouped = 0;
     std::size_t delivered = 0;
+    std::size_t timeouts = 0;
   };
 
   void worker_main(std::size_t index);
-  /// Delivers the worker's slice with TLS routed at its private context.
-  void run_slice(Worker& w);
+  /// Runs the worker's share of a round with TLS routed at its private
+  /// contexts: group its slot range, deliver, fire its Timeouts.
+  void run_shard(Worker& w);
   /// Signals shutdown and joins the pool threads (idempotent).
   void stop_workers();
 
@@ -105,10 +124,11 @@ class ParallelScheduler final : public Scheduler {
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
-  std::uint64_t generation_ = 0;  // bumped once per delivery phase
-  std::size_t running_ = 0;       // pool workers still in the phase
+  std::uint64_t generation_ = 0;  // bumped once per round
+  std::size_t running_ = 0;       // pool workers still in the round
   bool shutdown_ = false;
   sim::Network* net_ = nullptr;  // round-scoped; guarded by the barrier
+  std::size_t parity_ = 0;       // which lane set this round sends into
 };
 
 }  // namespace ssps::sched

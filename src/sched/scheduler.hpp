@@ -9,8 +9,9 @@
 // in-flight lane, the main SendContext, shard fold targets), and keeps
 // whatever else its policy needs as its own state: the timed engine's
 // event heap and link model (timed.hpp). Unequal process speeds are not
-// an engine: every engine's round ends in the Network's timeout sweep,
-// which Network::set_max_timeout_period gates per node. Front-ends like
+// an engine: every engine's round ends in the Network's Timeouts (one
+// sweep, or one id range per parallel worker), which
+// Network::set_max_timeout_period gates per node. Front-ends like
 // the ScenarioRunner never special-case a mode.
 //
 // The contract every implementation must honor: for a fixed (seed, call

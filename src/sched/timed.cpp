@@ -49,9 +49,9 @@ std::size_t TimedScheduler::advance(sim::Network& net) {
   // (constant-1 latency then puts them at the next deadline in send
   // order — the next round's batch). Same for the timeout sweep's sends.
   schedule_sends(seam, now_);
-  seam.timeout_sweep();
+  const std::size_t timeouts = seam.timeout_sweep();
   schedule_sends(seam, now_);
-  seam.round_end();
+  seam.round_end(timeouts);
   return delivered;
 }
 

@@ -37,16 +37,16 @@ Network::Network(std::uint64_t seed) : seed_(seed), rng_(seed) {
 }
 
 Network::~Network() {
-  // The in-flight buffers hold raw pool handles; reclaim them before the
+  // The in-flight lane holds raw pool handles; reclaim them before the
   // pools die so their leak accounting stays exact. Envelopes may live in
-  // scheduler-owned worker pools, so drain before the schedulers (and
-  // with them their pools) are destroyed; the installed engine reclaims
-  // whatever it holds as it is destroyed. (The grouped scatter array
-  // never holds handles across units.)
+  // scheduler-owned worker pools, and parked segments in the installed
+  // scheduler's workers, so drain before the schedulers (and with them
+  // their pools) are destroyed; the installed engine reclaims whatever it
+  // holds as it is destroyed. (The grouped scatter array never holds
+  // handles across units.)
+  unpark();
   for (const Envelope& env : pending_) env.pool->destroy(env.msg, env.handle);
-  for (const Envelope& env : round_batch_) env.pool->destroy(env.msg, env.handle);
   pending_.clear();
-  round_batch_.clear();
   retired_schedulers_.clear();
   scheduler_.reset();
 }
@@ -72,16 +72,32 @@ NodeId Network::register_node(std::unique_ptr<Node> node) {
 }
 
 void Network::drop_pending_for(NodeId to) {
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    if (pending_[i].to == to) {
-      reclaim(pending_[i]);
-    } else {
-      pending_[kept++] = pending_[i];
+  auto drop_from = [&](std::vector<Envelope>& lane) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < lane.size(); ++i) {
+      if (lane[i].to == to) {
+        reclaim(lane[i]);
+      } else {
+        lane[kept++] = lane[i];
+      }
     }
-  }
-  pending_.resize(kept);
+    lane.resize(kept);
+  };
+  for (std::vector<Envelope>* lane : parked_) drop_from(*lane);
+  drop_from(pending_);
   scheduler_->drop_held_for(*this, to);
+}
+
+void Network::unpark() {
+  if (parked_.empty()) return;
+  std::vector<Envelope> lane;
+  for (std::vector<Envelope>* parked : parked_) {
+    lane.insert(lane.end(), parked->begin(), parked->end());
+    parked->clear();
+  }
+  lane.insert(lane.end(), pending_.begin(), pending_.end());
+  pending_.swap(lane);
+  parked_.clear();
 }
 
 void Network::reclaim(const Envelope& env) {
@@ -172,31 +188,57 @@ void Network::inject(NodeId to, PooledMsg msg) {
 
 void Network::for_each_in_flight(
     const std::function<void(const Envelope&)>& fn) const {
+  for (const std::vector<Envelope>* lane : parked_) {
+    for (const Envelope& env : *lane) fn(env);
+  }
   for (const Envelope& env : pending_) fn(env);
   scheduler_->for_each_held(fn);
 }
 
 std::size_t Network::pending_messages() const {
-  std::size_t held = 0;
-  scheduler_->for_each_held([&](const Envelope&) { ++held; });
-  return pending_.size() + held;
+  std::size_t count = pending_.size();
+  for (const std::vector<Envelope>* lane : parked_) count += lane->size();
+  scheduler_->for_each_held([&](const Envelope&) { ++count; });
+  return count;
 }
 
-void Network::fire_timeout(std::size_t index) {
-  // The sweep is sequential, so the Timeout's sends go through the main
-  // context.
-  main_ctx_.acting = id_at(index);
-  slots_[index].node->timeout();
-  main_ctx_.acting = NodeId::null();
-}
-
-std::size_t Network::round_begin(std::vector<Envelope>& batch) {
+std::size_t Network::shuffle_batch(std::vector<Envelope>* engine_batch) {
   // Batch order is canonical (send order — under the parallel scheduler,
-  // the round-barrier merge reproduces it exactly; the timed engine's
+  // the parked lanes reproduce it exactly; the timed engine's
   // time-then-send order otherwise), so the shuffled delivery order
   // depends only on the seed, never on the worker count.
-  rng_.shuffle(batch);
-  // Group the shuffled batch by target (stable counting sort), so each
+  batch_.clear();
+  keys_.clear();
+  scatter_offsets_.assign(slots_.size() + 1, 0);
+  auto take = [&](std::vector<Envelope>& lane) {
+    if (lane.empty()) return;
+    const std::size_t begin = keys_.size();
+    batch_.push_back(BatchLane{&lane, lane.data(), static_cast<std::uint32_t>(begin)});
+    keys_.resize(begin + lane.size());
+    for (std::size_t j = 0; j < lane.size(); ++j) {
+      const std::uint64_t to = lane[j].to.value;
+      keys_[begin + j] = (to << 32) | (begin + j);
+      ++scatter_offsets_[to];
+    }
+  };
+  if (engine_batch != nullptr) {
+    take(*engine_batch);
+  } else {
+    for (std::vector<Envelope>* lane : parked_) take(*lane);
+    take(pending_);
+    parked_.clear();
+  }
+  const std::size_t size = keys_.size();
+  SSPS_ASSERT_MSG(size <= UINT32_MAX && slots_.size() < UINT32_MAX,
+                  "round batch or population exceeds 2^32");
+  // Fisher-Yates draws depend only on the length, so shuffling keys gives
+  // the permutation shuffling the envelopes would.
+  rng_.shuffle(keys_);
+  if (grouped_cap_ < size) {
+    grouped_cap_ = std::max(size, grouped_cap_ * 2);
+    grouped_ = std::make_unique<Envelope[]>(grouped_cap_);
+  }
+  // Group the shuffled batch by target (a stable counting sort), so each
   // node's state is pulled into cache once per round, not once per
   // message. Observably equivalent to delivering in fully shuffled
   // order: nodes interact only through messages that arrive next round,
@@ -204,29 +246,42 @@ std::size_t Network::round_begin(std::vector<Envelope>& batch) {
   // trajectory — while each channel still sees a uniformly random
   // permutation of its own messages (inherited from the shuffle). The
   // same argument is what lets the parallel scheduler deliver disjoint
-  // target ranges concurrently (src/sched/parallel.hpp).
-  const std::size_t size = batch.size();
-  if (grouped_cap_ < size) {
-    grouped_cap_ = std::max(size, grouped_cap_ * 2);
-    grouped_ = std::make_unique<Envelope[]>(grouped_cap_);
-  }
-  scatter_offsets_.assign(slots_.size() + 1, 0);
-  for (const Envelope& env : batch) {
-    ++scatter_offsets_[static_cast<std::size_t>(env.to.value)];
-  }
+  // target ranges concurrently (src/sched/parallel.hpp). Target id v's
+  // group starts after every message to a lower id:
   std::uint32_t running = 0;
-  for (std::size_t i = 1; i < scatter_offsets_.size(); ++i) {
-    const std::uint32_t count = scatter_offsets_[i];
-    scatter_offsets_[i] = running;
+  for (std::uint32_t& cell : scatter_offsets_) {
+    const std::uint32_t count = cell;
+    cell = running;
     running += count;
   }
-  for (const Envelope& env : batch) {
-    grouped_[scatter_offsets_[static_cast<std::size_t>(env.to.value)]++] = env;
+  return size;
+}
+
+std::pair<std::size_t, std::size_t> Network::group_range(std::size_t first,
+                                                         std::size_t last) {
+  if (first == last) return {0, 0};
+  const std::uint64_t lo = id_at(first).value;
+  const std::uint64_t span = last - first;
+  std::uint32_t* next = scatter_offsets_.data();
+  const std::size_t begin = next[lo];
+  for (const std::uint64_t key : keys_) {
+    const std::uint64_t to = key >> 32;
+    if (to - lo < span) grouped_[next[to]++] = batch_at(static_cast<std::uint32_t>(key));
   }
-  // scatter_offsets_[v] is now the END of target id v's group (groups lie
-  // in id order), which is exactly the shard-boundary table the parallel
-  // scheduler slices grouped_ with.
-  batch.clear();
+  // next[v] is now the END of target id v's group (groups lie in id
+  // order): the table EngineSeam::group_end reads.
+  return {begin, next[lo + span - 1]};
+}
+
+void Network::consume_batch() {
+  for (const BatchLane& lane : batch_) lane.lane->clear();
+  batch_.clear();
+}
+
+std::size_t Network::group_batch(std::vector<Envelope>* engine_batch) {
+  const std::size_t size = shuffle_batch(engine_batch);
+  group_range(0, slots_.size());
+  consume_batch();
   return size;
 }
 
@@ -255,23 +310,25 @@ std::size_t Network::deliver_grouped_range(std::size_t begin, std::size_t end,
   return delivered;
 }
 
-void Network::timeout_sweep() {
-  // Fire Timeouts in id order (a sequential sweep over the dense table).
-  // Equivalent to a randomized order: a Timeout reads and writes only its
-  // own node's state and draws from its own per-node stream, and
-  // everything it sends is delivered next round, so cross-node firing
-  // order within a round is unobservable. Index-based iteration over a
-  // size snapshot: a timeout() may spawn (reallocating the table), and
-  // nodes born mid-round first fire next round — as before.
-  const std::size_t population = slots_.size();
-  std::size_t timeouts = 0;
-  for (std::size_t i = 0; i < population; ++i) {
-    if (slots_[i].node != nullptr && timeout_due(i)) {
-      fire_timeout(i);
-      ++timeouts;
-    }
+std::size_t Network::fire_timeouts(std::size_t begin, std::size_t end,
+                                   SendContext& ctx) {
+  // Fire Timeouts in id order (a sweep over the dense table). Equivalent
+  // to a randomized order: a Timeout reads and writes only its own node's
+  // state and draws from its own per-node stream, and everything it sends
+  // is delivered next round, so cross-node firing order within a round is
+  // unobservable — which is also why disjoint ranges may run concurrently.
+  // Index-based iteration up to the caller's size snapshot: under the
+  // serial engines a timeout() may spawn (reallocating the table), and
+  // nodes born mid-round first fire next round.
+  std::size_t fired = 0;
+  for (std::size_t i = begin; i < end; ++i) {
+    if (slots_[i].node == nullptr || !timeout_due(i)) continue;
+    ctx.acting = id_at(i);
+    slots_[i].node->timeout();
+    ++fired;
   }
-  last_round_timeouts_ = timeouts;
+  ctx.acting = NodeId::null();
+  return fired;
 }
 
 bool Network::timeout_due(std::size_t index) const {
@@ -323,8 +380,8 @@ std::optional<std::size_t> Network::run_until(const std::function<bool()>& pred,
   // fired zero timeouts executed no action, so no node variable and no
   // channel changed — a predicate over the simulated state that was false
   // before such a round is still false after it (the same reasoning as the
-  // delivery-grouping note in round_begin: state only moves when an action
-  // runs). Skipping the re-evaluation is therefore observably equivalent;
+  // delivery-grouping note in shuffle_batch: state only moves when an
+  // action runs). Skipping the re-evaluation is therefore observably equivalent;
   // it matters for waits over empty or fully-crashed populations, where
   // every round is quiescent and an O(n)-ish probe per round would be pure
   // overhead.
@@ -347,9 +404,14 @@ void Network::set_scheduler(std::unique_ptr<sched::Scheduler> scheduler) {
   SSPS_ASSERT_MSG(trace_ == nullptr || scheduler->threads() == 1,
                   "set_scheduler: tracing is serial-only");
   if (scheduler_ != nullptr) {
-    SSPS_ASSERT_MSG(pending_messages() == pending_.size(),
+    std::size_t held = 0;
+    scheduler_->for_each_held([&](const Envelope&) { ++held; });
+    SSPS_ASSERT_MSG(held == 0,
                     "set_scheduler: the installed engine still holds in-flight "
                     "messages");
+    // The old engine's parked lanes join the main lane in canonical
+    // order, so the new engine reads them as it would have.
+    unpark();
     // In-flight envelopes may have been allocated from the old
     // scheduler's worker pools; retire it (alive until the Network dies)
     // instead of destroying those slabs under the messages. It will

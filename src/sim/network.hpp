@@ -21,14 +21,17 @@
 //
 // Large-n layout: nodes live in one dense vector indexed by NodeId (a
 // crashed node leaves a tombstone slot), and all channels share one
-// append-only in-flight buffer of pooled message handles — a send is a
-// sequential push, and a round turns the whole buffer into its shuffled
-// delivery batch with a single swap. Delivery order is a canonical
-// function of (seed, call sequence) — independent of container internals,
-// so runs replay bit-for-bit on any standard library. All send-side
-// effects (lane append, metrics, pool allocation, sender attribution) are
-// routed through a SendContext so a parallel worker's sends land in its
-// private lane without any atomics on the hot path.
+// append-only in-flight lane of pooled message handles — a send is a
+// sequential push, and a round groups the whole lane by target through a
+// shuffled index permutation. The lane may be split into segments: the
+// parallel scheduler's worker lanes stay parked where their sends landed,
+// ahead of the Network's main lane, and every reader walks all segments
+// in that canonical order. Delivery order is a canonical function of
+// (seed, call sequence) — independent of container internals, so runs
+// replay bit-for-bit on any standard library. All send-side effects (lane
+// append, metrics, pool allocation, sender attribution) are routed
+// through a SendContext so a parallel worker's sends land in its private
+// lane without any atomics on the hot path.
 #pragma once
 
 #include <concepts>
@@ -60,10 +63,11 @@ namespace ssps::sim {
 /// One in-flight message (internal to the sim/sched layer). All
 /// undelivered messages live in flat vectors ("lanes"), not in per-node
 /// queues: sends append sequentially (cache-friendly), and the round
-/// scheduler turns the merged lanes into the next round's shuffled
-/// delivery batch. `pool` is the arena the message was allocated from —
-/// under the parallel scheduler each worker allocates from its own pool,
-/// so the envelope must remember its origin to recycle the slot.
+/// scheduler turns the lanes, read in canonical order, into the next
+/// round's shuffled delivery batch. `pool` is the arena the message was
+/// allocated from — under the parallel scheduler each worker allocates
+/// from its own pool, so the envelope must remember its origin to
+/// recycle the slot.
 struct Envelope {
   NodeId to;
   /// Sender attribution: the node whose action executed the send, or null
@@ -76,8 +80,8 @@ struct Envelope {
   MessagePool* pool = nullptr;
   MsgHandle handle;
   /// Canonical send order, stamped on the main lane only (worker-lane
-  /// envelopes get 0; the round-barrier merge order already reproduces
-  /// send order for those). Monotone and never reused: the timed
+  /// envelopes get 0; the parked lanes' order already reproduces send
+  /// order for those). Monotone and never reused: the timed
   /// scheduler's equal-deadline tie-break and the deployment's relay
   /// lookup both key on it.
   std::uint64_t seq = 0;
@@ -106,9 +110,9 @@ struct SendContext {
 
 namespace detail {
 /// Null outside parallel round phases; a parallel round worker points
-/// this at its own context around its delivery slice. constinit: with a
-/// constant initializer no TU emits a dynamic-init guard, so a read
-/// outside network.cpp is a plain TLS load.
+/// this at its own contexts around its delivery slice and its Timeouts.
+/// constinit: with a constant initializer no TU emits a dynamic-init
+/// guard, so a read outside network.cpp is a plain TLS load.
 extern thread_local constinit SendContext* tls_send_ctx;
 }  // namespace detail
 
@@ -238,8 +242,9 @@ class Network {
   /// pool plus any scheduler-owned worker pools).
   std::size_t pool_reserved_bytes() const;
 
-  /// Total number of messages currently sitting in channels: the lane
-  /// plus whatever the installed engine holds (the timed event heap).
+  /// Total number of messages currently sitting in channels: every
+  /// segment of the lane plus whatever the installed engine holds (the
+  /// timed event heap).
   std::size_t pending_messages() const;
 
   // ---- Scheduling -----------------------------------------------------
@@ -274,10 +279,11 @@ class Network {
 
   /// Installs a scheduler instance (set_threads is the entry point for
   /// the round schedulers). May be called mid-run at a unit boundary: the
-  /// previous scheduler is retired, not destroyed, because in-flight
-  /// envelopes may live in its worker pools. Aborts if the previous
-  /// engine still holds in-flight messages — nothing would ever deliver
-  /// them.
+  /// previous scheduler's parked lanes fold into the main lane, in
+  /// canonical order, and the scheduler is retired, not destroyed,
+  /// because in-flight envelopes may live in its worker pools. Aborts if
+  /// the previous engine still holds in-flight messages — nothing would
+  /// ever deliver them.
   void set_scheduler(std::unique_ptr<sched::Scheduler> scheduler);
 
   /// Worker count of the installed round scheduler.
@@ -417,7 +423,7 @@ class Network {
     env.msg = msg.get();
     env.pool = msg.pool();
     // The canonical send counter lives on the main lane; worker lanes are
-    // merged in send-reproducing order anyway, and a shared counter would
+    // parked in send-reproducing order anyway, and a shared counter would
     // be a cross-thread write on the parallel hot path.
     if (ctx.lane == &pending_) env.seq = next_send_seq_++;
     env.handle = msg.release();
@@ -425,13 +431,36 @@ class Network {
   }
 
   // ---- Round phases (reached through EngineSeam) -----------------------
+  //
+  // Phase A turns the batch into grouped_: the seeded shuffle, then a
+  // stable group-by-target counting sort. The serial engines group every
+  // slot on the calling thread; the parallel scheduler's workers each
+  // group their own slot range, which is the range they deliver to.
 
-  /// Phase A (sequential): turns `batch` (consumed) into this round's
-  /// delivery batch: the seeded shuffle, then the stable group-by-target
-  /// counting sort. Returns the batch size; after it, scatter_offsets_[v]
-  /// is the END offset of target id v's group in grouped_ (so shard slice
-  /// boundaries are scatter_offsets_ lookups).
-  std::size_t round_begin(std::vector<Envelope>& batch);
+  /// A1 (sequential): makes `engine_batch`, or else the in-flight lane
+  /// (every parked segment, then the main lane), this round's batch,
+  /// shuffles it as (target, batch index) keys — the same Fisher-Yates
+  /// draws as shuffling the envelopes themselves — and sets
+  /// scatter_offsets_[v] to where target id v's group starts in grouped_.
+  /// Returns the batch size.
+  std::size_t shuffle_batch(std::vector<Envelope>* engine_batch);
+  /// A2: copies the batch messages addressed to slots [first, last) into
+  /// their groups, each group in shuffled order, and returns the grouped_
+  /// range they occupy. Afterwards scatter_offsets_[v] is the END of
+  /// target id v's group, for v in the range. Disjoint ranges may be
+  /// grouped concurrently: each writes only its own cells of
+  /// scatter_offsets_ and its own part of grouped_.
+  std::pair<std::size_t, std::size_t> group_range(std::size_t first, std::size_t last);
+  /// A3 (sequential): empties the lanes the batch was read from.
+  void consume_batch();
+  /// A1-A3 over every slot on the calling thread; returns the batch size.
+  std::size_t group_batch(std::vector<Envelope>* engine_batch);
+  /// The i-th envelope of this round's batch, in canonical order.
+  const Envelope& batch_at(std::uint32_t i) const {
+    std::size_t s = 0;
+    for (std::size_t k = 1; k < batch_.size(); ++k) s += i >= batch_[k].begin;
+    return batch_[s].data[i - batch_[s].begin];
+  }
 
   /// Phase B: delivers grouped_[begin, end) — a contiguous run of target
   /// groups — accounting through `ctx`. Safe to run concurrently for
@@ -441,14 +470,20 @@ class Network {
   std::size_t deliver_grouped_range(std::size_t begin, std::size_t end,
                                     SendContext& ctx);
 
-  /// Phase C (sequential): fires the due Timeouts in id order; sends
-  /// append to the main in-flight buffer, after every merged delivery
-  /// lane.
-  void timeout_sweep();
+  /// Phase C: fires the due Timeouts of slots [begin, end) in id order,
+  /// sending through `ctx`; returns how many fired. Timeouts are
+  /// parallel-phase actions: the parallel scheduler runs each worker's id
+  /// range right after its delivery slice, so under more than one worker
+  /// a Timeout may not spawn, crash or inject (the Network aborts), just
+  /// like a handler.
+  std::size_t fire_timeouts(std::size_t begin, std::size_t end, SendContext& ctx);
+  /// Phase C over every slot through the main context: the serial
+  /// engines' sweep. Sends append to the main lane after the round's
+  /// deliveries. Returns how many fired.
+  std::size_t timeout_sweep() { return fire_timeouts(0, slots_.size(), main_ctx_); }
   /// True if slot `index` fires its Timeout this round (always, at the
   /// default period 1; see set_max_timeout_period).
   bool timeout_due(std::size_t index) const;
-  void fire_timeout(std::size_t index);
   /// Reclaims an envelope without delivering it: the message invokes no
   /// action (crash drops, link loss, discarded branch slots).
   void reclaim(const Envelope& env);
@@ -457,8 +492,11 @@ class Network {
   void push_sample(std::size_t delivered);
   /// Reclaims every pending message addressed to `to` (crash path).
   void drop_pending_for(NodeId to);
-  /// Calls fn for every in-flight envelope: the lane, then the engine's.
+  /// Calls fn for every in-flight envelope in canonical order: each
+  /// parked segment, the main lane, then what the engine holds.
   void for_each_in_flight(const std::function<void(const Envelope&)>& fn) const;
+  /// Folds the parked segments into the front of the main lane.
+  void unpark();
 
   // ---- Telemetry hooks (cold paths; only reached when attached) -------
   void trace_send(NodeId from, NodeId to, const Message& msg, bool enqueued);
@@ -470,7 +508,13 @@ class Network {
 
   std::vector<Slot> slots_;  // index = NodeId.value - 1
   std::size_t alive_count_ = 0;
-  std::vector<Envelope> pending_;  // all in-flight messages, send order
+  /// The main lane: sends through the main context, in send order. It is
+  /// the whole in-flight lane except under the parallel scheduler, whose
+  /// worker lanes are parked ahead of it.
+  std::vector<Envelope> pending_;
+  /// Engine lanes parked as segments of the in-flight lane, in canonical
+  /// order; they precede pending_. Owned by the installed engine.
+  std::vector<std::vector<Envelope>*> parked_;
   std::vector<std::pair<Round, NodeId>> crash_log_;  // crash order
   Round round_ = 0;
   /// set_max_timeout_period's k (1 = every alive node fires every round).
@@ -490,10 +534,11 @@ class Network {
   /// The Network's own send context (lane = pending_, shard = metrics_,
   /// arena = pool_).
   SendContext main_ctx_;
-  /// Set by the parallel scheduler around its concurrent delivery phase;
-  /// structure mutations (spawn/crash/inject) assert against it.
+  /// Set by the parallel scheduler around its concurrent delivery and
+  /// Timeout phase; structure mutations (spawn/crash/inject) assert
+  /// against it.
   bool in_parallel_phase_ = false;
-  /// Timeouts fired by the last round's sweep (for the quiescence check).
+  /// Timeouts fired in the last round (for the quiescence check).
   std::size_t last_round_timeouts_ = 0;
 
   /// Optional per-unit time-series sink (attach_round_probe).
@@ -510,16 +555,28 @@ class Network {
   /// in-flight envelopes, so they live until the Network dies.
   std::vector<std::unique_ptr<sched::Scheduler>> retired_schedulers_;
 
-  // Scratch buffers reused across rounds (capacity persists). The grouped
-  // scatter target is a raw array, not a vector: every cell in [0, batch)
-  // is overwritten by the counting sort each round, so element lifetime
-  // bookkeeping (and the re-zeroing a vector resize would do) is pure
-  // overhead — and no pooled handle ever outlives the delivery loop here,
-  // so the destructor has nothing to reclaim from it.
-  std::vector<Envelope> round_batch_;
+  // Phase A state, reused across rounds (capacity persists).
+  /// One non-empty lane of this round's batch: where its envelopes are
+  /// and the batch index its first one has.
+  struct BatchLane {
+    std::vector<Envelope>* lane;
+    const Envelope* data;
+    std::uint32_t begin;
+  };
+  std::vector<BatchLane> batch_;
+  /// The shuffled batch: target id in the high word, batch index in the
+  /// low word.
+  std::vector<std::uint64_t> keys_;
+  /// Per target id: where its group starts in grouped_, then, once its
+  /// range is grouped, where it ends.
+  std::vector<std::uint32_t> scatter_offsets_;
+  // The grouped scatter target is a raw array, not a vector: every cell in
+  // [0, batch) is overwritten by the counting sort each round, so element
+  // lifetime bookkeeping (and the re-zeroing a vector resize would do) is
+  // pure overhead — and no pooled handle ever outlives the delivery loop
+  // here, so the destructor has nothing to reclaim from it.
   std::unique_ptr<Envelope[]> grouped_;
   std::size_t grouped_cap_ = 0;
-  std::vector<std::uint32_t> scatter_offsets_;
 };
 
 /// The engine seam: everything a scheduler (src/sched, and the
@@ -531,25 +588,40 @@ class EngineSeam {
   explicit EngineSeam(Network& net) : net_(net) {}
 
   // ---- Round phases ------------------------------------------------------
-  /// Phase A over the lane: the messages pending at round start become
-  /// this round's batch; deliveries enqueue into the (now empty) lane,
-  /// which belongs to the next round.
-  std::size_t round_begin() {
-    net_.round_batch_.clear();
-    std::swap(net_.round_batch_, net_.pending_);
-    return net_.round_begin(net_.round_batch_);
-  }
+  /// Phase A over the in-flight lane: the messages pending at round start
+  /// (every parked segment, then the main lane) become this round's
+  /// batch, grouped over every slot; deliveries enqueue into the (now
+  /// empty) main lane, which belongs to the next round.
+  std::size_t round_begin() { return net_.group_batch(nullptr); }
   /// Phase A over a batch the engine assembled itself (the timed engine's
   /// due events, in canonical order).
   std::size_t round_begin(std::vector<Envelope>& batch) {
-    return net_.round_begin(batch);
+    return net_.group_batch(&batch);
   }
+  /// Phase A over the in-flight lane in steps, for an engine whose workers
+  /// group their own slot ranges: shuffle() on one thread, then group()
+  /// for disjoint slot ranges covering every slot, then consume() on one
+  /// thread once nothing reads the batch any more.
+  std::size_t shuffle() { return net_.shuffle_batch(nullptr); }
+  std::pair<std::size_t, std::size_t> group(std::size_t first, std::size_t last) {
+    return net_.group_range(first, last);
+  }
+  void consume() { net_.consume_batch(); }
   std::size_t deliver(std::size_t begin, std::size_t end, SendContext& ctx) {
     return net_.deliver_grouped_range(begin, end, ctx);
   }
-  void timeout_sweep() { net_.timeout_sweep(); }
-  /// Finishes the round (advances the round clock).
-  void round_end() { ++net_.round_; }
+  /// Phase C over slots [begin, end) through `ctx`; returns how many fired.
+  std::size_t timeouts(std::size_t begin, std::size_t end, SendContext& ctx) {
+    return net_.fire_timeouts(begin, end, ctx);
+  }
+  /// Phase C over every slot through the main context.
+  std::size_t timeout_sweep() { return net_.timeout_sweep(); }
+  /// Finishes a round that fired `timeouts` Timeouts (advances the round
+  /// clock).
+  void round_end(std::size_t timeouts) {
+    net_.last_round_timeouts_ = timeouts;
+    ++net_.round_;
+  }
 
   // ---- Grouped slots of the current batch --------------------------------
   const Envelope& grouped(std::size_t i) const { return net_.grouped_[i]; }
@@ -560,10 +632,26 @@ class EngineSeam {
   void reclaim(const Envelope& env) { net_.reclaim(env); }
 
   // ---- Lane, main context, shard fold targets ----------------------------
-  /// The in-flight lane. Main-context sends append with ascending seq, so
-  /// after a serial round it is sorted by seq (the parallel merge, whose
-  /// worker envelopes carry seq 0, does not keep that order).
-  std::vector<Envelope>& lane() { return net_.pending_; }
+  /// The main lane, for the serial engines, which read and patch the
+  /// in-flight lane in place; aborts while engine lanes are parked. Main-
+  /// context sends append with ascending seq, so after a serial round it
+  /// is sorted by seq.
+  std::vector<Envelope>& lane() {
+    SSPS_ASSERT_MSG(net_.parked_.empty(), "lane: engine lanes are parked");
+    return net_.pending_;
+  }
+  /// Parks `lane` as the next segment of the in-flight lane, ahead of the
+  /// main lane. Its envelopes stay where they are until the next round
+  /// reads and consumes them; `lane` must outlive that, or the engine's
+  /// retirement.
+  void park(std::vector<Envelope>& lane) {
+    SSPS_ASSERT_MSG(net_.pending_.empty(), "park: the main lane must come last");
+    if (!lane.empty()) net_.parked_.push_back(&lane);
+  }
+  /// Calls fn for every in-flight envelope, in canonical order.
+  void for_each_in_flight(const std::function<void(const Envelope&)>& fn) const {
+    net_.for_each_in_flight(fn);
+  }
   SendContext& main_ctx() { return net_.main_ctx_; }
   Metrics& fold_metrics() { return net_.metrics_; }
   telemetry::LatencyTracker& fold_latency() { return net_.latency_; }

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # Twin-run determinism across worker counts: for every builtin scenario,
 # plain and scrambled-start, the 2- and 4-thread JSON reports must be
-# byte-identical to the 1-thread report. The only field allowed to differ
-# is the "threads" header line (it records the worker count by design),
-# which is stripped before comparing. Registered with CTest; also the
-# shape CI runs on pull requests.
+# byte-identical to the 1-thread report; so must one scale-steady run at
+# n = 1024 on 4 workers, whose rounds carry batches of tens of thousands
+# of messages through every worker's chunk of the grouping and its parked
+# lanes. The only field allowed to differ is the "threads" header line (it
+# records the worker count by design), which is stripped before
+# comparing. Registered with CTest; also the shape CI runs on pull
+# requests.
 #
 #   usage: thread_determinism.sh <path-to-ssps_run>
 set -u
@@ -65,7 +68,21 @@ for scenario in $scenarios; do
   done
 done
 
+for threads in 1 4; do
+  if ! "$run" --scenario scale-steady --seed 7 --nodes 1024 --threads "$threads" \
+      --quiet --out "$workdir/scale-$threads.json"; then
+    echo "FAILED RUN: scale-steady n = 1024, $threads workers"
+    status=1
+  fi
+done
+if ! diff <(grep -v '"threads"' "$workdir/scale-1.json") \
+    <(grep -v '"threads"' "$workdir/scale-4.json") >/dev/null; then
+  echo "TRACE MISMATCH: scale-steady n = 1024, 4 workers vs serial"
+  status=1
+fi
+
 if [ "$status" = 0 ]; then
-  echo "all builtin scenarios byte-identical across 1/2/4 workers"
+  echo "all builtin scenarios byte-identical across 1/2/4 workers," \
+    "scale-steady n = 1024 across 1/4"
 fi
 exit $status

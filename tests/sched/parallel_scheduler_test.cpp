@@ -25,9 +25,9 @@ struct Ping final : MsgBase<Ping> {
   std::string_view name() const override { return "Ping"; }
 };
 
-/// Records receipts; forwards each ping (decremented) to a ring neighbor
-/// while positive, so traffic cascades across shard boundaries for many
-/// rounds. Timeouts emit too, exercising the sequential phase-C lane.
+/// Records receipts; forwards each ping (decremented) to `next` while
+/// positive, so traffic cascades across shard boundaries for many rounds.
+/// Timeouts emit too, exercising the workers' Timeout lanes.
 class Relay final : public Node {
  public:
   void handle(PooledMsg msg) override {
@@ -62,9 +62,12 @@ struct SimTrace {
 
 /// One deterministic workload: a relay ring with cascading pings, crashes
 /// and a spawn between rounds (the only place the parallel scheduler
-/// allows them), and sends to dead nodes (the swallow path runs on
-/// workers). `period` is the max Timeout period.
-SimTrace run_sim(unsigned threads, Round period = 1) {
+/// allows them), sends to dead nodes (the swallow path runs on workers),
+/// and then idle rounds whose batches hold 0, 1 and 2 envelopes, so most
+/// chunks of the shuffled order are empty. `period` is the max Timeout
+/// period. `hot` makes every relay forward to node 1 instead: the whole
+/// batch then lies in one target's group.
+SimTrace run_sim(unsigned threads, Round period = 1, bool hot = false) {
   constexpr int kNodes = 23;  // not a multiple of any worker count
   Network net(99);
   net.set_threads(threads);
@@ -73,7 +76,7 @@ SimTrace run_sim(unsigned threads, Round period = 1) {
   for (int i = 0; i < kNodes; ++i) ids.push_back(net.spawn<Relay>());
   for (int i = 0; i < kNodes; ++i) {
     auto& relay = net.node_as<Relay>(ids[i]);
-    relay.next = ids[(i + 1) % kNodes];
+    relay.next = hot ? ids[0] : ids[(i + 1) % kNodes];
     relay.chatty = i % 4 == 0;
   }
   for (int i = 0; i < kNodes; ++i) net.emit<Ping>(ids[i], 5 + i % 7);
@@ -85,6 +88,16 @@ SimTrace run_sim(unsigned threads, Round period = 1) {
   net.node_as<Relay>(late).next = ids[0];
   net.emit<Ping>(late, 9);
   net.run_units(8);
+
+  // Idle rounds: with the chatter off the traffic drains, and then only
+  // Timeouts fire, around batches of 0, 1 and 2 pings that stop where
+  // they land.
+  for (NodeId id : net.alive_ids()) net.node_as<Relay>(id).chatty = false;
+  EXPECT_TRUE(net.run_until([&] { return net.pending_messages() == 0; }, 64).has_value());
+  for (int batch = 0; batch <= 2; ++batch) {
+    for (int i = 0; i < batch; ++i) net.emit<Ping>(hot ? ids[0] : ids[10 * i], 0);
+    net.run_unit();
+  }
 
   SimTrace trace;
   for (NodeId id : net.alive_ids()) {
@@ -112,8 +125,19 @@ TEST(ParallelScheduler, SimTraceBitIdenticalAcrossWorkerCounts) {
   }
 }
 
+TEST(ParallelScheduler, HotTargetBitIdenticalAcrossWorkerCounts) {
+  // Every relay sends to one node, so every chunk of the shuffled order
+  // falls into that node's group, and one worker does nearly all the
+  // delivering.
+  const SimTrace serial = run_sim(1, 1, /*hot=*/true);
+  EXPECT_NE(serial.received, run_sim(1).received);
+  for (unsigned threads : {2u, 3u, 4u, 7u}) {
+    EXPECT_EQ(serial, run_sim(threads, 1, /*hot=*/true)) << threads << " workers";
+  }
+}
+
 TEST(ParallelScheduler, UnequalTimeoutPeriodsBitIdenticalAcrossWorkerCounts) {
-  // The period gate runs in the sequential timeout sweep, so unequal
+  // The period gate runs in every worker's Timeout range, so unequal
   // speeds keep the worker-count invariance.
   const SimTrace serial = run_sim(1, 4);
   EXPECT_NE(serial.timeouts, run_sim(1).timeouts);

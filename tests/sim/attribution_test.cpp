@@ -105,18 +105,19 @@ TEST(SenderAttribution, UnequalSpeedsAttributeSendsToTheActingNode) {
   EXPECT_GT(slow, 0u);
 }
 
-/// (to, from) of every lane envelope, in lane order.
-std::vector<std::pair<std::uint64_t, std::uint64_t>> lane_stamps(Network& net) {
+/// (to, from) of every in-flight envelope, in canonical order: every
+/// segment of the in-flight lane, parked worker lanes included.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> in_flight_stamps(Network& net) {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-  for (const Envelope& env : EngineSeam(net).lane()) {
-    out.emplace_back(env.to.value, env.from.value);
-  }
+  EngineSeam(net).for_each_in_flight(
+      [&](const Envelope& env) { out.emplace_back(env.to.value, env.from.value); });
   return out;
 }
 
 TEST(SenderAttribution, RoundLanesAgreeAcrossWorkerCounts) {
-  // The parallel scheduler attributes through each worker's own context;
-  // its merged lane must carry the serial round's senders exactly.
+  // The parallel scheduler attributes through each worker's own contexts;
+  // its parked delivery and Timeout lanes, read in canonical order, must
+  // carry the serial round's senders exactly.
   std::vector<std::unique_ptr<PubSubSystem>> systems;
   std::vector<std::vector<NodeId>> ids;
   for (const unsigned threads : {1u, 4u}) {
@@ -130,17 +131,19 @@ TEST(SenderAttribution, RoundLanesAgreeAcrossWorkerCounts) {
     if (round % 20 == 10) {
       for (std::size_t s = 0; s < systems.size(); ++s) {
         Network& net = systems[s]->net();
-        const std::size_t before = EngineSeam(net).lane().size();
+        const std::size_t before = in_flight_stamps(net).size();
         systems[s]->pubsub(ids[s][round]).publish("p" + std::to_string(round));
-        const std::vector<Envelope>& lane = EngineSeam(net).lane();
-        for (std::size_t i = before; i < lane.size(); ++i) {
-          EXPECT_TRUE(lane[i].from.is_null()) << "harness publish at round " << round;
+        // Harness sends append after everything in flight.
+        const auto stamps = in_flight_stamps(net);
+        ASSERT_GT(stamps.size(), before) << "round " << round;
+        for (std::size_t i = before; i < stamps.size(); ++i) {
+          EXPECT_EQ(stamps[i].second, 0u) << "harness publish at round " << round;
         }
       }
     }
     for (auto& sys : systems) sys->net().run_unit();
-    const auto serial = lane_stamps(systems[0]->net());
-    ASSERT_EQ(serial, lane_stamps(systems[1]->net())) << "round " << round;
+    const auto serial = in_flight_stamps(systems[0]->net());
+    ASSERT_EQ(serial, in_flight_stamps(systems[1]->net())) << "round " << round;
     // After a round the lane holds only what the round's actions sent.
     for (const auto& [to, from] : serial) {
       EXPECT_NE(from, 0u) << "round " << round << ": send to " << to << " has no sender";

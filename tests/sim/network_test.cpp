@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
 
 namespace ssps::sim {
 namespace {
@@ -202,6 +203,58 @@ TEST(NetworkDeathTest, TimeoutPeriodRejectsZeroAndMidRoundCalls) {
   EXPECT_DEATH(net.set_max_timeout_period(0), "need k >= 1");
   net.spawn<Meddler>();
   EXPECT_DEATH(net.run_unit(), "mid-round");
+}
+
+/// Changes the topology from its own Timeout: spawns a node, crashes
+/// `victim`, or injects a message into `victim`'s channel.
+class Mutator final : public Node {
+ public:
+  enum class Act { kSpawn, kCrash, kInject };
+  Mutator(Act act, NodeId victim) : act_(act), victim_(victim) {}
+  void handle(PooledMsg) override {}
+  void timeout() override {
+    switch (act_) {
+      case Act::kSpawn:
+        net().spawn<Probe>();
+        return;
+      case Act::kCrash:
+        if (net().alive(victim_)) net().crash(victim_);
+        return;
+      case Act::kInject:
+        net().inject(victim_, net().pool().make<Ping>(0));
+        return;
+    }
+  }
+
+ private:
+  Act act_;
+  NodeId victim_;
+};
+
+TEST(NetworkDeathTest, TimeoutsMayNotChangeTheTopologyUnderWorkers) {
+  // Timeouts are parallel-phase actions: under more than one worker a
+  // spawn, crash or inject from a Timeout aborts, as from a handler. On
+  // one worker the Timeout sweep runs on the calling thread and may.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Mutator::Act acts[] = {Mutator::Act::kSpawn, Mutator::Act::kCrash,
+                               Mutator::Act::kInject};
+  for (const Mutator::Act act : acts) {
+    auto run = [act](unsigned threads) {
+      Network net(17);
+      net.set_threads(threads);
+      const NodeId victim = net.spawn<Probe>();
+      net.spawn<Mutator>(act, victim);
+      net.run_unit();
+      return std::make_tuple(net.slot_count(), net.alive(victim), net.pending_messages());
+    };
+    const auto [slots, victim_alive, pending] = run(1);
+    EXPECT_EQ(slots, act == Mutator::Act::kSpawn ? 3u : 2u);
+    EXPECT_EQ(victim_alive, act != Mutator::Act::kCrash);
+    EXPECT_EQ(pending, act == Mutator::Act::kInject ? 1u : 0u);
+    for (const unsigned threads : {2u, 4u}) {
+      EXPECT_DEATH(run(threads), "during a parallel round") << threads << " workers";
+    }
+  }
 }
 
 TEST(Network, RunUntilStopsEarly) {
