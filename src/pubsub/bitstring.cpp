@@ -52,6 +52,19 @@ BitString BitString::from_uint(std::uint64_t value, std::size_t bits) {
   return out;
 }
 
+BitString BitString::from_words(std::span<const std::uint64_t> words, std::size_t bits) {
+  SSPS_ASSERT(bits <= words.size() * 64);
+  BitString out;
+  out.len_ = bits;
+  const std::size_t n = out.word_count();
+  out.grow_words(n);
+  std::uint64_t* w = out.words();
+  for (std::size_t i = 0; i < n; ++i) w[i] = words[i];
+  const std::size_t rem = bits % 64;
+  if (rem != 0) w[n - 1] &= ~0ULL << (64 - rem);
+  return out;
+}
+
 bool BitString::bit(std::size_t i) const {
   SSPS_ASSERT(i < len_);
   return (words()[i / 64] >> (63 - (i % 64))) & 1ULL;

@@ -27,6 +27,10 @@ class BitString {
   /// The `bits`-bit big-endian representation of `value`'s low bits.
   static BitString from_uint(std::uint64_t value, std::size_t bits);
 
+  /// The first `bits` bits of packed words laid out as word_span() lays
+  /// them out; bits past `bits` in the words are ignored.
+  static BitString from_words(std::span<const std::uint64_t> words, std::size_t bits);
+
   std::size_t size() const { return len_; }
   bool empty() const { return len_ == 0; }
 
@@ -67,6 +71,11 @@ class BitString {
   /// Stable 64-bit hash of content (for hash maps).
   std::size_t hash_value() const noexcept;
 
+  /// The packed words, (size() + 63) / 64 of them: word i holds bits
+  /// [64i, 64i+63], bit j of the string at bit position 63 − (j mod 64) of
+  /// its word; trailing unused bits are zero.
+  std::span<const std::uint64_t> word_span() const { return {words(), word_count()}; }
+
  private:
   /// Keys and trie labels are at most a few words (key_bits defaults to
   /// 64), so up to kInlineWords words live inline — copying a BitString
@@ -75,10 +84,9 @@ class BitString {
   static constexpr std::size_t kInlineWords = 2;
 
   std::size_t word_count() const { return (len_ + 63) / 64; }
-  /// Word i holds bits [64i, 64i+63], bit j of the string at bit position
-  /// 63 − (j mod 64) of its word; trailing unused bits are zero.
-  /// Invariant: overflow_ is empty while word_count() <= kInlineWords
-  /// (words in sbo_), else holds all word_count() words.
+  /// The word_span() words. Invariant: overflow_ is empty while
+  /// word_count() <= kInlineWords (words in sbo_), else holds all
+  /// word_count() words.
   const std::uint64_t* words() const {
     return overflow_.empty() ? sbo_ : overflow_.data();
   }

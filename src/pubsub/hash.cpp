@@ -286,11 +286,22 @@ std::uint64_t fnv1a64(std::string_view data) {
 }
 
 Digest hash_label(const BitString& label) {
-  // The bit length (8 bytes, little-endian), then the packed label.
-  SSPS_ASSERT(label.size() <= 256);
+  return hash_label(label.word_span(), label.size());
+}
+
+Digest hash_label(std::span<const std::uint64_t> words, std::size_t bits) {
+  // The bit length (8 bytes, little-endian), then the label packed into
+  // (bits + 7) / 8 bytes, MSB first, the last byte zero-padded.
+  SSPS_ASSERT(bits <= 256 && bits <= words.size() * 64);
   std::array<std::uint8_t, 8 + 32> input{};
-  store_le64(input.data(), label.size());
-  const std::size_t packed = label.write_bytes(std::span(input).subspan(8));
+  store_le64(input.data(), bits);
+  const std::size_t packed = (bits + 7) / 8;
+  for (std::size_t i = 0; i < packed; ++i) {
+    input[8 + i] = static_cast<std::uint8_t>(words[i / 8] >> (56 - 8 * (i % 8)));
+  }
+  if (bits % 8 != 0) {
+    input[8 + packed - 1] &= static_cast<std::uint8_t>(0xFF << (8 - bits % 8));
+  }
   Sha256 h;
   h.update(std::span<const std::uint8_t>(input.data(), 8 + packed));
   return h.finish();

@@ -60,6 +60,10 @@ std::uint64_t fnv1a64(std::string_view data);
 /// Requires label.size() <= 256 (trie labels are at most m bits).
 Digest hash_label(const BitString& label);
 
+/// hash_label of the first `bits` bits of packed words laid out as
+/// BitString::word_span() lays them out; bits past `bits` are ignored.
+Digest hash_label(std::span<const std::uint64_t> words, std::size_t bits);
+
 /// Merkle combination: h(c1.hash ∘ c2.hash). Inner nodes combine their
 /// children's *digests*, as in Figure 2's running example, so a root digest
 /// covers every leaf below it.

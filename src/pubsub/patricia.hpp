@@ -9,6 +9,8 @@
 // resistance), which is what the CheckTrie anti-entropy exploits.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -113,15 +115,19 @@ struct Locate {
 };
 
 /// The per-subscriber publication store v.T.
+///
+/// A trie lives in four arrays rather than one heap node per trie node.
+/// Node i has a 16-byte Link and a digest; node 0 is the root. Leaf j
+/// stores its key as ⌈m/64⌉ words (BitString's word layout) beside its
+/// Publication. An inner node keeps only its label's bit length: the label
+/// is a prefix of every key below it, so its bits are read off the key of
+/// one leaf below (the PATRICIA skip). A descent therefore tests one key
+/// bit per inner node and compares a whole key once, at the node it stops
+/// at. Labels cross the trie's edge as BitStrings (NodeSummary, probes).
 class PatriciaTrie {
  public:
   /// `key_bits` = m, the fixed key length all publications share.
   explicit PatriciaTrie(std::size_t key_bits = 64);
-
-  PatriciaTrie(const PatriciaTrie& other);
-  PatriciaTrie& operator=(const PatriciaTrie& other);
-  PatriciaTrie(PatriciaTrie&&) noexcept = default;
-  PatriciaTrie& operator=(PatriciaTrie&&) noexcept = default;
 
   std::size_t key_bits() const { return key_bits_; }
 
@@ -134,10 +140,9 @@ class PatriciaTrie {
   BitString key_of(const Publication& p) const;
 
   bool contains(const Publication& p) const;
-  bool contains_key(const BitString& key) const;
 
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return pubs_.size(); }
+  bool empty() const { return pubs_.empty(); }
 
   /// Root summary; nullopt for the empty trie.
   std::optional<NodeSummary> root() const;
@@ -151,9 +156,9 @@ class PatriciaTrie {
   /// All publications, in key order.
   std::vector<Publication> all() const;
 
-  /// The keys of all publications, in key order: the leaf labels, since
-  /// only insert() makes leaves and labels each with its key. Equals
-  /// key_of() over all() without hashing anything.
+  /// The keys of all publications, in key order: the stored leaf keys,
+  /// which insert() derives with key_of(). Equals key_of() over all()
+  /// without hashing anything.
   std::vector<BitString> keys() const;
 
   /// Structural equality via root digests (collision-resistant).
@@ -161,7 +166,7 @@ class PatriciaTrie {
 
   /// Invariant checker (tests): labels are prefixes along edges, inner
   /// nodes binary with correct common-prefix labels and Merkle hashes,
-  /// leaves at depth m. Returns "" or a description of the violation.
+  /// every leaf reached once. Returns "" or a description of the violation.
   std::string check_invariants() const;
 
   /// Adversarial corruption (tests/oracle only): flips one bit in a
@@ -171,27 +176,42 @@ class PatriciaTrie {
   bool chaos_corrupt_digest(std::uint64_t seed);
 
  private:
-  struct Node {
-    BitString label;
-    Digest hash;
-    // Inner nodes own both children; leaves own none and carry the
-    // publication.
-    std::unique_ptr<Node> child0;
-    std::unique_ptr<Node> child1;
-    std::optional<Publication> pub;
+  /// A key as words; m <= 256 needs at most four.
+  using Key = std::array<std::uint64_t, 4>;
 
-    bool is_leaf() const { return !child0; }
+  struct Link {
+    std::uint32_t child[2];  ///< inner nodes only: the 0- and 1-subtries
+    std::uint32_t len;       ///< label bit length; key_bits_ marks a leaf
+    std::uint32_t leaf;      ///< a leaf below (a leaf's own index)
   };
+  static_assert(sizeof(Link) == 16);
 
-  static std::unique_ptr<Node> make_leaf(const BitString& key, Publication pub);
-  static void rehash(Node& node);
-  static std::unique_ptr<Node> clone(const Node& node);
-  const Node* descend(const BitString& label) const;
-  void collect(const Node* node, std::vector<Publication>& out) const;
+  bool is_leaf(std::uint32_t node) const { return links_[node].len == key_bits_; }
+  const std::uint64_t* leaf_key(std::uint32_t leaf) const {
+    return keys_.data() + static_cast<std::size_t>(leaf) * words_;
+  }
+  Key key_words(const Publication& p) const;
+  /// Appends leaf `p` under `key` and a leaf node for it; returns the node.
+  std::uint32_t add_leaf(const Key& key, const Publication& p);
+  /// Recomputes an inner node's digest from its children's.
+  void rehash(std::uint32_t node);
+  /// The node whose subtrie holds exactly the keys starting with `prefix`:
+  /// the first node on the prefix's path whose label is at least as long.
+  /// kNone when no key starts with it.
+  std::uint32_t find(const BitString& prefix) const;
+  NodeSummary summary(std::uint32_t node) const;
+  /// Calls visit(leaf) for every leaf below `node`, in key order.
+  template <class Visit>
+  void for_each_leaf(std::uint32_t node, Visit&& visit) const;
 
-  std::size_t key_bits_;
-  std::size_t size_ = 0;
-  std::unique_ptr<Node> root_;
+  static constexpr std::uint32_t kNone = 0xFFFFFFFF;
+
+  std::vector<Link> links_;
+  std::vector<Digest> digests_;      ///< per node, beside links_
+  std::vector<std::uint64_t> keys_;  ///< leaf j's key at [j * words_, (j + 1) * words_)
+  std::vector<Publication> pubs_;    ///< per leaf, in insertion order
+  std::uint32_t key_bits_;
+  std::uint32_t words_;
 };
 
 }  // namespace ssps::pubsub

@@ -1,5 +1,6 @@
 #include "pubsub/pubsub_node.hpp"
 
+#include <algorithm>
 #include <unordered_set>
 
 namespace ssps::pubsub {
@@ -63,13 +64,13 @@ bool PubSubProtocol::handle(const sim::Message& m) {
 // ---------------------------------------------------------------------------
 
 void PubSubProtocol::check_tuple(sim::NodeId sender, const NodeSummary& tuple) {
-  const Locate loc = trie_.locate(tuple.label);
+  Locate loc = trie_.locate(tuple.label);
   switch (loc.kind) {
     case Locate::Kind::kExact: {
       if (loc.node.hash == tuple.hash) return;  // subtries identical: silence
       if (!loc.is_leaf) {
         // Case (ii): recurse into our children; the sender compares them.
-        sink_->emit<msg::CheckTrie>(sender, overlay_->self(), loc.children);
+        sink_->emit<msg::CheckTrie>(sender, overlay_->self(), std::move(loc.children));
         return;
       }
       // Equal leaf labels always hash equally (hash = h(label)); reaching
@@ -175,9 +176,24 @@ bool PubSubSystem::publications_converged() const {
 }
 
 std::size_t PubSubSystem::distinct_publications() const {
-  std::unordered_set<BitString> keys;
+  // Tries with equal root digests hold equal sets (the premise of
+  // publications_converged()), so only one trie per distinct root is
+  // walked; once converged that is a single trie, whose size is the answer.
+  std::vector<std::pair<Digest, const PatriciaTrie*>> by_root;
   for (sim::NodeId id : active_ids()) {
-    for (BitString& key : pubsub(id).trie().keys()) keys.insert(std::move(key));
+    const PatriciaTrie& t = pubsub(id).trie();
+    if (const std::optional<NodeSummary> root = t.root()) {
+      by_root.emplace_back(root->hash, &t);
+    }
+  }
+  const auto root_less = [](const auto& a, const auto& b) { return a.first < b.first; };
+  const auto root_equal = [](const auto& a, const auto& b) { return a.first == b.first; };
+  std::sort(by_root.begin(), by_root.end(), root_less);
+  by_root.erase(std::unique(by_root.begin(), by_root.end(), root_equal), by_root.end());
+  if (by_root.size() == 1) return by_root.front().second->size();
+  std::unordered_set<BitString> keys;
+  for (const auto& [root, trie] : by_root) {
+    for (BitString& key : trie->keys()) keys.insert(std::move(key));
   }
   return keys.size();
 }
