@@ -3,6 +3,12 @@
 // re-encodes byte-identically or a structured DecodeError — never UB,
 // never an assert, never an unbounded allocation.
 //
+// Every input also goes to the deployment's control parser
+// (proc/ctrl.hpp), which claims the same totality: parse_ctrl must
+// return a control message or a structured error, and a frame it accepts
+// must re-encode through encode_ctrl to exactly its header and declared
+// payload.
+//
 // A decoded CheckTrie or CheckAndPublish (bare or inside TopicEnvelopes)
 // also feeds every label it carries to locate() and collect_prefix() on a
 // fixed publication store, whose answers must match a linear scan of the
@@ -13,8 +19,10 @@
 //  - With -DSSPS_FUZZER and -fsanitize=fuzzer this is a libFuzzer target
 //    (LLVMFuzzerTestOneInput).
 //  - Without it, the file builds as the `ssps_decode_fuzz` binary: it
-//    replays a committed corpus directory and then runs a deterministic
-//    seeded mutation loop over it — the sanitizer-CI smoke shape, which
+//    replays a committed corpus directory plus one control frame of each
+//    CtrlType (built here, not committed: fuzz/corpus is also the
+//    scenario benchmark's wire corpus) and then runs a deterministic
+//    seeded mutation loop over both — the sanitizer-CI smoke shape, which
 //    needs no fuzzer runtime.
 //
 //      $ ssps_decode_fuzz fuzz/corpus                      # replay only
@@ -27,6 +35,7 @@
 #include <vector>
 
 #include "common/encode.hpp"
+#include "proc/ctrl.hpp"
 #include "pubsub/pubsub_node.hpp"
 #include "pubsub/topics.hpp"
 #include "sim/message_pool.hpp"
@@ -82,10 +91,10 @@ void check_lookup(const ssps::pubsub::BitString& probe) {
   }
 }
 
-/// One fuzz iteration: decode must be total, and a successful decode must
+/// The message leg: decode must be total, and a successful decode must
 /// re-encode to exactly the consumed frame (trailing bytes past the
 /// declared payload are stream residue, not frame content).
-void one_input(const std::uint8_t* data, std::size_t size) {
+void message_leg(const std::uint8_t* data, std::size_t size) {
   ssps::sim::MessagePool pool;
   const std::span<const std::uint8_t> bytes(data, size);
   ssps::wire::DecodeResult result = ssps::wire::decode_message(bytes, pool);
@@ -116,6 +125,28 @@ void one_input(const std::uint8_t* data, std::size_t size) {
     for (const ssps::pubsub::NodeSummary& tuple : cp->tuples) check_lookup(tuple.label);
     check_lookup(cp->prefix);
   }
+}
+
+/// The control leg: parse_ctrl must be total, and a frame it accepts must
+/// re-encode to its first 13 + declared-payload-length bytes (the rest is
+/// stream residue, as above).
+void ctrl_leg(const std::uint8_t* data, std::size_t size) {
+  const ssps::proc::CtrlParse parsed = ssps::proc::parse_ctrl({data, size});
+  if (!parsed.ok()) return;
+  std::uint64_t payload_len = 0;
+  for (int i = 0; i < 8; ++i) {
+    payload_len |= static_cast<std::uint64_t>(data[1 + i]) << (8 * i);
+  }
+  std::vector<std::uint8_t> reencoded;
+  ssps::proc::encode_ctrl(*parsed.msg, reencoded);
+  if (reencoded.size() != 13 + payload_len) __builtin_trap();
+  if (std::memcmp(reencoded.data(), data, reencoded.size()) != 0) __builtin_trap();
+}
+
+/// One fuzz iteration: the same bytes through both parsers.
+void one_input(const std::uint8_t* data, std::size_t size) {
+  message_leg(data, size);
+  ctrl_leg(data, size);
 }
 
 }  // namespace
@@ -257,6 +288,32 @@ std::vector<std::pair<std::string, std::vector<std::uint8_t>>> seed_corpus() {
   return out;
 }
 
+/// One valid control frame of each CtrlType, each checked to parse.
+std::vector<std::vector<std::uint8_t>> ctrl_seeds() {
+  ssps::proc::Relay relay;
+  relay.from = 3;
+  relay.to = 8;
+  relay.index = 41;
+  relay.frame = seed_corpus().front().second;  // a Subscribe frame
+  const ssps::proc::CtrlMsg msgs[] = {
+      ssps::proc::RoundGo{12},
+      ssps::proc::RoundDone{12, 0x0123456789abcdefULL, 2},
+      relay,
+      ssps::proc::Restore{12, 1},
+      ssps::proc::Report{"{\n  \"ok\": true\n}"},
+      ssps::proc::Shutdown{},
+  };
+  std::vector<std::vector<std::uint8_t>> out;
+  for (const ssps::proc::CtrlMsg& msg : msgs) {
+    std::vector<std::uint8_t> frame;
+    ssps::proc::encode_ctrl(msg, frame);
+    const ssps::proc::CtrlParse parsed = ssps::proc::parse_ctrl(frame);
+    if (!parsed.ok() || parsed.msg->index() != msg.index()) __builtin_trap();
+    out.push_back(std::move(frame));
+  }
+  return out;
+}
+
 /// Mutates `bytes` in place: byte flips, truncation, extension, splicing.
 /// Half the time the frame CRC is recomputed afterwards so the mutation
 /// reaches the payload decoders instead of dying at the checksum.
@@ -369,7 +426,13 @@ int main(int argc, char** argv) {
                  corpus_dir.c_str());
     return 2;
   }
-  std::printf("replayed %zu corpus entries\n", corpus.size());
+  const std::size_t files_replayed = corpus.size();
+  for (std::vector<std::uint8_t>& frame : ctrl_seeds()) {
+    one_input(frame.data(), frame.size());
+    corpus.push_back(std::move(frame));
+  }
+  std::printf("replayed %zu corpus entries and %zu control frames\n", files_replayed,
+              corpus.size() - files_replayed);
 
   // Deterministic mutation loop seeded from the corpus. A trap at
   // iteration N reproduces with --dump-at N, which prints the offending

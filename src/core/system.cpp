@@ -61,10 +61,6 @@ void SkipRingSystem::request_unsubscribe(sim::NodeId id) {
 
 void SkipRingSystem::crash(sim::NodeId id) { net_.crash(id); }
 
-bool SkipRingSystem::recover_subscriber(sim::NodeId id) {
-  return net_.recover(id, std::make_unique<SubscriberNode>(supervisor_id_));
-}
-
 std::optional<std::size_t> SkipRingSystem::run_until_legit(std::size_t max_rounds) {
   return net_.run_until([this] { return topology_legit(); }, max_rounds);
 }

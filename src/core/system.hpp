@@ -157,13 +157,6 @@ class SkipRingSystem {
   void request_unsubscribe(sim::NodeId id);
   void crash(sim::NodeId id);
 
-  /// Restarts a crashed subscriber from its last periodic snapshot (see
-  /// Network::recover — enable snapshots with net().enable_snapshots).
-  /// The snapshot may be stale or corrupted; the recovered node then
-  /// starts from whatever restored (or from scratch) and re-stabilizes.
-  /// Returns true when the snapshot restored cleanly.
-  bool recover_subscriber(sim::NodeId id);
-
   /// Full legitimacy check: database consistent and matching the active
   /// set, every subscriber holding its database label, and every explicit
   /// edge equal to the SR(n) spec.

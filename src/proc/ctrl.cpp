@@ -44,7 +44,7 @@ void encode_ctrl(const CtrlMsg& msg, std::vector<std::uint8_t>& out) {
           type = CtrlType::kRelay;
           payload.u64(m.from);
           payload.u64(m.to);
-          payload.u64(m.seq);
+          payload.u64(m.index);
           payload.bytes(m.frame.data(), m.frame.size());
         } else if constexpr (std::is_same_v<T, Restore>) {
           type = CtrlType::kRestore;
@@ -107,7 +107,7 @@ CtrlParse parse_ctrl(std::span<const std::uint8_t> frame) {
     }
     case CtrlType::kRelay: {
       Relay m;
-      if (!d.u64(m.from) || !d.u64(m.to) || !d.u64(m.seq) ||
+      if (!d.u64(m.from) || !d.u64(m.to) || !d.u64(m.index) ||
           !d.bytes(m.frame) || !d.done()) {
         return bad();
       }

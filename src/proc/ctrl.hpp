@@ -10,7 +10,7 @@
 // daemon, so ordering is guaranteed; frames are written in batches of
 // kCtrlWriteBytes):
 //
-//   daemon  -> coord : Relay*  (its shard's cross-shard sends, seq order)
+//   daemon  -> coord : Relay*  (its shard's cross-shard sends, lane order)
 //   daemon  -> coord : RoundDone{round, digest, relays}
 //   coord   -> daemon: Relay*  (sends addressed to this daemon's shard)
 //   coord   -> daemon: Restore{round, shard}*  (lockstep recovery events)
@@ -56,12 +56,14 @@ struct RoundDone {
   std::uint64_t relays = 0;
 };
 
-/// One cross-shard message: the wire-codec frame of the envelope stamped
-/// (from, seq) in the canonical send order, addressed to `to`.
+/// One cross-shard message: the wire-codec frame of the envelope at
+/// `index` in the sender's barrier-time lane, sent by `from` to `to`. At
+/// the barrier every replica's lane holds the round's sends in send
+/// order, so the index names the same envelope in each of them.
 struct Relay {
   std::uint64_t from = 0;
   std::uint64_t to = 0;
-  std::uint64_t seq = 0;
+  std::uint64_t index = 0;
   std::vector<std::uint8_t> frame;
 };
 

@@ -115,10 +115,10 @@ class Daemon {
         if (check != Replica::RelayCheck::kOk) {
           std::fprintf(stderr,
                        "ssps_noded[%zu]: divergence at round %zu: relay "
-                       "(from=%llu seq=%llu): %s\n",
+                       "(from=%llu index=%llu): %s\n",
                        opts_.shard, unit,
                        static_cast<unsigned long long>(relay->from),
-                       static_cast<unsigned long long>(relay->seq),
+                       static_cast<unsigned long long>(relay->index),
                        Replica::relay_check_name(check));
           std::exit(kExitDivergence);
         }

@@ -1,6 +1,5 @@
 #include "proc/replica.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -35,20 +34,17 @@ class LockstepScheduler final : public sched::Scheduler {
   std::size_t units_ = 0;
 };
 
-/// The in-flight envelope `relay` names — its seq, with matching from and
-/// to — or nullptr. The lockstep round is serial, so at the barrier the
-/// lane holds this round's sends in ascending seq order (see
-/// sim::EngineSeam::lane) and one binary search finds the seq.
+/// The in-flight envelope `relay` names — the one at its lane index, with
+/// matching from and to — or nullptr. The lockstep round is serial, so at
+/// the barrier every replica's lane holds exactly this round's sends, in
+/// send order (see sim::EngineSeam::lane). The index arrives from another
+/// process: it is bounds-checked before the lane is read.
 sim::Envelope* find_relayed(sim::Network& net, const Relay& relay) {
   std::vector<sim::Envelope>& lane = sim::EngineSeam(net).lane();
-  const auto it = std::lower_bound(
-      lane.begin(), lane.end(), relay.seq,
-      [](const sim::Envelope& env, std::uint64_t seq) { return env.seq < seq; });
-  if (it == lane.end() || it->seq != relay.seq || it->from.value != relay.from ||
-      it->to.value != relay.to) {
-    return nullptr;
-  }
-  return &*it;
+  if (relay.index >= lane.size()) return nullptr;
+  sim::Envelope& env = lane[static_cast<std::size_t>(relay.index)];
+  if (env.from.value != relay.from || env.to.value != relay.to) return nullptr;
+  return &env;
 }
 
 Replica::RelayCheck compare(const Relay& relay, const sim::Envelope* env) {
@@ -107,14 +103,16 @@ std::uint64_t Replica::digest() {
 
 std::vector<Relay> Replica::collect_outbox(std::size_t shard) {
   std::vector<Relay> out;
-  for (const sim::Envelope& env : sim::EngineSeam(net()).lane()) {
+  const std::vector<sim::Envelope>& lane = sim::EngineSeam(net()).lane();
+  for (std::size_t i = 0; i < lane.size(); ++i) {
+    const sim::Envelope& env = lane[i];
     if (env.from.is_null()) continue;
     if (shard_of(env.from, procs_) != shard) continue;
     if (shard_of(env.to, procs_) == shard) continue;  // process-local
     Relay relay;
     relay.from = env.from.value;
     relay.to = env.to.value;
-    relay.seq = env.seq;
+    relay.index = i;
     if (!wire::encode_message(*env.msg, relay.frame)) continue;
     out.push_back(std::move(relay));
   }
@@ -144,12 +142,11 @@ Replica::RelayCheck Replica::apply_relay(const Relay& relay) {
   // The wire deliberately omits telemetry stamps (Publication::born), so
   // the decoded copy adopts them from the verified-identical local
   // envelope — otherwise the swap would skew delivery-latency histograms.
-  // The envelope keeps its routing fields (to, from, seq).
+  // The envelope keeps its routing fields (to, from) and its lane place.
   decoded.msg->adopt_offwire(*env->msg);
   sim::EngineSeam(net()).reclaim(*env);
-  env->msg = decoded.msg.get();
   env->pool = decoded.msg.pool();
-  env->handle = decoded.msg.release();
+  env->msg = decoded.msg.release();
   return RelayCheck::kOk;
 }
 

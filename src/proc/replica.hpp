@@ -7,17 +7,17 @@
 // at every schedule unit. A daemon "hosts" the shard of nodes whose ids
 // map to it (shard_of); within a round, the messages those nodes sent to
 // other shards are wire-encoded in the simulator's canonical send order
-// — in-flight lane order, i.e. ascending seq — and relayed through the
-// coordinator to the target shard. The target finds the envelope its own
-// replica generated by binary search on seq (the serial round only
-// appends to the lane, in seq order), checks the (from, to) stamp,
-// byte-compares the relay against it and swaps the wire-decoded message
-// in place, so delivery consumes the bytes that actually crossed the
-// socket. The replica reaches the lane through sim::EngineSeam, like
-// every scheduler. Any byte of disagreement is divergence and aborts
-// the deployment; agreement means the live execution makes identical
-// protocol decisions to the simulator, which is why a live report is
-// byte-identical to ssps_run's for the same seed.
+// — in-flight lane order — and relayed through the coordinator to the
+// target shard, each named by its index in the lane. At the barrier every
+// replica's lane holds the round's sends in send order, so the target
+// finds the envelope its own replica generated at that index, checks the
+// (from, to) stamp, byte-compares the relay against it and swaps the
+// wire-decoded message in place, so delivery consumes the bytes that
+// actually crossed the socket. The replica reaches the lane through
+// sim::EngineSeam, like every scheduler. Any byte of disagreement is
+// divergence and aborts the deployment; agreement means the live
+// execution makes identical protocol decisions to the simulator, which is
+// why a live report is byte-identical to ssps_run's for the same seed.
 //
 // Relay messages decode into a replica-owned scratch pool, not the
 // simulator's arena: the report never serializes pool telemetry, but
@@ -89,14 +89,14 @@ class Replica {
   std::uint64_t digest();
 
   /// The cross-shard sends originated by `shard`'s nodes this round, in
-  /// canonical (seq) order, wire-encoded. Envelopes without a wire
+  /// lane (send) order, wire-encoded. Envelopes without a wire
   /// encoding or without a sender (harness-originated traffic, which
   /// every replica generates locally) don't travel.
   std::vector<Relay> collect_outbox(std::size_t shard);
 
   enum class RelayCheck {
     kOk,           ///< matched the local envelope byte-for-byte
-    kUnknown,      ///< no in-flight envelope stamped (from, to, seq)
+    kUnknown,      ///< no in-flight envelope at index stamped (from, to)
     kMismatch,     ///< local envelope encodes to different bytes
     kUndecodable,  ///< relay bytes don't decode (damaged in flight)
   };

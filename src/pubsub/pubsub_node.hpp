@@ -286,9 +286,12 @@ class PubSubSystem : public core::SkipRingSystem {
     return ids;
   }
 
-  /// Restarts a crashed pub-sub subscriber from its last snapshot (see
-  /// SkipRingSystem::recover_subscriber; this variant restores the
-  /// publication store too).
+  /// Restarts a crashed pub-sub subscriber from its last periodic snapshot,
+  /// overlay state and publication store both (see Network::recover —
+  /// enable snapshots with net().enable_snapshots). The snapshot may be
+  /// stale or corrupted; the recovered node then starts from whatever
+  /// restored (or from scratch) and re-stabilizes. Returns true when the
+  /// snapshot restored cleanly.
   bool recover_pubsub_subscriber(sim::NodeId id) {
     return net().recover(id,
                          std::make_unique<PubSubNode>(supervisor_id(), config_));

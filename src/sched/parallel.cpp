@@ -129,7 +129,7 @@ std::size_t ParallelScheduler::advance(sim::Network& net) {
   for (std::unique_ptr<Worker>& wp : workers_) {
     Worker& w = *wp;
     for (const sim::DeferredFree& f : w.free_lane.deferred) {
-      f.pool->reclaim(f.handle);
+      f.pool->reclaim(f.slot, f.size_class);
     }
     w.free_lane.deferred.clear();
     seam.park(w.lanes[parity_]);

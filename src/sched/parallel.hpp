@@ -43,7 +43,8 @@
 //      row on MsgTypeId) into the main Metrics when read; per-worker
 //      MessagePools keep allocation single-threaded, with cross-pool
 //      frees deferred to per-worker lanes and repatriated at the round
-//      barrier. Pool handles are not observable in traces or reports.
+//      barrier. Which pool and slot hold a message is not observable in
+//      traces or reports.
 //
 // Consequently the delivery trace and the JSON report of a T-thread run
 // are byte-identical to the 1-thread run for every scenario and seed —

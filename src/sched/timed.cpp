@@ -22,7 +22,7 @@ TimedScheduler::TimedScheduler(sim::Network& net, sim::TimedConfig cfg,
 }
 
 TimedScheduler::~TimedScheduler() {
-  for (const Event& ev : events_) ev.env.pool->destroy(ev.env.msg, ev.env.handle);
+  for (const Event& ev : events_) ev.env.pool->destroy(ev.env.msg);
 }
 
 std::size_t TimedScheduler::advance(sim::Network& net) {
@@ -76,18 +76,20 @@ void TimedScheduler::drop_held_for(sim::Network& net, sim::NodeId to) {
 
 void TimedScheduler::schedule_sends(sim::EngineSeam& seam, sim::Step send_tick) {
   std::vector<sim::Envelope>& lane = seam.lane();
-  for (const sim::Envelope& env : lane) route(seam, env, send_tick);
+  std::uint64_t seq = next_seq_;
+  next_seq_ += lane.size();
+  for (const sim::Envelope& env : lane) route(seam, env, seq++, send_tick);
   lane.clear();
 }
 
 void TimedScheduler::route(sim::EngineSeam& seam, const sim::Envelope& env,
-                           sim::Step send_tick) {
+                           std::uint64_t seq, sim::Step send_tick) {
   if (!env.from) {
     // Harness-originated (publish/inject/control plane): models the
     // experiment driver, not a network link — rides the clock at the
     // constant one-interval arrival but is exempt from link faults, so a
     // workload can never be silently unsatisfiable.
-    push(send_tick + sim::kTicksPerInterval, env);
+    push(send_tick + sim::kTicksPerInterval, seq, env);
     return;
   }
   const sim::LinkProfile& profile = cfg_.profile_between(env.from, env.to);
@@ -114,9 +116,8 @@ void TimedScheduler::route(sim::EngineSeam& seam, const sim::Envelope& env,
       ctx.metrics->on_reject(bytes);
       return;
     }
-    routed.msg = replacement.get();
     routed.pool = replacement.pool();
-    routed.handle = replacement.release();
+    routed.msg = replacement.release();
   }
   sim::Step delay = profile.latency.sample_ticks(link_rng_);
   if (profile.reorder > 0.0 && link_rng_.uniform01() < profile.reorder) {
@@ -127,23 +128,18 @@ void TimedScheduler::route(sim::EngineSeam& seam, const sim::Envelope& env,
   if (profile.duplicate > 0.0 && link_rng_.uniform01() < profile.duplicate) {
     sim::PooledMsg copy = routed.msg->clone_into(*ctx.pool);
     if (copy) {  // null = not clonable; skip the duplicate
-      sim::Envelope dup;
-      dup.to = routed.to;
-      dup.from = routed.from;
-      dup.seq = seam.next_seq();
-      dup.msg = copy.get();
-      dup.pool = copy.pool();
+      sim::MessagePool* pool = copy.pool();
+      const sim::Envelope dup{routed.to, routed.from, copy.release(), pool};
       const sim::Step dup_delay = profile.latency.sample_ticks(link_rng_);
-      dup.handle = copy.release();
-      push(send_tick + dup_delay, dup);
+      push(send_tick + dup_delay, next_seq_++, dup);
       ++duplicated_;
     }
   }
-  push(send_tick + delay, routed);
+  push(send_tick + delay, seq, routed);
 }
 
-void TimedScheduler::push(sim::Step at, const sim::Envelope& env) {
-  events_.push_back(Event{at, env});
+void TimedScheduler::push(sim::Step at, std::uint64_t seq, const sim::Envelope& env) {
+  events_.push_back(Event{at, seq, env});
   std::push_heap(events_.begin(), events_.end(), later);
 }
 

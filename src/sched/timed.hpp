@@ -59,26 +59,31 @@ class TimedScheduler final : public Scheduler {
   std::uint64_t rejected() const { return rejected_; }
 
  private:
-  /// One scheduled delivery: the envelope plus its virtual delivery time.
-  /// Equal-time events pop in send (`env.seq`) order — the deterministic
-  /// tie-break that makes the constant-latency special case reproduce the
-  /// round batch order exactly.
+  /// One scheduled delivery: the envelope, its virtual delivery time and
+  /// its number in send order. Equal-time events pop in that order — the
+  /// deterministic tie-break that makes the constant-latency special case
+  /// reproduce the round batch order exactly.
   struct Event {
     sim::Step at = 0;
+    std::uint64_t seq = 0;
     sim::Envelope env;
   };
-  /// Min-heap "later than" comparator for std::push_heap/pop_heap.
+  /// Min-heap "later than" comparator for std::push_heap/pop_heap: by
+  /// time, then by send number.
   static bool later(const Event& a, const Event& b) {
-    return a.at != b.at ? a.at > b.at : a.env.seq > b.env.seq;
+    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
   }
 
   /// Drains the lane onto the event heap, routing each envelope through
   /// its link (loss, partition, corruption, duplication, latency).
   /// `send_tick` is the virtual time the drained sends are deemed to have
-  /// happened at.
+  /// happened at. The lane is numbered in lane order (send order) before
+  /// any of it is routed, so a link duplicate, numbered as it is made,
+  /// sorts after the whole lane it came from.
   void schedule_sends(sim::EngineSeam& seam, sim::Step send_tick);
-  void route(sim::EngineSeam& seam, const sim::Envelope& env, sim::Step send_tick);
-  void push(sim::Step at, const sim::Envelope& env);
+  void route(sim::EngineSeam& seam, const sim::Envelope& env, std::uint64_t seq,
+             sim::Step send_tick);
+  void push(sim::Step at, std::uint64_t seq, const sim::Envelope& env);
 
   sim::TimedConfig cfg_;
   sim::Corrupter* corrupter_;
@@ -86,6 +91,8 @@ class TimedScheduler final : public Scheduler {
   sim::Step now_ = 0;
   /// Event heap (`later` order): every in-flight timed message.
   std::vector<Event> events_;
+  /// The next send number (Event::seq): never reused.
+  std::uint64_t next_seq_ = 0;
   /// This interval's due events, in (time, send-order) order.
   std::vector<sim::Envelope> batch_;
   /// Link-fault stream, decorrelated from the Network's scheduler stream

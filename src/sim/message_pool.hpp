@@ -3,20 +3,23 @@
 // The simulator used to heap-allocate every Message behind a
 // std::unique_ptr; at n >= 1024 the malloc/free churn dominated the round
 // loop. The MessagePool replaces it with size-classed slabs and LIFO
-// freelists: a message lives in a pooled slot, is addressed by a 32-bit
-// MsgHandle (size class in the top bits, slot index below), and its slot
-// is recycled as soon as the message is delivered or its target crashes.
+// freelists of slot pointers: a message lives in a slot of the smallest
+// class that holds its type (recorded with the type's MsgTypeId), and its
+// slot is recycled as soon as the message is delivered or its target
+// crashes.
 //
 // Determinism: allocation order is a pure function of the make/destroy
 // call sequence (fresh slots are handed out sequentially, freed slots are
-// reused LIFO), so a replayed run sees bit-identical handle sequences —
+// reused LIFO), so a replayed run reuses slots in the same pattern —
 // tests/sim/message_pool_test.cpp pins this.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -33,13 +36,35 @@ class MessagePool;
 using MsgTypeId = std::uint32_t;
 
 namespace detail {
-MsgTypeId allocate_msg_type_id();
+
+/// Slot bytes of the pool's size classes. Every pooled type fits the
+/// largest: MessagePool::make rejects bigger ones at compile time (the
+/// largest protocol message, SetData, takes 104 bytes).
+inline constexpr std::size_t kSlotBytes[] = {64, 128, 256, 512};
+inline constexpr std::uint32_t kSlotClasses =
+    static_cast<std::uint32_t>(std::size(kSlotBytes));
+
+/// The smallest class whose slots hold `bytes`; kSlotClasses if none does.
+constexpr std::uint32_t slot_class_for(std::size_t bytes) {
+  std::uint32_t c = 0;
+  while (c < kSlotClasses && bytes > kSlotBytes[c]) ++c;
+  return c;
+}
+
+/// Slot class of each MsgTypeId, written once as the id is assigned (ids
+/// are dense: one per message type the process instantiates). This is
+/// how a pool finds a message's freelist from the message alone.
+inline constexpr std::size_t kMaxMsgTypes = 256;
+extern constinit std::uint8_t msg_slot_class[kMaxMsgTypes];
+
+/// Assigns the next type id to a type of `bytes` bytes.
+MsgTypeId allocate_msg_type_id(std::size_t bytes);
 
 /// Namespace-scope inline variable (one per type, assigned before main):
 /// reading it is a plain load, with none of the guard-check overhead a
 /// function-local static would put into every msg_cast.
 template <typename T>
-inline const MsgTypeId msg_type_id_of = allocate_msg_type_id();
+inline const MsgTypeId msg_type_id_of = allocate_msg_type_id(sizeof(T));
 }  // namespace detail
 
 /// The unique tag of message type T (exact type, not a base).
@@ -48,30 +73,13 @@ MsgTypeId msg_type_id() {
   return detail::msg_type_id_of<T>;
 }
 
-/// Pooled address of a message: size class in the top 4 bits, slot index
-/// in the remaining 28. Value semantics; kNull means "no message".
-struct MsgHandle {
-  static constexpr std::uint32_t kNull = 0xffffffffu;
-
-  std::uint32_t bits = kNull;
-
-  constexpr bool is_null() const { return bits == kNull; }
-  constexpr explicit operator bool() const { return bits != kNull; }
-  constexpr bool operator==(const MsgHandle&) const = default;
-
-  constexpr std::uint32_t size_class() const { return bits >> 28; }
-  constexpr std::uint32_t slot() const { return bits & 0x0fffffffu; }
-
-  static constexpr MsgHandle make(std::uint32_t size_class, std::uint32_t slot) {
-    return MsgHandle{(size_class << 28) | slot};
-  }
-};
-
-/// One slot release that must wait for the next round barrier: the handle
-/// plus the pool that owns it (parallel rounds run one pool per worker).
+/// One slot release that must wait for the next round barrier: the slot,
+/// its size class and the pool that owns it (parallel rounds run one pool
+/// per worker). The message's destructor has already run.
 struct DeferredFree {
   MessagePool* pool = nullptr;
-  MsgHandle handle;
+  std::byte* slot = nullptr;
+  std::uint32_t size_class = 0;
 };
 
 /// Per-worker deferred-free list, active while a ParallelScheduler phase
@@ -95,24 +103,19 @@ extern thread_local constinit FreeLane* tls_free_lane;
 
 /// Owning smart handle for a pooled message: unique_ptr semantics (move
 /// only, destroys the message and recycles its slot on scope exit), plus
-/// access to the underlying MsgHandle for code that stores messages
-/// compactly (the Network's channels).
+/// the pool that owns it, for code that stores messages compactly (the
+/// Network's channels).
 class PooledMsg {
  public:
   PooledMsg() = default;
-  PooledMsg(MessagePool* pool, Message* ptr, MsgHandle handle)
-      : pool_(pool), ptr_(ptr), handle_(handle) {}
+  PooledMsg(MessagePool* pool, Message* ptr) : pool_(pool), ptr_(ptr) {}
 
-  PooledMsg(PooledMsg&& o) noexcept
-      : pool_(o.pool_), ptr_(o.ptr_), handle_(o.handle_) {
-    o.forget();
-  }
+  PooledMsg(PooledMsg&& o) noexcept : pool_(o.pool_), ptr_(o.ptr_) { o.forget(); }
   PooledMsg& operator=(PooledMsg&& o) noexcept {
     if (this != &o) {
       reset();
       pool_ = o.pool_;
       ptr_ = o.ptr_;
-      handle_ = o.handle_;
       o.forget();
     }
     return *this;
@@ -126,30 +129,27 @@ class PooledMsg {
   Message& operator*() const { return *ptr_; }
   explicit operator bool() const { return ptr_ != nullptr; }
 
-  MsgHandle handle() const { return handle_; }
   MessagePool* pool() const { return pool_; }
 
   /// Destroys the held message (if any) and recycles its slot.
   void reset();
 
-  /// Releases ownership without destroying; returns the raw handle. The
+  /// Releases ownership without destroying; returns the message. The
   /// caller becomes responsible for MessagePool::destroy.
-  MsgHandle release() {
-    const MsgHandle h = handle_;
+  Message* release() {
+    Message* const msg = ptr_;
     forget();
-    return h;
+    return msg;
   }
 
  private:
   void forget() {
     pool_ = nullptr;
     ptr_ = nullptr;
-    handle_ = MsgHandle{};
   }
 
   MessagePool* pool_ = nullptr;
   Message* ptr_ = nullptr;
-  MsgHandle handle_ = MsgHandle{};
 };
 
 /// Size-classed slab allocator for messages. Owned by the Network; every
@@ -165,50 +165,43 @@ class MessagePool {
   template <typename T, typename... Args>
   PooledMsg make(Args&&... args) {
     static_assert(std::is_base_of_v<Message, T>);
-    const std::uint32_t cls = class_for(sizeof(T));
-    const std::uint32_t slot = allocate_slot(cls, sizeof(T));
-    T* msg = ::new (address_of(cls, slot)) T(std::forward<Args>(args)...);
+    static_assert(detail::slot_class_for(sizeof(T)) < detail::kSlotClasses,
+                  "message type larger than the largest pool slot");
+    std::byte* slot = allocate(detail::slot_class_for(sizeof(T)));
+    T* msg = ::new (slot) T(std::forward<Args>(args)...);
+    // destroy() finds the slot and its class from the message alone (its
+    // address, and the class recorded for its type_id()), and the
+    // teardown sweep tells a live slot by its nonzero id.
+    SSPS_ASSERT(static_cast<void*>(static_cast<Message*>(msg)) == slot &&
+                msg->type_id() == msg_type_id<T>());
     ++live_;
     ++total_allocated_;
-    return PooledMsg(this, msg, MsgHandle::make(cls, slot));
+    return PooledMsg(this, msg);
   }
 
-  /// The message stored at `h` (must be live).
-  Message* get(MsgHandle h) {
-    return std::launder(reinterpret_cast<Message*>(address_of(h.size_class(), h.slot())));
-  }
-
-  /// Runs the message's destructor and recycles the slot (LIFO). During a
-  /// parallel round phase a free into a pool this thread does not own is
-  /// deferred to the thread's FreeLane and repatriated at the round
-  /// barrier (the slot's live accounting moves with it, in reclaim()).
-  void destroy(MsgHandle h) { destroy(get(h), h); }
-
-  /// destroy() for callers that already hold the message pointer (the
-  /// Network's envelopes, PooledMsg). On a worker thread this avoids the
-  /// slab-table lookup of get(), which may race the owning thread growing
-  /// its own pool mid-phase; the destructor itself only touches the slot's
-  /// memory, which is exclusively this message's until reclaim().
-  void destroy(Message* msg, MsgHandle h) {
-    SSPS_ASSERT(!h.is_null());
-    destroy_msg(msg);
+  /// Runs the message's destructor and recycles its slot (LIFO) in the
+  /// class its type_id() names. During a parallel round phase a free into
+  /// a pool this thread does not own is deferred to the thread's FreeLane
+  /// and repatriated at the round barrier (the slot's live accounting
+  /// moves with it, in reclaim()). Touches none of the pool's own state
+  /// unless it recycles there, so a worker may destroy a message of a pool
+  /// another thread is growing.
+  void destroy(Message* msg) {
+    std::byte* slot = reinterpret_cast<std::byte*>(msg);
+    const std::uint32_t cls = destroy_msg(msg);
     FreeLane* lane = detail::tls_free_lane;
     if (lane != nullptr && lane->own != this) [[unlikely]] {
-      lane->deferred.push_back(DeferredFree{this, h});
+      lane->deferred.push_back(DeferredFree{this, slot, cls});
       return;
     }
-    reclaim(h);
+    reclaim(slot, cls);
   }
 
   /// Recycles a slot whose destructor already ran (the repatriation half
   /// of a deferred destroy). Must run on the thread that owns this pool —
   /// in practice, the main thread at a round barrier.
-  void reclaim(MsgHandle h) {
-    if (h.size_class() == kOversizeClass) {
-      oversize_free_.push_back(h.slot());
-    } else {
-      classes_[h.size_class()].free_list.push_back(h.slot());
-    }
+  void reclaim(std::byte* slot, std::uint32_t size_class) {
+    classes_[size_class].free_list.push_back(slot);
     --live_;
   }
 
@@ -229,57 +222,31 @@ class MessagePool {
   bool tearing_down() const { return tearing_down_; }
 
  private:
-  // Fixed-size classes; messages larger than the last class get an
-  // individually sized slot in the oversize class (index kNumClasses).
-  static constexpr std::size_t kClassBytes[] = {64, 128, 256, 512};
-  static constexpr std::uint32_t kNumClasses =
-      static_cast<std::uint32_t>(std::size(kClassBytes));
-  static constexpr std::uint32_t kOversizeClass = kNumClasses;
   static constexpr std::size_t kSlabSlots = 1024;
 
   struct SizeClass {
     std::vector<std::unique_ptr<std::byte[]>> slabs;
-    std::vector<std::uint32_t> free_list;
-    std::uint32_t created = 0;  // slots ever carved from slabs
-  };
-  struct OversizeSlot {
-    std::unique_ptr<std::byte[]> block;
-    std::size_t capacity = 0;
+    std::vector<std::byte*> free_list;
+    std::size_t created = 0;  // slots ever carved from slabs
   };
 
-  static std::uint32_t class_for(std::size_t bytes) {
-    for (std::uint32_t c = 0; c < kNumClasses; ++c) {
-      if (bytes <= kClassBytes[c]) return c;
+  /// Runs the message's (virtual) destructor and returns the slot class
+  /// of its type, read first. Out of line: it needs Message complete.
+  static std::uint32_t destroy_msg(Message* msg);
+
+  std::byte* allocate(std::uint32_t cls) {
+    SizeClass& sc = classes_[cls];
+    if (!sc.free_list.empty()) [[likely]] {
+      std::byte* slot = sc.free_list.back();
+      sc.free_list.pop_back();
+      return slot;
     }
-    return kOversizeClass;
+    return carve(cls);
   }
+  /// The class's next fresh slot (a new slab every kSlabSlots slots).
+  std::byte* carve(std::uint32_t cls);
 
-  static void destroy_msg(Message* msg);  // virtual dtor call (needs Message)
-
-  std::uint32_t allocate_slot(std::uint32_t cls, std::size_t bytes) {
-    if (cls != kOversizeClass) [[likely]] {
-      SizeClass& sc = classes_[cls];
-      if (!sc.free_list.empty()) [[likely]] {
-        const std::uint32_t slot = sc.free_list.back();
-        sc.free_list.pop_back();
-        return slot;
-      }
-    }
-    return allocate_slot_slow(cls, bytes);
-  }
-  std::uint32_t allocate_slot_slow(std::uint32_t cls, std::size_t bytes);
-
-  std::byte* address_of(std::uint32_t cls, std::uint32_t slot) {
-    if (cls != kOversizeClass) [[likely]] {
-      return classes_[cls].slabs[slot / kSlabSlots].get() +
-             kClassBytes[cls] * (slot % kSlabSlots);
-    }
-    return oversize_[slot].block.get();
-  }
-
-  SizeClass classes_[kNumClasses];
-  std::vector<OversizeSlot> oversize_;
-  std::vector<std::uint32_t> oversize_free_;
+  SizeClass classes_[detail::kSlotClasses];
   std::size_t live_ = 0;
   std::uint64_t total_allocated_ = 0;
   bool tearing_down_ = false;

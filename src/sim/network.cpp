@@ -37,15 +37,15 @@ Network::Network(std::uint64_t seed) : seed_(seed), rng_(seed) {
 }
 
 Network::~Network() {
-  // The in-flight lane holds raw pool handles; reclaim them before the
+  // The in-flight lane holds raw pooled messages; reclaim them before the
   // pools die so their leak accounting stays exact. Envelopes may live in
   // scheduler-owned worker pools, and parked segments in the installed
   // scheduler's workers, so drain before the schedulers (and with them
   // their pools) are destroyed; the installed engine reclaims whatever it
   // holds as it is destroyed. (The grouped scatter array never holds
-  // handles across units.)
+  // messages across units.)
   unpark();
-  for (const Envelope& env : pending_) env.pool->destroy(env.msg, env.handle);
+  for (const Envelope& env : pending_) env.pool->destroy(env.msg);
   pending_.clear();
   retired_schedulers_.clear();
   scheduler_.reset();
@@ -102,7 +102,7 @@ void Network::unpark() {
 
 void Network::reclaim(const Envelope& env) {
   if (trace_ != nullptr) [[unlikely]] trace_forget(env.msg);
-  env.pool->destroy(env.msg, env.handle);
+  env.pool->destroy(env.msg);
 }
 
 void Network::crash(NodeId id) {
@@ -303,7 +303,7 @@ std::size_t Network::deliver_grouped_range(std::size_t begin, std::size_t end,
     ctx.metrics->on_deliver(env.to);
     if (trace_ != nullptr) [[unlikely]] trace_deliver(env);
     ctx.acting = env.to;
-    slot->node->handle(PooledMsg(env.pool, env.msg, env.handle));
+    slot->node->handle(PooledMsg(env.pool, env.msg));
     ++delivered;
   }
   ctx.acting = NodeId::null();

@@ -21,12 +21,12 @@
 //
 // Large-n layout: nodes live in one dense vector indexed by NodeId (a
 // crashed node leaves a tombstone slot), and all channels share one
-// append-only in-flight lane of pooled message handles — a send is a
-// sequential push, and a round groups the whole lane by target through a
-// shuffled index permutation. The lane may be split into segments: the
-// parallel scheduler's worker lanes stay parked where their sends landed,
-// ahead of the Network's main lane, and every reader walks all segments
-// in that canonical order. Delivery order is a canonical function of
+// append-only in-flight lane of envelopes — a send is a sequential push,
+// and a round groups the whole lane by target through a shuffled index
+// permutation. The lane may be split into segments: the parallel
+// scheduler's worker lanes stay parked where their sends landed, ahead of
+// the Network's main lane, and every reader walks all segments in that
+// canonical order. Delivery order is a canonical function of
 // (seed, call sequence) — independent of container internals, so runs
 // replay bit-for-bit on any standard library. All send-side effects (lane
 // append, metrics, pool allocation, sender attribution) are routed
@@ -64,10 +64,8 @@ namespace ssps::sim {
 /// undelivered messages live in flat vectors ("lanes"), not in per-node
 /// queues: sends append sequentially (cache-friendly), and the round
 /// scheduler turns the lanes, read in canonical order, into the next
-/// round's shuffled delivery batch. `pool` is the arena the message was
-/// allocated from — under the parallel scheduler each worker allocates
-/// from its own pool, so the envelope must remember its origin to
-/// recycle the slot.
+/// round's shuffled delivery batch. An envelope's place in the lanes is
+/// its send order.
 struct Envelope {
   NodeId to;
   /// Sender attribution: the node whose action executed the send, or null
@@ -76,16 +74,17 @@ struct Envelope {
   /// The timed scheduler keys link selection and fault exemption on it;
   /// the deployment relays each node's sends to its target's shard by it.
   NodeId from;
+  /// The message, in a slot of `pool`: the arena it was allocated from.
+  /// Under the parallel scheduler each worker allocates from its own
+  /// pool, so the envelope must remember its origin to recycle the slot.
   Message* msg = nullptr;
   MessagePool* pool = nullptr;
-  MsgHandle handle;
-  /// Canonical send order, stamped on the main lane only (worker-lane
-  /// envelopes get 0; the parked lanes' order already reproduces send
-  /// order for those). Monotone and never reused: the timed
-  /// scheduler's equal-deadline tie-break and the deployment's relay
-  /// lookup both key on it.
-  std::uint64_t seq = 0;
 };
+// Four words: every round copies each in-flight envelope into its target
+// group, and a parallel worker reads the envelopes for its range out of
+// lanes other cores wrote, so every byte here is paid per message per
+// round.
+static_assert(sizeof(Envelope) == 32, "an envelope is (to, from, msg, pool)");
 
 /// Where the current thread's sends go: the in-flight lane that receives
 /// the envelope, the Metrics shard that accounts it, and the MessagePool
@@ -417,17 +416,8 @@ class Network {
   }
 
   void enqueue(SendContext& ctx, NodeId to, PooledMsg&& msg) {
-    Envelope env;
-    env.to = to;
-    env.from = ctx.acting;
-    env.msg = msg.get();
-    env.pool = msg.pool();
-    // The canonical send counter lives on the main lane; worker lanes are
-    // parked in send-reproducing order anyway, and a shared counter would
-    // be a cross-thread write on the parallel hot path.
-    if (ctx.lane == &pending_) env.seq = next_send_seq_++;
-    env.handle = msg.release();
-    ctx.lane->push_back(env);
+    MessagePool* pool = msg.pool();
+    ctx.lane->push_back(Envelope{to, ctx.acting, msg.release(), pool});
   }
 
   // ---- Round phases (reached through EngineSeam) -----------------------
@@ -524,8 +514,6 @@ class Network {
   MessagePool pool_;
   Metrics metrics_;
   telemetry::LatencyTracker latency_;
-  /// Canonical send counter (Envelope::seq source); main lane only.
-  std::uint64_t next_send_seq_ = 0;
 
   // ---- Snapshot / recovery state ---------------------------------------
   /// Periodic snapshot cadence in rounds (0 = off).
@@ -573,8 +561,8 @@ class Network {
   // The grouped scatter target is a raw array, not a vector: every cell in
   // [0, batch) is overwritten by the counting sort each round, so element
   // lifetime bookkeeping (and the re-zeroing a vector resize would do) is
-  // pure overhead — and no pooled handle ever outlives the delivery loop
-  // here, so the destructor has nothing to reclaim from it.
+  // pure overhead — and no envelope here outlives the delivery loop, so
+  // the destructor has nothing to reclaim from it.
   std::unique_ptr<Envelope[]> grouped_;
   std::size_t grouped_cap_ = 0;
 };
@@ -633,9 +621,11 @@ class EngineSeam {
 
   // ---- Lane, main context, shard fold targets ----------------------------
   /// The main lane, for the serial engines, which read and patch the
-  /// in-flight lane in place; aborts while engine lanes are parked. Main-
-  /// context sends append with ascending seq, so after a serial round it
-  /// is sorted by seq.
+  /// in-flight lane in place; aborts while engine lanes are parked. It
+  /// holds the main context's sends in send order. A serial round
+  /// consumes it before delivering, so right after a round it holds
+  /// exactly that round's sends: the deployment names a relayed envelope
+  /// by its index here.
   std::vector<Envelope>& lane() {
     SSPS_ASSERT_MSG(net_.parked_.empty(), "lane: engine lanes are parked");
     return net_.pending_;
@@ -656,8 +646,6 @@ class EngineSeam {
   Metrics& fold_metrics() { return net_.metrics_; }
   telemetry::LatencyTracker& fold_latency() { return net_.latency_; }
   void set_parallel_phase(bool on) { net_.in_parallel_phase_ = on; }
-  /// Draws the next canonical send number (an engine-made duplicate).
-  std::uint64_t next_seq() { return net_.next_send_seq_++; }
   std::uint64_t seed() const { return net_.seed_; }
 
   // ---- Probe samples -----------------------------------------------------

@@ -70,15 +70,8 @@ class Trace {
   const std::deque<TraceEvent>& events() const { return events_; }
   std::size_t dropped() const { return dropped_; }
 
-  /// Drops all recorded events (label interning survives; it is not
-  /// observable through to_text/filter).
+  /// Drops all recorded events (label interning survives).
   void clear();
-
-  /// Events matching a label, newest last.
-  std::vector<TraceEvent> filter(std::string_view label) const;
-
-  /// Renders the recorded events as a text timeline.
-  std::string to_text() const;
 
  private:
   struct StringHash {

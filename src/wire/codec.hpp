@@ -55,7 +55,7 @@ enum class WireType : std::uint8_t {
 /// the frame layout or the control protocol; peers with a different
 /// version are rejected at handshake time (DecodeStatus::kVersionMismatch)
 /// instead of diverging mid-run.
-inline constexpr std::uint32_t kProtocolVersion = 1;
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 /// Handshake greeting exchanged when a transport connection opens: the
 /// speaker's protocol version plus the node (shard) id it claims to host.

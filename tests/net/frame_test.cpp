@@ -44,7 +44,7 @@ std::vector<std::pair<std::string, std::vector<std::uint8_t>>> corpus(
   proc::Relay relay;
   relay.from = 5;
   relay.to = 9;
-  relay.seq = 1234;
+  relay.index = 1234;
   EXPECT_TRUE(wire::encode_message(
       *pool.make<wire::Hello>(wire::kProtocolVersion, NodeId{5}), relay.frame));
   ctrl("relay", std::move(relay));

@@ -22,7 +22,7 @@ TEST(CtrlCodec, RoundtripsEveryType) {
   Relay relay;
   relay.from = 3;
   relay.to = 8;
-  relay.seq = 777;
+  relay.index = 777;
   relay.frame = {0x01, 0x02, 0x03, 0x04};
   const std::vector<CtrlMsg> samples = {
       RoundGo{12},
@@ -50,14 +50,14 @@ TEST(CtrlCodec, FieldFidelity) {
   Relay relay;
   relay.from = 3;
   relay.to = 8;
-  relay.seq = 777;
+  relay.index = 777;
   relay.frame = {0xde, 0xad, 0xbe, 0xef};
   const CtrlParse parsed = parse_ctrl(encoded(relay));
   ASSERT_TRUE(parsed.ok());
   const auto& r = std::get<Relay>(*parsed.msg);
   EXPECT_EQ(r.from, 3u);
   EXPECT_EQ(r.to, 8u);
-  EXPECT_EQ(r.seq, 777u);
+  EXPECT_EQ(r.index, 777u);
   EXPECT_EQ(r.frame, relay.frame);
 }
 

@@ -1,12 +1,13 @@
 // Tests for the slab/arena MessagePool (src/sim/message_pool.hpp):
 // recycling (including reclamation of messages queued to crashed nodes),
-// deterministic handle order under replay, and a scrambled-start run at
-// n = 256 that the CI sanitizer job executes under ASan/UBSan.
+// a deterministic slot reuse pattern under replay, and a scrambled-start
+// run at n = 256 that the CI sanitizer job executes under ASan/UBSan.
 #include "sim/message_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -53,14 +54,14 @@ TEST(MessagePool, TypeIdsAreDistinctAndStamped) {
 
 TEST(MessagePool, SlotsAreRecycledLifo) {
   MessagePool pool;
-  MsgHandle first;
+  const Message* first = nullptr;
   {
     auto m = pool.make<Tiny>(1);
-    first = m.handle();
+    first = m.get();
   }  // destroyed -> slot back on the freelist
   EXPECT_EQ(pool.live(), 0u);
   auto m2 = pool.make<Tiny>(2);
-  EXPECT_EQ(m2.handle(), first);  // LIFO reuse of the freed slot
+  EXPECT_EQ(m2.get(), first);  // LIFO reuse of the freed slot
   EXPECT_EQ(pool.total_allocated(), 2u);
   EXPECT_EQ(pool.slot_count(), 1u);  // one physical slot ever created
 }
@@ -100,26 +101,41 @@ TEST(MessagePool, CrashReclaimsQueuedMessages) {
   EXPECT_EQ(net.pool().live(), 0u);
 }
 
-TEST(MessagePool, OversizeMessagesPoolAndRecycle) {
-  struct Huge final : MsgBase<Huge> {
-    std::array<std::uint64_t, 200> blob{};  // > largest size class
-    std::string_view name() const override { return "Huge"; }
+TEST(MessagePool, SizeClassesFollowTheTypeId) {
+  // A freed slot is reused by the next message of its class and by no
+  // message of another class: destroy() finds the freelist from the
+  // message's type_id() alone.
+  struct Wide final : MsgBase<Wide> {
+    std::array<std::uint64_t, 20> blob{};
+    std::string_view name() const override { return "Wide"; }
   };
+  static_assert(detail::slot_class_for(sizeof(Tiny)) !=
+                detail::slot_class_for(sizeof(Wide)));
+  EXPECT_EQ(detail::msg_slot_class[msg_type_id<Tiny>()],
+            detail::slot_class_for(sizeof(Tiny)));
+  EXPECT_EQ(detail::msg_slot_class[msg_type_id<Wide>()],
+            detail::slot_class_for(sizeof(Wide)));
   MessagePool pool;
-  MsgHandle h;
+  const Message* tiny = nullptr;
   {
-    auto m = pool.make<Huge>();
-    h = m.handle();
+    auto m = pool.make<Tiny>(1);
+    tiny = m.get();
   }
-  auto m2 = pool.make<Huge>();
-  EXPECT_EQ(m2.handle(), h);  // oversize blocks are recycled too
+  auto wide = pool.make<Wide>();
+  EXPECT_NE(wide.get(), tiny);
+  auto again = pool.make<Tiny>(2);
+  EXPECT_EQ(again.get(), tiny);
+  EXPECT_EQ(pool.slot_count(), 2u);
 }
 
-struct HandleRecorder final : Node {
+struct SlotRecorder final : Node {
   std::vector<std::uint32_t>* out = nullptr;
+  std::map<const Message*, std::uint32_t>* slots = nullptr;
   NodeId peer;
   void handle(PooledMsg m) override {
-    out->push_back(m.handle().bits);  // the pooled address, as delivered
+    // The pooled slot, as delivered, numbered in first-use order: slot
+    // addresses differ between runs, their reuse pattern must not.
+    out->push_back(slots->try_emplace(m.get(), slots->size()).first->second);
     if (const auto* t = msg_cast<Tiny>(*m)) {
       if (t->value > 0) net().emit<Tiny>(peer, t->value - 1);
       if (t->value % 3 == 0) net().emit<Payload>(peer, "p" + std::to_string(t->value));
@@ -143,24 +159,26 @@ TEST(MessagePool, TeardownReleasesNestedOwnershipOnce) {
   pool.reset();
 }
 
-TEST(MessagePool, HandleOrderIsDeterministicUnderReplay) {
-  // Two identical runs must observe bit-identical handle sequences at
-  // delivery: the arena hands out fresh slots sequentially and reuses
-  // freed slots LIFO, so every pooled address is a pure function of the
+TEST(MessagePool, SlotReuseIsDeterministicUnderReplay) {
+  // Two identical runs must reuse slots in the same pattern at delivery:
+  // the arena hands out fresh slots sequentially and reuses freed slots
+  // LIFO, so which slot a message occupies is a pure function of the
   // (seed, call sequence) — the replay property the scenario engine's
   // bit-identical reports rest on.
   auto run = [](std::uint64_t seed) {
-    std::vector<std::uint32_t> handles;
+    std::vector<std::uint32_t> slots_seen;
+    std::map<const Message*, std::uint32_t> slots;
     Network net(seed);
-    const NodeId a = net.spawn<HandleRecorder>();
-    const NodeId b = net.spawn<HandleRecorder>();
-    net.node_as<HandleRecorder>(a).out = &handles;
-    net.node_as<HandleRecorder>(a).peer = b;
-    net.node_as<HandleRecorder>(b).out = &handles;
-    net.node_as<HandleRecorder>(b).peer = a;
+    const NodeId a = net.spawn<SlotRecorder>();
+    const NodeId b = net.spawn<SlotRecorder>();
+    for (const NodeId id : {a, b}) {
+      net.node_as<SlotRecorder>(id).out = &slots_seen;
+      net.node_as<SlotRecorder>(id).slots = &slots;
+      net.node_as<SlotRecorder>(id).peer = id == a ? b : a;
+    }
     for (int i = 0; i < 8; ++i) net.emit<Tiny>(i % 2 == 0 ? a : b, 20 + i);
     net.run_units(30);
-    return handles;
+    return slots_seen;
   };
   const auto first = run(11);
   EXPECT_FALSE(first.empty());
