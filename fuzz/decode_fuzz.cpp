@@ -14,6 +14,15 @@
 // fixed publication store, whose answers must match a linear scan of the
 // store's keys: wire labels of any length reach the trie's skip descent.
 //
+// Every input is also a byte stream for the deployment's frame assembler
+// (net/frame.hpp): fed to a fresh assembler with a small payload cap, in
+// segments of seeded random sizes, it must hand back views equal to the
+// frames a reference walk over the whole input cuts out, and fail exactly
+// where that walk meets a length beyond the cap. Each frame it returns
+// goes to parse_ctrl while the view is valid. The standalone binary also
+// builds multi-frame streams from the corpus and its mutations, some long
+// enough that the assembler compacts its buffer between frames.
+//
 // Two build modes share one `one_input` body:
 //
 //  - With -DSSPS_FUZZER and -fsanitize=fuzzer this is a libFuzzer target
@@ -28,13 +37,17 @@
 //      $ ssps_decode_fuzz fuzz/corpus                      # replay only
 //      $ ssps_decode_fuzz fuzz/corpus --iters 200000       # replay + mutate
 //      $ ssps_decode_fuzz --write-corpus fuzz/corpus       # regenerate seeds
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/encode.hpp"
+#include "common/rng.hpp"
+#include "net/frame.hpp"
 #include "proc/ctrl.hpp"
 #include "pubsub/pubsub_node.hpp"
 #include "pubsub/topics.hpp"
@@ -42,6 +55,16 @@
 #include "wire/codec.hpp"
 
 namespace {
+
+/// The payload length a frame header at `header` declares (the u64 after
+/// the type byte); the header's 13 bytes must be readable.
+std::uint64_t declared_len(const std::uint8_t* header) {
+  std::uint64_t len = 0;
+  for (int i = 0; i < 8; ++i) {
+    len |= static_cast<std::uint64_t>(header[1 + i]) << (8 * i);
+  }
+  return len;
+}
 
 /// The store decoded labels are looked up in: 16 publications under
 /// 96-bit keys (one full word and part of a second), and its keys in key
@@ -133,20 +156,72 @@ void message_leg(const std::uint8_t* data, std::size_t size) {
 void ctrl_leg(const std::uint8_t* data, std::size_t size) {
   const ssps::proc::CtrlParse parsed = ssps::proc::parse_ctrl({data, size});
   if (!parsed.ok()) return;
-  std::uint64_t payload_len = 0;
-  for (int i = 0; i < 8; ++i) {
-    payload_len |= static_cast<std::uint64_t>(data[1 + i]) << (8 * i);
-  }
+  const std::uint64_t payload_len = declared_len(data);
   std::vector<std::uint8_t> reencoded;
   ssps::proc::encode_ctrl(*parsed.msg, reencoded);
   if (reencoded.size() != 13 + payload_len) __builtin_trap();
   if (std::memcmp(reencoded.data(), data, reencoded.size()) != 0) __builtin_trap();
 }
 
-/// One fuzz iteration: the same bytes through both parsers.
-void one_input(const std::uint8_t* data, std::size_t size) {
+/// The assembler leg: `data` as a stream, fed to a fresh assembler with a
+/// payload cap of 16-255 bytes in segments of 1 to 2 * cap bytes, sizes
+/// drawn from `rng`. Every view it returns must equal the next frame of a
+/// reference walk over the whole input, and it must fail (kFrameTooLarge,
+/// at that frame's stream offset) exactly where the walk meets a length
+/// beyond the cap.
+void assembler_leg(const std::uint8_t* data, std::size_t size, ssps::Rng& rng) {
+  constexpr std::size_t kHeader = ssps::net::FrameAssembler::kHeaderBytes;
+  const std::size_t cap = 16 + rng.below(240);
+
+  // The reference walk: header, declared length, the cap.
+  std::vector<std::span<const std::uint8_t>> want;
+  std::size_t pos = 0;
+  bool too_large = false;
+  while (size - pos >= kHeader) {
+    const std::uint64_t len = declared_len(data + pos);
+    if (len > cap) {
+      too_large = true;
+      break;
+    }
+    if (size - pos - kHeader < len) break;  // the stream ends mid-frame
+    want.emplace_back(data + pos, kHeader + len);
+    pos += kHeader + static_cast<std::size_t>(len);
+  }
+
+  ssps::net::FrameAssembler assembler(cap);
+  std::size_t got = 0;
+  for (std::size_t fed = 0; fed < size;) {
+    const std::size_t segment =
+        std::min<std::size_t>(size - fed, 1 + rng.below(2 * cap));
+    assembler.feed({data + fed, segment});
+    fed += segment;
+    // Each view is checked and parsed before the next feed invalidates it.
+    while (const std::optional<std::span<const std::uint8_t>> frame = assembler.next()) {
+      if (got == want.size() || frame->size() != want[got].size() ||
+          std::memcmp(frame->data(), want[got].data(), frame->size()) != 0) {
+        __builtin_trap();
+      }
+      ++got;
+      (void)ssps::proc::parse_ctrl(*frame);
+    }
+  }
+  if (got != want.size() || assembler.failed() != too_large) __builtin_trap();
+  if (too_large) {
+    if (assembler.error().status != ssps::wire::DecodeStatus::kFrameTooLarge ||
+        assembler.error().offset != pos) {
+      __builtin_trap();
+    }
+  } else if (assembler.buffered() != size - pos) {
+    __builtin_trap();
+  }
+}
+
+/// One fuzz iteration: the same bytes through both parsers and, as a
+/// stream, through the assembler.
+void one_input(const std::uint8_t* data, std::size_t size, ssps::Rng& rng) {
   message_leg(data, size);
   ctrl_leg(data, size);
+  assembler_leg(data, size, rng);
 }
 
 }  // namespace
@@ -154,7 +229,10 @@ void one_input(const std::uint8_t* data, std::size_t size) {
 #ifdef SSPS_FUZZER
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
-  one_input(data, size);
+  // Segment sizes follow from the input itself, so a crash reproduces
+  // from the crashing input alone.
+  ssps::Rng rng(ssps::wire::crc32({data, size}));
+  one_input(data, size, rng);
   return 0;
 }
 
@@ -169,7 +247,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
 #include <optional>
 #include <string>
 
-#include "common/rng.hpp"
 #include "core/messages.hpp"
 
 namespace {
@@ -290,11 +367,12 @@ std::vector<std::pair<std::string, std::vector<std::uint8_t>>> seed_corpus() {
 
 /// One valid control frame of each CtrlType, each checked to parse.
 std::vector<std::vector<std::uint8_t>> ctrl_seeds() {
+  const std::vector<std::uint8_t> inner = seed_corpus().front().second;  // Subscribe
   ssps::proc::Relay relay;
   relay.from = 3;
   relay.to = 8;
   relay.index = 41;
-  relay.frame = seed_corpus().front().second;  // a Subscribe frame
+  relay.frame = inner;
   const ssps::proc::CtrlMsg msgs[] = {
       ssps::proc::RoundGo{12},
       ssps::proc::RoundDone{12, 0x0123456789abcdefULL, 2},
@@ -338,10 +416,7 @@ void mutate(std::vector<std::uint8_t>& bytes, ssps::Rng& rng) {
   }
   if (bytes.size() >= 13 && rng.below(2) == 0) {
     // Re-seal the frame: valid header + CRC over the mutated payload.
-    std::uint64_t payload_len = 0;
-    for (int i = 0; i < 8; ++i) {
-      payload_len |= static_cast<std::uint64_t>(bytes[1 + i]) << (8 * i);
-    }
+    const std::uint64_t payload_len = declared_len(bytes.data());
     if (payload_len <= bytes.size() - 13) {
       std::uint32_t crc = ssps::wire::crc32({&bytes[0], 1});
       crc = ssps::wire::crc32({bytes.data() + 13, payload_len}, crc);
@@ -350,6 +425,49 @@ void mutate(std::vector<std::uint8_t>& bytes, ssps::Rng& rng) {
       }
     }
   }
+}
+
+/// True when `bytes` is exactly one frame by its header's length claim.
+bool whole_frame(const std::vector<std::uint8_t>& bytes) {
+  return bytes.size() >= ssps::net::FrameAssembler::kHeaderBytes &&
+         declared_len(bytes.data()) ==
+             bytes.size() - ssps::net::FrameAssembler::kHeaderBytes;
+}
+
+/// A stream for the assembler leg. Most hold 2-8 corpus entries back to
+/// back, each mutated with probability 1/4. One in 64 holds 100-300
+/// unmutated whole frames (5-30 KiB), then one mutated entry: streams
+/// that long make the assembler compact its buffer between frames.
+std::vector<std::uint8_t> stream_of(const std::vector<std::vector<std::uint8_t>>& corpus,
+                                    ssps::Rng& rng) {
+  std::vector<std::uint8_t> stream;
+  if (rng.below(64) == 0) {
+    for (std::uint64_t n = 100 + rng.below(201); n > 0;) {
+      const std::vector<std::uint8_t>& entry = corpus[rng.below(corpus.size())];
+      if (!whole_frame(entry)) continue;
+      stream.insert(stream.end(), entry.begin(), entry.end());
+      --n;
+    }
+    std::vector<std::uint8_t> tail = corpus[rng.below(corpus.size())];
+    mutate(tail, rng);
+    stream.insert(stream.end(), tail.begin(), tail.end());
+    return stream;
+  }
+  for (std::uint64_t n = 2 + rng.below(7); n > 0; --n) {
+    std::vector<std::uint8_t> entry = corpus[rng.below(corpus.size())];
+    if (rng.below(4) == 0) mutate(entry, rng);
+    stream.insert(stream.end(), entry.begin(), entry.end());
+  }
+  return stream;
+}
+
+void dump(const char* what, std::uint64_t iteration,
+          const std::vector<std::uint8_t>& bytes) {
+  std::printf("iteration %llu %s (%zu bytes):",
+              static_cast<unsigned long long>(iteration), what, bytes.size());
+  for (std::uint8_t b : bytes) std::printf(" %02x", b);
+  std::printf("\n");
+  std::fflush(stdout);
 }
 
 int write_corpus(const fs::path& dir) {
@@ -408,6 +526,7 @@ int main(int argc, char** argv) {
   if (write) return write_corpus(corpus_dir);
 
   // Replay: every committed corpus entry, in sorted order (determinism).
+  ssps::Rng rng(seed);
   std::vector<std::vector<std::uint8_t>> corpus;
   std::vector<fs::path> files;
   for (const auto& entry : fs::directory_iterator(corpus_dir)) {
@@ -418,7 +537,7 @@ int main(int argc, char** argv) {
     std::ifstream in(file, std::ios::binary);
     std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
                                     std::istreambuf_iterator<char>());
-    one_input(bytes.data(), bytes.size());
+    one_input(bytes.data(), bytes.size(), rng);
     corpus.push_back(std::move(bytes));
   }
   if (corpus.empty()) {
@@ -428,27 +547,26 @@ int main(int argc, char** argv) {
   }
   const std::size_t files_replayed = corpus.size();
   for (std::vector<std::uint8_t>& frame : ctrl_seeds()) {
-    one_input(frame.data(), frame.size());
+    one_input(frame.data(), frame.size(), rng);
     corpus.push_back(std::move(frame));
   }
   std::printf("replayed %zu corpus entries and %zu control frames\n", files_replayed,
               corpus.size() - files_replayed);
 
-  // Deterministic mutation loop seeded from the corpus. A trap at
-  // iteration N reproduces with --dump-at N, which prints the offending
-  // input as hex before running it.
-  ssps::Rng rng(seed);
+  // Deterministic mutation loop seeded from the corpus: each iteration
+  // runs one mutated input through every leg and one built stream through
+  // the assembler leg. A trap at iteration N reproduces with --dump-at N,
+  // which prints both as hex before running them.
   for (std::uint64_t i = 0; i < iters; ++i) {
     std::vector<std::uint8_t> bytes = corpus[rng.below(corpus.size())];
     mutate(bytes, rng);
+    const std::vector<std::uint8_t> stream = stream_of(corpus, rng);
     if (i + 1 == dump_at) {
-      std::printf("iteration %llu input (%zu bytes):",
-                  static_cast<unsigned long long>(i + 1), bytes.size());
-      for (std::uint8_t b : bytes) std::printf(" %02x", b);
-      std::printf("\n");
-      std::fflush(stdout);
+      dump("input", i + 1, bytes);
+      dump("stream", i + 1, stream);
     }
-    one_input(bytes.data(), bytes.size());
+    one_input(bytes.data(), bytes.size(), rng);
+    assembler_leg(stream.data(), stream.size(), rng);
   }
   if (iters > 0) {
     std::printf("ran %llu mutated inputs (seed %llu)\n",

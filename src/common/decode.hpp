@@ -14,7 +14,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <vector>
 
 namespace ssps::common {
 
@@ -65,18 +64,17 @@ class Decoder {
     return true;
   }
 
-  /// Length-prefixed byte string (u64 length + bytes). The declared length
-  /// is validated against the remaining input *before* any allocation, so
-  /// a corrupted huge length cannot trigger an out-of-memory reserve.
-  bool bytes(std::vector<std::uint8_t>& out) {
+  /// Borrows a length-prefixed byte string (u64 length + bytes) without
+  /// copying; the view aliases the input span, as view() does. The
+  /// declared length is validated against the remaining input.
+  bool bytes(std::span<const std::uint8_t>& out) {
     std::uint64_t n = 0;
     const std::size_t mark = pos_;
     if (!u64(n) || n > remaining()) {
       pos_ = mark;
       return false;
     }
-    out.assign(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-               data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+    out = data_.subspan(pos_, static_cast<std::size_t>(n));
     pos_ += static_cast<std::size_t>(n);
     return true;
   }

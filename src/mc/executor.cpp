@@ -12,6 +12,10 @@ namespace ssps::mc {
 Executor::Executor(const Options& options) : opt_(options) { reset(); }
 
 void Executor::reset() {
+  // A backtrack lands here mid-round. The grouped slots the round has not
+  // fired sit in no lane, so the dropped system's Network would leave
+  // them to its pool's teardown sweep; reclaim them first.
+  discard_round();
   // Rebuild instead of snapshot-restore: construct + spawn + scramble is a
   // few microseconds at model-checking sizes, and rebuilding from the seed
   // is trivially bit-deterministic (the Network seeds every per-node RNG
@@ -25,10 +29,18 @@ void Executor::reset() {
   sys_->net().set_scheduler(std::move(branch));
   oracle::ArbitraryStateInjector injector(opt_.scramble);
   injector.scramble(*sys_);
+  rounds_ = 0;
+}
+
+void Executor::discard_round() {
+  if (primed_) {
+    for (std::size_t i = 0; i < batch_; ++i) {
+      if (!consumed_[i]) branch_->discard(sys_->net(), i);
+    }
+  }
   primed_ = false;
   batch_ = 0;
   fired_ = 0;
-  rounds_ = 0;
   consumed_.clear();
 }
 

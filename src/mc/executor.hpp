@@ -86,8 +86,16 @@ class Executor {
 
   explicit Executor(const Options& options);
 
-  /// Rebuilds the root state (deterministic for fixed options).
+  /// Rebuilds the root state (deterministic for fixed options). Starts
+  /// with discard_round(), so the system it drops holds no message outside
+  /// its in-flight lane.
   void reset();
+
+  /// Discards the primed round's unfired slots undelivered (a no-op at a
+  /// boundary) and closes the round without its barrier. The executor
+  /// then sits at a position no trace names: only reset() or replay() may
+  /// follow.
+  void discard_round();
 
   /// Opens the next round: swaps the in-flight buffer into the grouped
   /// batch (seeded shuffle + group by target). Call at a boundary only.

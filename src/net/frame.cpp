@@ -16,7 +16,7 @@ void FrameAssembler::feed(std::span<const std::uint8_t> data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
 }
 
-std::optional<std::vector<std::uint8_t>> FrameAssembler::next() {
+std::optional<std::span<const std::uint8_t>> FrameAssembler::next() {
   if (failed_) return std::nullopt;
   const std::size_t available = buf_.size() - consumed_;
   if (available < kHeaderBytes) return std::nullopt;
@@ -33,9 +33,8 @@ std::optional<std::vector<std::uint8_t>> FrameAssembler::next() {
   }
   const std::size_t total = kHeaderBytes + static_cast<std::size_t>(payload_len);
   if (available < total) return std::nullopt;
-  std::vector<std::uint8_t> frame(head, head + total);
   consumed_ += total;
-  return frame;
+  return std::span<const std::uint8_t>(head, total);
 }
 
 }  // namespace ssps::net

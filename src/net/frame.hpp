@@ -9,8 +9,12 @@
 // frame can arrive split at every byte boundary, and several frames can
 // land in one read. The assembler closes that gap — feed() it whatever
 // recv returned and next() hands back exactly the complete frames, in
-// order, each one a contiguous buffer decode_message (or the control
+// order, each one a contiguous view decode_message (or the control
 // protocol's parser, which shares the frame shape) accepts.
+//
+// A frame is a view into the assembler's own buffer, not a copy: it stays
+// valid until the next feed(), which may compact or grow that buffer.
+// Parse or copy a frame before feeding more bytes.
 //
 // The only way an assembler fails is an oversized length claim: a header
 // whose payload length exceeds the configured cap. That is reported as a
@@ -33,7 +37,7 @@ namespace ssps::net {
 class FrameAssembler {
  public:
   /// Frame header size: type byte + u64 payload length + u32 CRC.
-  static constexpr std::size_t kHeaderBytes = 13;
+  static constexpr std::size_t kHeaderBytes = wire::kFrameHeaderBytes;
 
   /// Default payload cap (64 MiB): far above any protocol frame, small
   /// enough that a garbage header cannot balloon the process.
@@ -43,14 +47,15 @@ class FrameAssembler {
       : max_payload_(max_payload) {}
 
   /// Appends stream bytes. Accepts anything; framing errors surface from
-  /// next(), not here.
+  /// next(), not here. Invalidates every frame next() returned so far.
   void feed(std::span<const std::uint8_t> data);
 
-  /// The next complete frame (header + payload), or nullopt when the
+  /// The next complete frame (header + payload) as a view into the
+  /// assembler's buffer, valid until the next feed(); nullopt when the
   /// buffered bytes end mid-frame. After a failure (failed()) always
   /// nullopt — a stream that lied about a length has no trustworthy
   /// resynchronization point.
-  std::optional<std::vector<std::uint8_t>> next();
+  std::optional<std::span<const std::uint8_t>> next();
 
   /// True once a header claimed a payload beyond the cap.
   bool failed() const { return failed_; }

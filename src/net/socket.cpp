@@ -114,8 +114,8 @@ int Socket::recv_into(FrameAssembler& into, int timeout_ms) {
   }
 }
 
-std::optional<std::vector<std::uint8_t>> Socket::read_frame(FrameAssembler& from,
-                                                            int timeout_ms) {
+std::optional<std::span<const std::uint8_t>> Socket::read_frame(FrameAssembler& from,
+                                                                int timeout_ms) {
   const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
   for (;;) {
     if (auto frame = from.next()) return frame;

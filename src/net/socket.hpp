@@ -45,10 +45,12 @@ class Socket {
   /// on timeout/error.
   int recv_into(FrameAssembler& into, int timeout_ms);
 
-  /// Reads until `from` yields one complete frame. nullopt on EOF,
-  /// timeout, stream failure (FrameAssembler cap) or socket error.
-  std::optional<std::vector<std::uint8_t>> read_frame(FrameAssembler& from,
-                                                      int timeout_ms);
+  /// Reads until `from` yields one complete frame, a view into `from`'s
+  /// buffer valid until its next feed (the next recv_into or read_frame
+  /// on it). nullopt on EOF, timeout, stream failure (FrameAssembler cap)
+  /// or socket error.
+  std::optional<std::span<const std::uint8_t>> read_frame(FrameAssembler& from,
+                                                          int timeout_ms);
 
  private:
   int fd_ = -1;

@@ -40,7 +40,8 @@ class Coordinator {
       : opts_(opts),
         replica_(std::move(spec), opts.procs),
         tracker_(opts.procs),
-        conns_(opts.procs) {}
+        conns_(opts.procs),
+        forward_(opts.procs) {}
 
   int run() {
     std::optional<net::Listener> listener = net::Listener::bind_local(0);
@@ -208,7 +209,6 @@ class Coordinator {
     // RoundDone, the coordinator here.
     const std::uint64_t expect = replica_.digest();
     tracker_.begin_round(unit, expect);
-    relay_queues_.assign(opts_.procs, {});
 
     std::size_t killed = kNoShard;
     if (opts_.kill_shard >= 0 && !kill_done_ &&
@@ -228,14 +228,14 @@ class Coordinator {
     // Forward: relays first, then restore events, then the release — the
     // per-connection order every daemon's barrier_wait depends on.
     for (std::size_t target = 0; target < opts_.procs; ++target) {
-      for (const Relay& relay : relay_queues_[target]) {
-        relays_forwarded_ += 1;
-        relay_bytes_ += relay.frame.size();
-        queue(target, relay);
+      std::vector<std::uint8_t>& out = forward_[target];
+      if (killed != kNoShard) encode_ctrl(Restore{unit, killed}, out);
+      encode_ctrl(RoundGo{unit + 1}, out);
+      if (!conns_[target].sock.send_all(out)) {
+        abort_deployment("lost shard " + std::to_string(target) +
+                         " while forwarding");
       }
-      if (killed != kNoShard) queue(target, Restore{unit, killed});
-      queue(target, RoundGo{unit + 1});
-      flush(target);
+      out.clear();
     }
     if (killed != kNoShard) {
       restore_events_.push_back(Restore{unit, killed});
@@ -288,27 +288,35 @@ class Coordinator {
           continue;
         }
         if (got < 0) continue;  // spurious wakeup
-        drain_frames(shard, unit);
+        drain_frames(shard, unit, killed);
       }
     }
   }
 
-  void drain_frames(std::size_t shard, std::size_t unit) {
+  /// Handles every complete frame buffered from `shard`. A frame is a
+  /// view into the shard's stream, so each is handled before the next
+  /// read feeds the stream.
+  void drain_frames(std::size_t shard, std::size_t unit, std::size_t killed) {
     Conn& conn = conns_[shard];
-    while (std::optional<std::vector<std::uint8_t>> frame = conn.stream.next()) {
-      CtrlParse parsed = parse_ctrl(*frame);
+    while (const std::optional<std::span<const std::uint8_t>> frame =
+               conn.stream.next()) {
+      const CtrlParse parsed = parse_ctrl(*frame);
       if (!parsed.ok()) {
         abort_deployment("undecodable frame from shard " + std::to_string(shard));
       }
-      handle_frame(shard, std::move(*parsed.msg), unit);
+      handle_frame(shard, *frame, *parsed.msg, unit, shard != killed);
     }
     if (conn.stream.failed()) {
       abort_deployment("oversized frame from shard " + std::to_string(shard));
     }
   }
 
-  void handle_frame(std::size_t shard, CtrlMsg msg, std::size_t unit) {
-    if (auto* relay = std::get_if<Relay>(&msg)) {
+  /// A verified Relay `frame` goes, exactly as received, to its target's
+  /// forward buffer, unless `forward` is false: a shard killed this unit
+  /// has its whole outbox regenerated at respawn instead.
+  void handle_frame(std::size_t shard, std::span<const std::uint8_t> frame,
+                    const CtrlMsg& msg, std::size_t unit, bool forward) {
+    if (const auto* relay = std::get_if<Relay>(&msg)) {
       if (shard_of(sim::NodeId{relay->from}, opts_.procs) != shard) {
         abort_deployment("shard " + std::to_string(shard) +
                          " relayed another shard's send");
@@ -320,8 +328,12 @@ class Coordinator {
                          Replica::relay_check_name(check));
       }
       tracker_.count_relay(shard);
-      const std::size_t target = shard_of(sim::NodeId{relay->to}, opts_.procs);
-      relay_queues_[target].push_back(std::move(*relay));
+      if (!forward) return;
+      std::vector<std::uint8_t>& out =
+          forward_[shard_of(sim::NodeId{relay->to}, opts_.procs)];
+      out.insert(out.end(), frame.begin(), frame.end());
+      relays_forwarded_ += 1;
+      relay_bytes_ += relay->frame.size();
       return;
     }
     if (const auto* done = std::get_if<RoundDone>(&msg)) {
@@ -348,26 +360,23 @@ class Coordinator {
   }
 
   /// Replaces the killed shard's process: replay-respawn, re-handshake,
-  /// digest-check its rejoin ack, and rebuild its outbox from the
-  /// coordinator's own (already verified) replica — whatever the dead
-  /// process managed to send before the kill is discarded wholesale, so
-  /// the fleet never consumes a half-delivered round.
+  /// digest-check its rejoin ack, and regenerate its outbox from the
+  /// coordinator's own (already verified) replica with the daemons'
+  /// writer — whatever the dead process managed to send before the kill
+  /// was never buffered, so the fleet never consumes a half-delivered
+  /// round.
   void respawn(std::size_t unit, std::size_t killed) {
     int status = 0;
     ::waitpid(conns_[killed].pid, &status, 0);
     conns_[killed].pid = -1;
     conns_[killed].sock.close();
 
-    for (std::vector<Relay>& queue : relay_queues_) {
-      std::erase_if(queue, [&](const Relay& relay) {
-        return shard_of(sim::NodeId{relay.from}, opts_.procs) == killed;
-      });
-    }
-    std::vector<Relay> outbox = replica_.collect_outbox(killed);
-    for (Relay& relay : outbox) {
-      const std::size_t target = shard_of(sim::NodeId{relay.to}, opts_.procs);
-      relay_queues_[target].push_back(std::move(relay));
-    }
+    const Replica::Outbox outbox = replica_.write_outbox(
+        killed, [this](std::size_t target) -> std::vector<std::uint8_t>& {
+          return forward_[target];
+        });
+    relays_forwarded_ += outbox.relays;
+    relay_bytes_ += outbox.bytes;
 
     const pid_t pid = spawn_daemon(killed, unit);
     if (pid < 0) abort_deployment("failed to respawn ssps_noded");
@@ -377,7 +386,7 @@ class Coordinator {
 
     // The respawned replica replays units 1..unit locally, audits its disk
     // snapshots, then acks the current round (no relays — see outbox above).
-    std::optional<std::vector<std::uint8_t>> frame =
+    const std::optional<std::span<const std::uint8_t>> frame =
         conns_[killed].sock.read_frame(conns_[killed].stream,
                                        opts_.round_timeout_ms);
     if (!frame) abort_deployment("respawned daemon sent no rejoin ack");
@@ -400,28 +409,12 @@ class Coordinator {
     }
   }
 
-  /// Appends `msg` to the pending write to `shard`, writing once
-  /// kCtrlWriteBytes are pending. One shard's frames at a time: flush
-  /// before queueing for another.
-  void queue(std::size_t shard, const CtrlMsg& msg) {
-    encode_ctrl(msg, out_);
-    if (out_.size() >= kCtrlWriteBytes) flush(shard);
-  }
-
-  void flush(std::size_t shard) {
-    if (!conns_[shard].sock.send_all(out_)) {
-      abort_deployment("lost shard " + std::to_string(shard) +
-                       " while forwarding");
-    }
-    out_.clear();
-  }
-
   // ---- finalization -----------------------------------------------------
 
   bool compare_reports(const std::string& own_json) {
     for (std::size_t shard = 0; shard < opts_.procs; ++shard) {
-      std::optional<std::vector<std::uint8_t>> frame = conns_[shard].sock.read_frame(
-          conns_[shard].stream, opts_.round_timeout_ms);
+      const std::optional<std::span<const std::uint8_t>> frame =
+          conns_[shard].sock.read_frame(conns_[shard].stream, opts_.round_timeout_ms);
       if (!frame) {
         abort_deployment("shard " + std::to_string(shard) + " sent no report");
       }
@@ -497,8 +490,10 @@ class Coordinator {
   BarrierTracker tracker_;
   net::Listener listener_;
   std::vector<Conn> conns_;
-  std::vector<std::vector<Relay>> relay_queues_;
-  std::vector<std::uint8_t> out_;  // frames pending for one shard
+  /// Per target shard, the frames to forward at this unit's release: the
+  /// verified Relay frames as received, then Restore and RoundGo. Cleared
+  /// after each write, kept across units.
+  std::vector<std::vector<std::uint8_t>> forward_;
   std::vector<Restore> restore_events_;
   bool kill_done_ = false;
   std::size_t units_ = 0;

@@ -1,9 +1,10 @@
 // The ssps_deploy orchestrator: spawns the ssps_noded fleet, runs its own
-// lockstep replica as the round coordinator, verifies and routes every
-// cross-shard relay, arbitrates the per-unit barrier (digest cross-check
-// included), drives the scheduled kill/respawn fault, byte-compares every
-// replica's final report, and emits the ssps_run-compatible JSON report
-// (plus flat "deploy_*" keys a differential harness strips).
+// lockstep replica as the round coordinator, verifies every cross-shard
+// relay and forwards its frame to the target shard exactly as received,
+// arbitrates the per-unit barrier (digest cross-check included), drives
+// the scheduled kill/respawn fault, byte-compares every replica's final
+// report, and emits the ssps_run-compatible JSON report (plus flat
+// "deploy_*" keys a differential harness strips).
 #pragma once
 
 #include <cstdint>

@@ -4,30 +4,38 @@
 #include "common/encode.hpp"
 
 namespace ssps::proc {
-namespace {
 
-/// Seals `payload` into a frame of `type`: same header shape and CRC
-/// discipline as wire::encode_message (CRC over type byte then payload).
-void seal(CtrlType type, const common::Encoder& payload,
-          std::vector<std::uint8_t>& out) {
-  const std::uint8_t type_byte = static_cast<std::uint8_t>(type);
-  out.push_back(type_byte);
-  const std::uint64_t len = payload.size();
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
+bool append_relay(std::uint64_t from, std::uint64_t to, std::uint64_t index,
+                  const RelayInner& inner, std::vector<std::uint8_t>& out) {
+  const std::size_t at = wire::open_frame(out);
+  common::Encoder payload(out);
+  payload.u64(from);
+  payload.u64(to);
+  payload.u64(index);
+  const std::size_t len_at = out.size();
+  payload.u64(0);  // the inner frame's length, patched once it is written
+  if (!inner(out)) {
+    out.resize(at);
+    return false;
   }
-  std::uint32_t crc = wire::crc32({&type_byte, 1});
-  crc = wire::crc32(payload.buffer(), crc);
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
-  }
-  out.insert(out.end(), payload.buffer().begin(), payload.buffer().end());
+  common::patch_le(out, len_at, out.size() - len_at - 8, 8);
+  wire::seal_frame(static_cast<std::uint8_t>(CtrlType::kRelay), at, out);
+  return true;
 }
 
-}  // namespace
-
 void encode_ctrl(const CtrlMsg& msg, std::vector<std::uint8_t>& out) {
-  common::Encoder payload;
+  if (const auto* relay = std::get_if<Relay>(&msg)) {
+    append_relay(
+        relay->from, relay->to, relay->index,
+        [relay](std::vector<std::uint8_t>& o) {
+          o.insert(o.end(), relay->frame.begin(), relay->frame.end());
+          return true;
+        },
+        out);
+    return;
+  }
+  const std::size_t at = wire::open_frame(out);
+  common::Encoder payload(out);
   CtrlType type = CtrlType::kShutdown;
   std::visit(
       [&](const auto& m) {
@@ -40,12 +48,6 @@ void encode_ctrl(const CtrlMsg& msg, std::vector<std::uint8_t>& out) {
           payload.u64(m.round);
           payload.u64(m.digest);
           payload.u64(m.relays);
-        } else if constexpr (std::is_same_v<T, Relay>) {
-          type = CtrlType::kRelay;
-          payload.u64(m.from);
-          payload.u64(m.to);
-          payload.u64(m.index);
-          payload.bytes(m.frame.data(), m.frame.size());
         } else if constexpr (std::is_same_v<T, Restore>) {
           type = CtrlType::kRestore;
           payload.u64(m.round);
@@ -53,12 +55,12 @@ void encode_ctrl(const CtrlMsg& msg, std::vector<std::uint8_t>& out) {
         } else if constexpr (std::is_same_v<T, Report>) {
           type = CtrlType::kReport;
           payload.string(m.json);
-        } else {
+        } else if constexpr (std::is_same_v<T, Shutdown>) {
           type = CtrlType::kShutdown;
         }
       },
       msg);
-  seal(type, payload, out);
+  wire::seal_frame(static_cast<std::uint8_t>(type), at, out);
 }
 
 CtrlParse parse_ctrl(std::span<const std::uint8_t> frame) {
@@ -67,7 +69,7 @@ CtrlParse parse_ctrl(std::span<const std::uint8_t> frame) {
     out.error = {status, offset};
     return out;
   };
-  constexpr std::size_t kHeader = 13;
+  constexpr std::size_t kHeader = wire::kFrameHeaderBytes;
   if (frame.size() < kHeader) {
     return fail(wire::DecodeStatus::kTruncated, frame.size());
   }

@@ -12,7 +12,8 @@
 //
 //   daemon  -> coord : Relay*  (its shard's cross-shard sends, lane order)
 //   daemon  -> coord : RoundDone{round, digest, relays}
-//   coord   -> daemon: Relay*  (sends addressed to this daemon's shard)
+//   coord   -> daemon: Relay*  (sends addressed to this daemon's shard,
+//                               each the frame a sender wrote, unchanged)
 //   coord   -> daemon: Restore{round, shard}*  (lockstep recovery events)
 //   coord   -> daemon: RoundGo{round + 1}
 //
@@ -23,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -60,11 +62,16 @@ struct RoundDone {
 /// `index` in the sender's barrier-time lane, sent by `from` to `to`. At
 /// the barrier every replica's lane holds the round's sends in send
 /// order, so the index names the same envelope in each of them.
+///
+/// `frame` is a view, not a copy. A Relay from parse_ctrl views the
+/// control frame it was parsed from, so it is valid only as long as that
+/// frame is: for a frame from a FrameAssembler, until the assembler's
+/// next feed.
 struct Relay {
   std::uint64_t from = 0;
   std::uint64_t to = 0;
   std::uint64_t index = 0;
-  std::vector<std::uint8_t> frame;
+  std::span<const std::uint8_t> frame;
 };
 
 /// Lockstep recovery event: after unit `round`, every replica crash+
@@ -85,13 +92,27 @@ struct Shutdown {};
 using CtrlMsg =
     std::variant<RoundGo, RoundDone, Relay, Restore, Report, Shutdown>;
 
-/// Appends the full control frame for `msg` to `out`.
+/// Appends the full control frame for `msg` to `out`, its payload laid
+/// out in place. A Relay's frame must not view `out` itself.
 void encode_ctrl(const CtrlMsg& msg, std::vector<std::uint8_t>& out);
 
-/// Both sides write a unit's frames in batches: frames are appended with
-/// encode_ctrl, written whenever this many bytes are pending, and the
-/// rest at the end of the sender's turn. A unit costs each connection a
-/// few writes instead of one per relay, and the pending bytes stay small.
+/// Writes a relay's inner wire frame at the end of its argument; false
+/// when there is none to write.
+using RelayInner = std::function<bool(std::vector<std::uint8_t>&)>;
+
+/// The one Relay frame layout: appends to `out` the control frame of a
+/// relay stamped (from, to, index) whose inner frame `inner` writes in
+/// place. Returns false, appending nothing, when `inner` does.
+/// encode_ctrl copies a Relay's frame through it; a replica's outbox
+/// writer wire-encodes its envelopes through it.
+bool append_relay(std::uint64_t from, std::uint64_t to, std::uint64_t index,
+                  const RelayInner& inner, std::vector<std::uint8_t>& out);
+
+/// A daemon writes a unit's frames in batches: frames are appended to
+/// its pending write, which is written whenever this many bytes are
+/// pending, and the rest at the end of its turn. A unit costs the
+/// connection a few writes instead of one per relay, and the pending
+/// bytes stay small.
 inline constexpr std::size_t kCtrlWriteBytes = 64 * 1024;
 
 struct CtrlParse {
@@ -103,7 +124,8 @@ struct CtrlParse {
 
 /// Total parse of one complete control frame (as handed out by
 /// FrameAssembler): checksum, type and payload structure are all
-/// verified; any damage returns a structured error.
+/// verified; any damage returns a structured error. Parses in place: a
+/// parsed Relay views `frame` (see Relay).
 CtrlParse parse_ctrl(std::span<const std::uint8_t> frame);
 
 }  // namespace ssps::proc

@@ -88,9 +88,13 @@ class Daemon {
       // the coordinator regenerates our outbox from its own replica.
     } else {
       persist_snapshots(net);
-      const std::vector<Relay> outbox = replica_.collect_outbox(opts_.shard);
-      for (const Relay& relay : outbox) queue(relay);
-      relays = outbox.size();
+      // The outbox goes straight into the pending write, which is flushed
+      // whenever kCtrlWriteBytes are pending.
+      const auto pending = [this](std::size_t) -> std::vector<std::uint8_t>& {
+        if (out_.size() >= kCtrlWriteBytes) flush();
+        return out_;
+      };
+      relays = replica_.write_outbox(opts_.shard, pending).relays;
     }
     RoundDone done;
     done.round = unit;
@@ -240,8 +244,10 @@ class Daemon {
     out_.clear();
   }
 
+  /// The next control message. It is parsed in place: a Relay views the
+  /// stream's buffer, so it is valid only until the next read_ctrl.
   std::optional<CtrlMsg> read_ctrl(int timeout_ms) {
-    const std::optional<std::vector<std::uint8_t>> frame =
+    const std::optional<std::span<const std::uint8_t>> frame =
         sock_.read_frame(stream_, timeout_ms);
     if (!frame) return std::nullopt;
     CtrlParse parsed = parse_ctrl(*frame);

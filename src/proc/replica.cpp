@@ -1,5 +1,6 @@
 #include "proc/replica.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -47,11 +48,16 @@ sim::Envelope* find_relayed(sim::Network& net, const Relay& relay) {
   return &env;
 }
 
-Replica::RelayCheck compare(const Relay& relay, const sim::Envelope* env) {
+/// Byte-compares `relay` with the wire frame of `env`, encoded into
+/// `scratch`.
+Replica::RelayCheck compare(const Relay& relay, const sim::Envelope* env,
+                            std::vector<std::uint8_t>& scratch) {
   if (env == nullptr) return Replica::RelayCheck::kUnknown;
-  std::vector<std::uint8_t> local;
-  if (!wire::encode_message(*env->msg, local)) return Replica::RelayCheck::kMismatch;
-  if (local != relay.frame) return Replica::RelayCheck::kMismatch;
+  scratch.clear();
+  if (!wire::encode_message(*env->msg, scratch) ||
+      !std::ranges::equal(scratch, relay.frame)) {
+    return Replica::RelayCheck::kMismatch;
+  }
   return Replica::RelayCheck::kOk;
 }
 
@@ -101,22 +107,26 @@ std::uint64_t Replica::digest() {
   return wire::crc32(enc.buffer());
 }
 
-std::vector<Relay> Replica::collect_outbox(std::size_t shard) {
-  std::vector<Relay> out;
+Replica::Outbox Replica::write_outbox(std::size_t shard, const RelaySink& sink) {
+  Outbox written;
   const std::vector<sim::Envelope>& lane = sim::EngineSeam(net()).lane();
   for (std::size_t i = 0; i < lane.size(); ++i) {
     const sim::Envelope& env = lane[i];
     if (env.from.is_null()) continue;
     if (shard_of(env.from, procs_) != shard) continue;
-    if (shard_of(env.to, procs_) == shard) continue;  // process-local
-    Relay relay;
-    relay.from = env.from.value;
-    relay.to = env.to.value;
-    relay.index = i;
-    if (!wire::encode_message(*env.msg, relay.frame)) continue;
-    out.push_back(std::move(relay));
+    const std::size_t target = shard_of(env.to, procs_);
+    if (target == shard) continue;  // process-local
+    const auto inner = [&](std::vector<std::uint8_t>& out) {
+      const std::size_t before = out.size();
+      if (!wire::encode_message(*env.msg, out)) return false;
+      written.bytes += out.size() - before;
+      return true;
+    };
+    if (append_relay(env.from.value, env.to.value, i, inner, sink(target))) {
+      written.relays += 1;
+    }
   }
-  return out;
+  return written;
 }
 
 const char* Replica::relay_check_name(RelayCheck c) {
@@ -130,12 +140,12 @@ const char* Replica::relay_check_name(RelayCheck c) {
 }
 
 Replica::RelayCheck Replica::verify_relay(const Relay& relay) {
-  return compare(relay, find_relayed(net(), relay));
+  return compare(relay, find_relayed(net(), relay), scratch_);
 }
 
 Replica::RelayCheck Replica::apply_relay(const Relay& relay) {
   sim::Envelope* env = find_relayed(net(), relay);
-  const RelayCheck check = compare(relay, env);
+  const RelayCheck check = compare(relay, env, scratch_);
   if (check != RelayCheck::kOk) return check;
   wire::DecodeResult decoded = wire::decode_message(relay.frame, relay_pool_);
   if (!decoded.ok()) return RelayCheck::kUndecodable;

@@ -23,6 +23,14 @@
 // simulator's arena: the report never serializes pool telemetry, but
 // keeping the arena untouched makes the no-perturbation argument
 // structural rather than accounting-dependent.
+//
+// A relay costs one encode at its sender and, at each later hop, one
+// parse, one encode and one compare. The sender's outbox writer encodes
+// each envelope in place into the Relay frame it writes. A receiver
+// parses that frame in place (a Relay views its frame, see ctrl.hpp),
+// encodes its own envelope into one scratch buffer it reuses for every
+// relay, and compares the two byte strings. verify_relay and apply_relay
+// read the relay only during the call: nothing here keeps a view.
 #pragma once
 
 #include <cstdint>
@@ -88,11 +96,23 @@ class Replica {
   /// protocol decisions moves one of these within a round or two.
   std::uint64_t digest();
 
-  /// The cross-shard sends originated by `shard`'s nodes this round, in
-  /// lane (send) order, wire-encoded. Envelopes without a wire
-  /// encoding or without a sender (harness-originated traffic, which
-  /// every replica generates locally) don't travel.
-  std::vector<Relay> collect_outbox(std::size_t shard);
+  /// What write_outbox appended: its Relay frames, and the bytes of the
+  /// wire frames inside them.
+  struct Outbox {
+    std::uint64_t relays = 0;
+    std::uint64_t bytes = 0;
+  };
+  /// The buffer a relay for target shard `target` is appended to. It may
+  /// flush the buffer's earlier contents before returning it.
+  using RelaySink = std::function<std::vector<std::uint8_t>&(std::size_t target)>;
+
+  /// Writes a Relay frame (append_relay) for each cross-shard send of
+  /// `shard`'s nodes this round, in lane (send) order, at the end of
+  /// `sink(target shard)`, the envelope wire-encoded in place inside it.
+  /// Envelopes without a wire encoding or without a sender
+  /// (harness-originated traffic, which every replica generates locally)
+  /// don't travel.
+  Outbox write_outbox(std::size_t shard, const RelaySink& sink);
 
   enum class RelayCheck {
     kOk,           ///< matched the local envelope byte-for-byte
@@ -102,7 +122,8 @@ class Replica {
   };
   static const char* relay_check_name(RelayCheck c);
 
-  /// Byte-compares `relay` against the local replica's envelope.
+  /// Byte-compares `relay` against the local replica's envelope, encoded
+  /// into a scratch buffer the replica reuses.
   RelayCheck verify_relay(const Relay& relay);
 
   /// verify_relay + swaps the wire-decoded message into the in-flight
@@ -122,6 +143,8 @@ class Replica {
   /// messages live here, so this pool must outlive the runner.
   sim::MessagePool relay_pool_;
   scenario::ScenarioRunner runner_;
+  /// The local envelope's wire frame, re-encoded for each relay compare.
+  std::vector<std::uint8_t> scratch_;
 };
 
 }  // namespace ssps::proc

@@ -42,8 +42,12 @@ Network::~Network() {
   // scheduler-owned worker pools, and parked segments in the installed
   // scheduler's workers, so drain before the schedulers (and with them
   // their pools) are destroyed; the installed engine reclaims whatever it
-  // holds as it is destroyed. (The grouped scatter array never holds
-  // messages across units.)
+  // holds as it is destroyed. The grouped scatter array is not drained: a
+  // round's undelivered slots are indistinguishable there from delivered
+  // ones. Every engine drains its round before the unit ends, so only a
+  // teardown mid-round (a model-checker backtrack drops the system between
+  // fires) leaves messages in it; the model checker discards them first,
+  // and otherwise the pool's teardown sweep destroys them.
   unpark();
   for (const Envelope& env : pending_) env.pool->destroy(env.msg);
   pending_.clear();

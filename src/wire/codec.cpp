@@ -16,21 +16,36 @@ using common::Decoder;
 using common::Encoder;
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table generated at
-// compile time.
+// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), slice-by-8: eight
+// tables generated at compile time. Table 0 is the classic byte table;
+// table k advances a byte's contribution through k further zero bytes, so
+// one step folds eight input bytes with eight independent lookups.
 // ---------------------------------------------------------------------------
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr CrcTables kCrc = make_crc_tables();
+
+/// Little-endian u32 at `p` (unaligned).
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 // ---------------------------------------------------------------------------
 // Payload encoding
@@ -260,8 +275,32 @@ sim::PooledMsg decode_payload(WireType type, Decoder& d, sim::MessagePool& pool,
 
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::uint8_t b : data) c = kCrcTable[(c ^ b) & 0xFFu] ^ (c >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    c = kCrc[7][lo & 0xFFu] ^ kCrc[6][(lo >> 8) & 0xFFu] ^
+        kCrc[5][(lo >> 16) & 0xFFu] ^ kCrc[4][lo >> 24] ^ kCrc[3][hi & 0xFFu] ^
+        kCrc[2][(hi >> 8) & 0xFFu] ^ kCrc[1][(hi >> 16) & 0xFFu] ^ kCrc[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = kCrc[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
+}
+
+std::size_t open_frame(std::vector<std::uint8_t>& out) {
+  const std::size_t at = out.size();
+  out.resize(at + kFrameHeaderBytes);
+  return at;
+}
+
+void seal_frame(std::uint8_t type, std::size_t at, std::vector<std::uint8_t>& out) {
+  const std::size_t len = out.size() - at - kFrameHeaderBytes;
+  std::uint32_t crc = crc32({&type, 1});
+  crc = crc32({out.data() + at + kFrameHeaderBytes, len}, crc);
+  out[at] = type;
+  common::patch_le(out, at + 1, len, 8);
+  common::patch_le(out, at + 9, crc, 4);
 }
 
 const char* decode_status_name(DecodeStatus s) {
@@ -302,17 +341,13 @@ std::optional<WireType> wire_type_of(const sim::Message& m) {
 bool encode_message(const sim::Message& m, std::vector<std::uint8_t>& out) {
   const auto type = wire_type_of(m);
   if (!type) return false;
-  Encoder payload;
-  if (!encode_payload(m, payload)) return false;
-  const std::uint8_t type_byte = static_cast<std::uint8_t>(*type);
-  std::uint32_t crc = crc32({&type_byte, 1});
-  crc = crc32(payload.buffer(), crc);
-  Encoder frame;
-  frame.u8(type_byte);
-  frame.u64(payload.size());
-  frame.u32(crc);
-  out.insert(out.end(), frame.buffer().begin(), frame.buffer().end());
-  out.insert(out.end(), payload.buffer().begin(), payload.buffer().end());
+  const std::size_t at = open_frame(out);
+  Encoder payload(out);
+  if (!encode_payload(m, payload)) {
+    out.resize(at);
+    return false;
+  }
+  seal_frame(static_cast<std::uint8_t>(*type), at, out);
   return true;
 }
 

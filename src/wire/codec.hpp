@@ -106,20 +106,37 @@ struct DecodeResult {
   bool ok() const { return msg.get() != nullptr; }
 };
 
+/// Frame header size: type byte + u64 payload length + u32 CRC. The
+/// deployment's control frames share the shape.
+inline constexpr std::size_t kFrameHeaderBytes = 13;
+
 /// TopicEnvelope frames nest their payload recursively; anything deeper
 /// than this is rejected (the protocols never nest envelopes).
 inline constexpr int kMaxEnvelopeDepth = 4;
 
 /// CRC-32 (IEEE 802.3, reflected) over `data`, continuing from `seed`
 /// (pass the previous call's return value to checksum in pieces).
+/// Computed eight bytes per step (slice-by-8).
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed = 0);
+
+/// Reserves a frame header at the end of `out` and returns its offset:
+/// the payload is then appended in place, and seal_frame fills the header
+/// in. Every frame, protocol or control, is written this way.
+std::size_t open_frame(std::vector<std::uint8_t>& out);
+
+/// Fills in the header open_frame reserved at `at` for a frame of type
+/// byte `type` whose payload runs from there to the end of `out`: the
+/// type, the payload length and the CRC over the type byte and the
+/// payload.
+void seal_frame(std::uint8_t type, std::size_t at, std::vector<std::uint8_t>& out);
 
 /// The stable wire type of `m`, or nullopt for message classes outside
 /// the protocol surface (test doubles).
 std::optional<WireType> wire_type_of(const sim::Message& m);
 
-/// Appends the full frame for `m` to `out`. Returns false (appending
-/// nothing) when `m` has no wire type or no canonical encoding.
+/// Appends the full frame for `m` to `out`, encoding the payload in place
+/// behind the header. Returns false (appending nothing) when `m` has no
+/// wire type or no canonical encoding.
 bool encode_message(const sim::Message& m, std::vector<std::uint8_t>& out);
 
 /// Total decode of one frame. On success the message re-encodes to

@@ -8,6 +8,7 @@
 #include "mc/counterexample.hpp"
 #include "mc/explorer.hpp"
 #include "scenario/mc_certify.hpp"
+#include "sim/network.hpp"
 
 namespace {
 
@@ -93,6 +94,33 @@ TEST(McExecutor, EnabledPrunesDuplicateMessagesOnly) {
   }
   EXPECT_TRUE(exec.drained());
   EXPECT_GT(fired, 0u);
+}
+
+TEST(McExecutor, DiscardRoundReclaimsTheUnfiredSlots) {
+  // Mid-round, the pool holds the lane (next round's sends) plus the
+  // primed round's unfired slots. discard_round, which reset runs before
+  // dropping the system, must leave only the lane, so the pool's teardown
+  // sweep finds nothing the Network did not reclaim itself.
+  Executor exec(small_options(1));
+  exec.prime();
+  const Enabled en = exec.enabled();
+  ASSERT_FALSE(en.slots.empty());
+  exec.fire(en.slots.front());
+  ASSERT_FALSE(exec.drained());
+  ssps::sim::Network& net = exec.system().net();
+  const std::size_t lane = ssps::sim::EngineSeam(net).lane().size();
+  EXPECT_GT(net.pool().live(), lane);
+  exec.discard_round();
+  EXPECT_FALSE(exec.primed());
+  EXPECT_EQ(net.pool().live(), lane);
+
+  // The executor then replays from the root as from any other position.
+  Executor fresh(small_options(1));
+  const Trace trace = serial_walk(fresh, 2);
+  fresh.barrier();
+  exec.replay(trace);
+  exec.barrier();
+  EXPECT_EQ(exec.state_hash(), fresh.state_hash());
 }
 
 TEST(McExplorer, CertifiesAScrambledSmallRootExhaustively) {

@@ -19,11 +19,12 @@ std::vector<std::uint8_t> encoded(const CtrlMsg& msg) {
 }
 
 TEST(CtrlCodec, RoundtripsEveryType) {
+  const std::vector<std::uint8_t> inner = {0x01, 0x02, 0x03, 0x04};
   Relay relay;
   relay.from = 3;
   relay.to = 8;
   relay.index = 777;
-  relay.frame = {0x01, 0x02, 0x03, 0x04};
+  relay.frame = inner;
   const std::vector<CtrlMsg> samples = {
       RoundGo{12},
       RoundDone{12, 0xabcdef0123456789ull, 5},
@@ -47,18 +48,53 @@ TEST(CtrlCodec, FieldFidelity) {
   EXPECT_EQ(d.digest, 42u);
   EXPECT_EQ(d.relays, 3u);
 
+  const std::vector<std::uint8_t> inner = {0xde, 0xad, 0xbe, 0xef};
   Relay relay;
   relay.from = 3;
   relay.to = 8;
   relay.index = 777;
-  relay.frame = {0xde, 0xad, 0xbe, 0xef};
-  const CtrlParse parsed = parse_ctrl(encoded(relay));
+  relay.frame = inner;
+  const std::vector<std::uint8_t> frame = encoded(relay);
+  const CtrlParse parsed = parse_ctrl(frame);
   ASSERT_TRUE(parsed.ok());
   const auto& r = std::get<Relay>(*parsed.msg);
   EXPECT_EQ(r.from, 3u);
   EXPECT_EQ(r.to, 8u);
   EXPECT_EQ(r.index, 777u);
-  EXPECT_EQ(r.frame, relay.frame);
+  EXPECT_EQ(std::vector<std::uint8_t>(r.frame.begin(), r.frame.end()), inner);
+  // Parsed in place: the relay views the tail of the control frame.
+  EXPECT_EQ(r.frame.data(), frame.data() + frame.size() - inner.size());
+}
+
+TEST(CtrlCodec, AppendRelayIsTheRelayLayout) {
+  // A relay whose inner frame is written in place lays out the same bytes
+  // as encode_ctrl of a Relay viewing that frame; an inner writer that
+  // fails leaves the buffer as it was.
+  const std::vector<std::uint8_t> inner = {0x0b, 0x0e, 0x0e, 0x0f, 0x05};
+  Relay relay;
+  relay.from = 4;
+  relay.to = 11;
+  relay.index = 9;
+  relay.frame = inner;
+  std::vector<std::uint8_t> out = {0xaa};
+  ASSERT_TRUE(append_relay(
+      4, 11, 9,
+      [&](std::vector<std::uint8_t>& o) {
+        o.insert(o.end(), inner.begin(), inner.end());
+        return true;
+      },
+      out));
+  std::vector<std::uint8_t> want = {0xaa};
+  encode_ctrl(relay, want);
+  EXPECT_EQ(out, want);
+  EXPECT_FALSE(append_relay(
+      1, 2, 3,
+      [](std::vector<std::uint8_t>& o) {
+        o.push_back(0x01);
+        return false;
+      },
+      out));
+  EXPECT_EQ(out, want);
 }
 
 TEST(CtrlCodec, FlippedByteFailsChecksum) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/frame.hpp"
 #include "proc/replica.hpp"
 #include "scenario/runner.hpp"
 #include "sim/network.hpp"
@@ -28,6 +29,31 @@ scenario::ScenarioSpec spec_of(const ScenarioChoice& choice) {
   scenario::ScenarioSpec spec;
   EXPECT_TRUE(build_scenario(choice, spec));
   return spec;
+}
+
+/// `shard`'s outbox this unit as write_outbox lays it out, cut into its
+/// control frames (one per relay), each an owning copy.
+std::vector<std::vector<std::uint8_t>> outbox_frames(Replica& replica,
+                                                     std::size_t shard) {
+  std::vector<std::uint8_t> out;
+  const Replica::Outbox written = replica.write_outbox(
+      shard, [&](std::size_t) -> std::vector<std::uint8_t>& { return out; });
+  net::FrameAssembler stream;
+  stream.feed(out);
+  std::vector<std::vector<std::uint8_t>> frames;
+  while (const auto frame = stream.next()) {
+    frames.emplace_back(frame->begin(), frame->end());
+  }
+  EXPECT_EQ(frames.size(), written.relays);
+  EXPECT_EQ(stream.buffered(), 0u);
+  return frames;
+}
+
+/// The Relay a control frame carries: a view into `frame`.
+Relay relay_of(const std::vector<std::uint8_t>& frame) {
+  const CtrlParse parsed = parse_ctrl(frame);
+  EXPECT_TRUE(parsed.ok());
+  return std::get<Relay>(parsed.msg.value());
 }
 
 TEST(ShardOf, RoundRobinsDenseIds) {
@@ -87,7 +113,8 @@ TEST(Replica, RelaySwapIsReportNeutral) {
   std::size_t swapped = 0;
   replica.install_lockstep([&](std::size_t) {
     for (std::size_t shard = 0; shard < 3; ++shard) {
-      for (const Relay& relay : replica.collect_outbox(shard)) {
+      for (const std::vector<std::uint8_t>& frame : outbox_frames(replica, shard)) {
+        const Relay relay = relay_of(frame);
         ASSERT_EQ(replica.verify_relay(relay), Replica::RelayCheck::kOk);
         ASSERT_EQ(replica.apply_relay(relay), Replica::RelayCheck::kOk);
         ++swapped;
@@ -99,38 +126,76 @@ TEST(Replica, RelaySwapIsReportNeutral) {
   EXPECT_EQ(got, want);
 }
 
+TEST(Replica, WriteOutboxRoutesEachRelayToItsTargetShard) {
+  // Written per target, the outbox is the one-buffer outbox split by
+  // target shard, in lane order within each target; Outbox::bytes counts
+  // the wire frames inside the relays.
+  Replica replica(spec_of(steady_choice()), 3);
+  std::size_t checked = 0;
+  replica.install_lockstep([&](std::size_t) {
+    for (std::size_t shard = 0; shard < 3; ++shard) {
+      std::vector<std::vector<std::uint8_t>> by_target(3);
+      const Replica::Outbox written = replica.write_outbox(
+          shard, [&](std::size_t target) -> std::vector<std::uint8_t>& {
+            return by_target[target];
+          });
+      std::vector<std::vector<std::uint8_t>> want(3);
+      std::uint64_t bytes = 0;
+      for (const std::vector<std::uint8_t>& frame : outbox_frames(replica, shard)) {
+        const Relay relay = relay_of(frame);
+        EXPECT_EQ(shard_of(sim::NodeId{relay.from}, 3), shard);
+        const std::size_t target = shard_of(sim::NodeId{relay.to}, 3);
+        EXPECT_NE(target, shard);
+        want[target].insert(want[target].end(), frame.begin(), frame.end());
+        bytes += relay.frame.size();
+        ++checked;
+      }
+      EXPECT_EQ(by_target, want);
+      EXPECT_EQ(written.bytes, bytes);
+    }
+  });
+  replica.run();
+  EXPECT_GT(checked, 0u);
+}
+
 TEST(Replica, VerifyRelayRejectsForeignAndDamagedFrames) {
   Replica replica(spec_of(steady_choice()), 2);
   bool checked = false;
   replica.install_lockstep([&](std::size_t) {
     if (checked) return;
-    std::vector<Relay> outbox = replica.collect_outbox(0);
-    if (outbox.empty()) outbox = replica.collect_outbox(1);
+    std::vector<std::vector<std::uint8_t>> outbox = outbox_frames(replica, 0);
+    if (outbox.empty()) outbox = outbox_frames(replica, 1);
     if (outbox.empty()) return;
     checked = true;
+    const Relay first = relay_of(outbox[0]);
     const std::size_t lane_size = sim::EngineSeam(replica.net()).lane().size();
-    ASSERT_LT(outbox[0].index, lane_size);
+    ASSERT_LT(first.index, lane_size);
     // A relay index arrives from another process. Indices past the lane,
     // up to the largest a frame can carry, name no envelope; the
     // _GLIBCXX_ASSERTIONS sanitizer build aborts if the lookup reads the
     // lane there anyway.
-    const std::uint64_t past_lane[] = {outbox[0].index + 100000, lane_size, UINT64_MAX};
+    const std::uint64_t past_lane[] = {first.index + 100000, lane_size, UINT64_MAX};
     for (const std::uint64_t index : past_lane) {
-      Relay unknown = outbox[0];
+      Relay unknown = first;
       unknown.index = index;
       EXPECT_EQ(replica.verify_relay(unknown), Replica::RelayCheck::kUnknown) << index;
       EXPECT_EQ(replica.apply_relay(unknown), Replica::RelayCheck::kUnknown) << index;
     }
-    Relay foreign = outbox[0];
+    Relay foreign = first;
     foreign.from += 1;  // a real index, sent by another node
     EXPECT_EQ(replica.verify_relay(foreign), Replica::RelayCheck::kUnknown);
-    Relay misrouted = outbox[0];
+    Relay misrouted = first;
     misrouted.to += 1;  // a real index, addressed elsewhere
     EXPECT_EQ(replica.verify_relay(misrouted), Replica::RelayCheck::kUnknown);
-    Relay damaged = outbox[0];
-    damaged.frame.back() ^= 0x01;  // bytes disagree with the local envelope
+    std::vector<std::uint8_t> damaged_bytes(first.frame.begin(), first.frame.end());
+    damaged_bytes.back() ^= 0x01;  // bytes disagree with the local envelope
+    Relay damaged = first;
+    damaged.frame = damaged_bytes;
     EXPECT_EQ(replica.verify_relay(damaged), Replica::RelayCheck::kMismatch);
-    EXPECT_EQ(replica.verify_relay(outbox[0]), Replica::RelayCheck::kOk);
+    Relay truncated = first;
+    truncated.frame = first.frame.first(first.frame.size() - 1);
+    EXPECT_EQ(replica.verify_relay(truncated), Replica::RelayCheck::kMismatch);
+    EXPECT_EQ(replica.verify_relay(first), Replica::RelayCheck::kOk);
   });
   replica.run();
   EXPECT_TRUE(checked);

@@ -2,6 +2,7 @@
 // fidelity, and the corrupting-link damage model.
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -307,6 +308,48 @@ TEST(WireCodec, ElementCountBombIsRejectedWithoutAllocating) {
   DecodeResult result = decode_message(bytes, decode_pool);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error.status, DecodeStatus::kBadPayload);
+}
+
+/// CRC-32 (IEEE, reflected 0xEDB88320) one bit at a time, straight from
+/// the definition: the reference the table-driven crc32 must match.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data, std::uint32_t seed = 0) {
+  std::uint32_t c = ~seed;
+  for (const std::uint8_t byte : data) {
+    c ^= byte;
+    for (int bit = 0; bit < 8; ++bit) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return ~c;
+}
+
+TEST(WireCrc32, StandardCheckValue) {
+  const std::string_view check = "123456789";
+  const std::span<const std::uint8_t> bytes(
+      reinterpret_cast<const std::uint8_t*>(check.data()), check.size());
+  EXPECT_EQ(crc32(bytes), 0xCBF43926u);
+  EXPECT_EQ(crc32_bitwise(bytes), 0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(WireCrc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0-300 cover the byte tail and many eight-byte steps; start
+  // offsets 0-7 cover every alignment of the eight-byte loads. Chained
+  // (crc32(b, crc32(a))) is the form every frame's checksum takes: the
+  // type byte, then the payload.
+  Rng rng(2024);
+  std::vector<std::uint8_t> buf(8 + 300);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  const std::uint8_t type_byte = 0x42;
+  const std::uint32_t head = crc32({&type_byte, 1});
+  ASSERT_EQ(head, crc32_bitwise({&type_byte, 1}));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::span<const std::uint8_t> data(buf.data() + offset, len);
+      ASSERT_EQ(crc32(data), crc32_bitwise(data))
+          << "offset " << offset << " len " << len;
+      ASSERT_EQ(crc32(data, head), crc32_bitwise(data, head))
+          << "chained, offset " << offset << " len " << len;
+    }
+  }
 }
 
 TEST(WireClone, EveryMessageClonesIntoAForeignPoolBitExactly) {
