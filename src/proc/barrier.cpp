@@ -10,10 +10,9 @@ BarrierTracker::BarrierTracker(std::size_t shards)
       relays_seen_(shards, 0),
       relays_claimed_(shards, 0) {}
 
-void BarrierTracker::begin_round(std::uint64_t round,
-                                 std::uint64_t expected_digest) {
+void BarrierTracker::begin_round(std::uint64_t round) {
   round_ = round;
-  expected_digest_ = expected_digest;
+  digest_.reset();
   std::fill(acked_.begin(), acked_.end(), 0);
   std::fill(relays_seen_.begin(), relays_seen_.end(), 0);
   std::fill(relays_claimed_.begin(), relays_claimed_.end(), 0);
@@ -27,18 +26,24 @@ BarrierTracker::Ack BarrierTracker::round_done(std::size_t shard,
     diverged_ = true;
     return Ack::kWrongRound;
   }
-  if (digest != expected_digest_) {
+  if (digest_ && digest != *digest_) {
     diverged_ = true;
     return Ack::kDigestMismatch;
   }
   if (acked_[shard] != 0) return Ack::kDuplicate;
   acked_[shard] = 1;
+  digest_ = digest;
   return Ack::kAccepted;
 }
 
 void BarrierTracker::mark_dead(std::size_t shard) { dead_[shard] = 1; }
 
-void BarrierTracker::mark_alive(std::size_t shard) { dead_[shard] = 0; }
+void BarrierTracker::mark_alive(std::size_t shard) {
+  dead_[shard] = 0;
+  acked_[shard] = 0;
+  relays_seen_[shard] = 0;
+  relays_claimed_[shard] = 0;
+}
 
 bool BarrierTracker::complete() const {
   for (std::size_t s = 0; s < acked_.size(); ++s) {

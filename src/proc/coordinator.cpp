@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <utility>
@@ -19,6 +18,7 @@
 #include "net/handshake.hpp"
 #include "net/socket.hpp"
 #include "proc/barrier.hpp"
+#include "proc/noded.hpp"
 #include "scenario/json.hpp"
 #include "scenario/report.hpp"
 
@@ -31,48 +31,45 @@ struct Conn {
   net::Socket sock;
   net::FrameAssembler stream;
   pid_t pid = -1;
-  bool eof = false;
 };
 
 class Coordinator {
  public:
-  Coordinator(const DeployOptions& opts, scenario::ScenarioSpec spec)
-      : opts_(opts),
-        replica_(std::move(spec), opts.procs),
-        tracker_(opts.procs),
-        conns_(opts.procs),
-        forward_(opts.procs) {}
+  explicit Coordinator(const DeployOptions& opts)
+      : opts_(opts), tracker_(opts.procs), conns_(opts.procs), forward_(opts.procs) {}
 
   int run() {
     std::optional<net::Listener> listener = net::Listener::bind_local(0);
-    if (!listener) return fail("cannot bind a loopback listener");
+    if (!listener) {
+      fail("cannot bind a loopback listener");
+      return 1;
+    }
     listener_ = std::move(*listener);
     for (std::size_t shard = 0; shard < opts_.procs; ++shard) {
       const pid_t pid = spawn_daemon(shard, 0);
-      if (pid < 0) return fail("failed to spawn ssps_noded");
+      if (pid < 0) abort_deployment("failed to spawn ssps_noded");
       conns_[shard].pid = pid;
     }
     // Daemons race to connect; each Hello names its shard (shard + 1, so
     // shard 0 is distinct from the null id), which maps the connection.
     for (std::size_t i = 0; i < opts_.procs; ++i) {
-      if (!accept_daemon(kNoShard)) return 1;
+      if (!accept_daemon(kNoShard)) abort_deployment("the fleet did not assemble");
     }
 
     const auto start = std::chrono::steady_clock::now();
-    replica_.install_lockstep([this](std::size_t unit) { barrier(unit); });
-    const scenario::ScenarioReport& report = replica_.run();
+    auto released = start;
+    for (std::size_t unit = 1; barrier(unit); ++unit) {
+      units_ = unit;
+      released = std::chrono::steady_clock::now();
+    }
     wall_ms_ = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - start)
+        std::chrono::duration_cast<std::chrono::milliseconds>(released - start)
             .count());
 
-    const std::string own_json = report.to_json().dump(2);
-    if (!compare_reports(own_json)) return 1;
     shutdown_fleet();
-    if (!reap_fleet()) return 1;
-    if (opts_.diff_sim && !diff_against_sim(own_json)) return 1;
-    emit(report, own_json);
-    return report.ok && report.oracle_ok ? 0 : 1;
+    const int code = reap_fleet();
+    if (code < 0 || !emit()) return 1;
+    return code;
   }
 
  private:
@@ -158,7 +155,6 @@ class Coordinator {
     }
     conns_[shard].sock = std::move(*sock);
     conns_[shard].stream = std::move(stream);
-    conns_[shard].eof = false;
     return true;
   }
 
@@ -166,24 +162,29 @@ class Coordinator {
     std::vector<std::uint8_t> frame;
     encode_ctrl(Shutdown{}, frame);
     for (Conn& conn : conns_) {
-      if (conn.sock.valid() && !conn.eof) conn.sock.send_all(frame);
+      if (conn.sock.valid()) conn.sock.send_all(frame);
     }
   }
 
-  bool reap_fleet() {
-    bool ok = true;
+  /// Waits for every daemon. A daemon that agreed on the report exits
+  /// kExitOk, or kExitReportNotOk when the report is not ok; returns the
+  /// worse of the two, or -1 when a daemon exited any other way.
+  int reap_fleet() {
+    int code = kExitOk;
     for (std::size_t shard = 0; shard < conns_.size(); ++shard) {
-      if (conns_[shard].pid < 0) continue;
       int status = 0;
       ::waitpid(conns_[shard].pid, &status, 0);
       conns_[shard].pid = -1;
-      if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+      const int exited = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+      if (exited != kExitOk && exited != kExitReportNotOk) {
         std::fprintf(stderr, "ssps_deploy: shard %zu daemon exited abnormally\n",
                      shard);
-        ok = false;
+        code = -1;
+      } else if (code != -1 && exited == kExitReportNotOk) {
+        code = kExitReportNotOk;
       }
     }
-    return ok;
+    return code;
   }
 
   [[noreturn]] void abort_deployment(const std::string& what) {
@@ -203,33 +204,31 @@ class Coordinator {
 
   // ---- the barrier ------------------------------------------------------
 
-  void barrier(std::size_t unit) {
-    units_ = unit;
-    // Every replica digests the same pre-restore state point: daemons in
-    // RoundDone, the coordinator here.
-    const std::uint64_t expect = replica_.digest();
-    tracker_.begin_round(unit, expect);
-
-    std::size_t killed = kNoShard;
-    if (opts_.kill_shard >= 0 && !kill_done_ &&
-        unit == static_cast<std::size_t>(opts_.kill_round)) {
-      killed = static_cast<std::size_t>(opts_.kill_shard);
-      ::kill(conns_[killed].pid, SIGKILL);
-      kill_done_ = true;
+  /// Runs the barrier for `unit`: gathers every daemon's relays and ack,
+  /// then releases the unit. False when the daemons sent their final
+  /// reports instead of acks: the run is over.
+  bool barrier(std::size_t unit) {
+    tracker_.begin_round(unit);
+    const std::size_t doomed =
+        opts_.kill_shard >= 0 && unit == opts_.kill_round
+            ? static_cast<std::size_t>(opts_.kill_shard)
+            : kNoShard;
+    if (!gather(unit, doomed)) return false;
+    if (doomed != kNoShard) {
+      // gather killed it on its ack; its replacement sends the unit's
+      // relays and ack again.
+      respawn(unit, doomed);
+      gather(unit, kNoShard);
     }
-
-    gather(unit, killed);
     if (!tracker_.verify_relay_counts()) {
       abort_deployment("relay count disagrees with a shard's ack");
     }
-
-    if (killed != kNoShard) respawn(unit, killed);
 
     // Forward: relays first, then restore events, then the release — the
     // per-connection order every daemon's barrier_wait depends on.
     for (std::size_t target = 0; target < opts_.procs; ++target) {
       std::vector<std::uint8_t>& out = forward_[target];
-      if (killed != kNoShard) encode_ctrl(Restore{unit, killed}, out);
+      if (doomed != kNoShard) encode_ctrl(Restore{unit, doomed}, out);
       encode_ctrl(RoundGo{unit + 1}, out);
       if (!conns_[target].sock.send_all(out)) {
         abort_deployment("lost shard " + std::to_string(target) +
@@ -237,22 +236,22 @@ class Coordinator {
       }
       out.clear();
     }
-    if (killed != kNoShard) {
-      restore_events_.push_back(Restore{unit, killed});
-      replica_.apply_restore(killed);
-    }
+    if (doomed != kNoShard) restore_events_.push_back(Restore{unit, doomed});
+    return true;
   }
 
-  /// Drains daemon traffic until every shard has acked round `unit` or
-  /// died. Only the scheduled kill may die; any other EOF aborts.
-  void gather(std::size_t unit, std::size_t killed) {
+  /// Drains daemon traffic until every live shard has acked round `unit`
+  /// (true) or every shard has sent its final report (false). Any EOF
+  /// aborts: the one death the run plans, `doomed`'s, is the coordinator's
+  /// own SIGKILL, after which nothing more is read from it.
+  bool gather(std::size_t unit, std::size_t doomed) {
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(opts_.round_timeout_ms);
-    while (!tracker_.complete()) {
+    while (!tracker_.complete() && reports_ < opts_.procs) {
       std::vector<pollfd> fds;
       std::vector<std::size_t> owner;
       for (std::size_t shard = 0; shard < opts_.procs; ++shard) {
-        if (conns_[shard].eof || !conns_[shard].sock.valid()) continue;
+        if (!conns_[shard].sock.valid()) continue;
         fds.push_back({conns_[shard].sock.fd(), POLLIN, 0});
         owner.push_back(shard);
       }
@@ -277,58 +276,57 @@ class Coordinator {
         if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
         const std::size_t shard = owner[i];
         const int got = conns_[shard].sock.recv_into(conns_[shard].stream, 0);
-        if (got == 0) {
-          conns_[shard].eof = true;
-          if (shard == killed) {
-            tracker_.mark_dead(shard);
-          } else {
-            abort_deployment("shard " + std::to_string(shard) +
-                             " daemon died unexpectedly");
-          }
-          continue;
-        }
+        if (got == 0) abort_deployment(closed_reason(shard, unit));
         if (got < 0) continue;  // spurious wakeup
-        drain_frames(shard, unit, killed);
+        drain_frames(shard, unit, doomed);
       }
     }
+    return reports_ == 0;
+  }
+
+  /// Why `shard`'s daemon closed its connection before acking `unit`.
+  std::string closed_reason(std::size_t shard, std::size_t unit) {
+    int status = 0;
+    ::waitpid(conns_[shard].pid, &status, 0);
+    conns_[shard].pid = -1;
+    if (WIFEXITED(status) && WEXITSTATUS(status) == kExitDivergence) {
+      return "divergence: shard " + std::to_string(shard) +
+             " found it before acking round " + std::to_string(unit);
+    }
+    return "shard " + std::to_string(shard) + " daemon died unexpectedly";
   }
 
   /// Handles every complete frame buffered from `shard`. A frame is a
   /// view into the shard's stream, so each is handled before the next
   /// read feeds the stream.
-  void drain_frames(std::size_t shard, std::size_t unit, std::size_t killed) {
+  void drain_frames(std::size_t shard, std::size_t unit, std::size_t doomed) {
     Conn& conn = conns_[shard];
-    while (const std::optional<std::span<const std::uint8_t>> frame =
-               conn.stream.next()) {
+    while (conn.sock.valid()) {
+      const std::optional<std::span<const std::uint8_t>> frame = conn.stream.next();
+      if (!frame) break;
       const CtrlParse parsed = parse_ctrl(*frame);
       if (!parsed.ok()) {
         abort_deployment("undecodable frame from shard " + std::to_string(shard));
       }
-      handle_frame(shard, *frame, *parsed.msg, unit, shard != killed);
+      handle_frame(shard, *frame, *parsed.msg, unit, doomed);
     }
     if (conn.stream.failed()) {
       abort_deployment("oversized frame from shard " + std::to_string(shard));
     }
   }
 
-  /// A verified Relay `frame` goes, exactly as received, to its target's
-  /// forward buffer, unless `forward` is false: a shard killed this unit
-  /// has its whole outbox regenerated at respawn instead.
+  /// A Relay `frame` goes, exactly as received, to its target's forward
+  /// buffer, unless it is `doomed`'s: that shard is killed when its ack
+  /// arrives, and its respawned daemon sends the unit's relays again.
   void handle_frame(std::size_t shard, std::span<const std::uint8_t> frame,
-                    const CtrlMsg& msg, std::size_t unit, bool forward) {
+                    const CtrlMsg& msg, std::size_t unit, std::size_t doomed) {
     if (const auto* relay = std::get_if<Relay>(&msg)) {
       if (shard_of(sim::NodeId{relay->from}, opts_.procs) != shard) {
         abort_deployment("shard " + std::to_string(shard) +
                          " relayed another shard's send");
       }
-      const Replica::RelayCheck check = replica_.verify_relay(*relay);
-      if (check != Replica::RelayCheck::kOk) {
-        abort_deployment("divergence at round " + std::to_string(unit) +
-                         ": relay from shard " + std::to_string(shard) + ": " +
-                         Replica::relay_check_name(check));
-      }
       tracker_.count_relay(shard);
-      if (!forward) return;
+      if (shard == doomed) return;
       std::vector<std::uint8_t>& out =
           forward_[shard_of(sim::NodeId{relay->to}, opts_.procs)];
       out.insert(out.end(), frame.begin(), frame.end());
@@ -337,11 +335,21 @@ class Coordinator {
       return;
     }
     if (const auto* done = std::get_if<RoundDone>(&msg)) {
+      if (reports_ > 0) {
+        abort_deployment("shard " + std::to_string(shard) +
+                         " acked a round another shard's run had finished");
+      }
       tracker_.claim_relays(shard, done->relays);
-      const BarrierTracker::Ack ack =
-          tracker_.round_done(shard, done->round, done->digest);
-      switch (ack) {
+      switch (tracker_.round_done(shard, done->round, done->digest)) {
         case BarrierTracker::Ack::kAccepted:
+          if (shard == doomed) {
+            // Per-connection order: every frame it sent this unit has
+            // arrived, so none of them reaches a target.
+            ::kill(conns_[shard].pid, SIGKILL);
+            conns_[shard].sock.close();
+            tracker_.mark_dead(shard);
+          }
+          return;
         case BarrierTracker::Ack::kDuplicate:
         case BarrierTracker::Ack::kStale:
           return;
@@ -351,133 +359,74 @@ class Coordinator {
         case BarrierTracker::Ack::kDigestMismatch:
           abort_deployment("divergence at round " + std::to_string(unit) +
                            ": shard " + std::to_string(shard) +
-                           " digest mismatch");
+                           "'s digest disagrees with the round's first ack");
       }
+      return;
+    }
+    if (const auto* report = std::get_if<Report>(&msg)) {
+      // The run ends for every replica at the same unit: a report is due
+      // only while no shard has acked (or been killed at) this one.
+      if (tracker_.missing().size() != opts_.procs) {
+        abort_deployment("shard " + std::to_string(shard) +
+                         " finished its run while others acked round " +
+                         std::to_string(unit));
+      }
+      if (reports_ == 0) {
+        report_ = report->json;
+      } else if (report->json != report_) {
+        abort_deployment("divergence: shard " + std::to_string(shard) +
+                         "'s final report is not byte-identical to the "
+                         "first one received");
+      }
+      reports_ += 1;
       return;
     }
     abort_deployment("unexpected control frame from shard " +
                      std::to_string(shard));
   }
 
-  /// Replaces the killed shard's process: replay-respawn, re-handshake,
-  /// digest-check its rejoin ack, and regenerate its outbox from the
-  /// coordinator's own (already verified) replica with the daemons'
-  /// writer — whatever the dead process managed to send before the kill
-  /// was never buffered, so the fleet never consumes a half-delivered
-  /// round.
+  /// Replaces the killed shard's process. The replacement replays units
+  /// 1..unit locally, audits its disk snapshots, then sends the unit's
+  /// relays and its rejoin ack like any daemon, for the caller to gather.
   void respawn(std::size_t unit, std::size_t killed) {
     int status = 0;
     ::waitpid(conns_[killed].pid, &status, 0);
     conns_[killed].pid = -1;
-    conns_[killed].sock.close();
-
-    const Replica::Outbox outbox = replica_.write_outbox(
-        killed, [this](std::size_t target) -> std::vector<std::uint8_t>& {
-          return forward_[target];
-        });
-    relays_forwarded_ += outbox.relays;
-    relay_bytes_ += outbox.bytes;
 
     const pid_t pid = spawn_daemon(killed, unit);
     if (pid < 0) abort_deployment("failed to respawn ssps_noded");
     conns_[killed].pid = pid;
     if (!accept_daemon(killed)) abort_deployment("respawn handshake failed");
     respawns_ += 1;
-
-    // The respawned replica replays units 1..unit locally, audits its disk
-    // snapshots, then acks the current round (no relays — see outbox above).
-    const std::optional<std::span<const std::uint8_t>> frame =
-        conns_[killed].sock.read_frame(conns_[killed].stream,
-                                       opts_.round_timeout_ms);
-    if (!frame) abort_deployment("respawned daemon sent no rejoin ack");
-    CtrlParse parsed = parse_ctrl(*frame);
-    const auto* done =
-        parsed.ok() ? std::get_if<RoundDone>(&*parsed.msg) : nullptr;
-    if (done == nullptr || done->round != unit) {
-      abort_deployment("respawned daemon's rejoin ack is malformed");
-    }
     tracker_.mark_alive(killed);
-    tracker_.claim_relays(killed, done->relays);
-    const BarrierTracker::Ack ack =
-        tracker_.round_done(killed, done->round, done->digest);
-    // kDuplicate is fine: the old process may have acked before the kill
-    // landed (digest is checked before duplicate detection).
-    if (ack != BarrierTracker::Ack::kAccepted &&
-        ack != BarrierTracker::Ack::kDuplicate) {
-      abort_deployment("divergence: respawned shard " + std::to_string(killed) +
-                       " replayed to a different digest");
-    }
   }
 
   // ---- finalization -----------------------------------------------------
 
-  bool compare_reports(const std::string& own_json) {
-    for (std::size_t shard = 0; shard < opts_.procs; ++shard) {
-      const std::optional<std::span<const std::uint8_t>> frame =
-          conns_[shard].sock.read_frame(conns_[shard].stream, opts_.round_timeout_ms);
-      if (!frame) {
-        abort_deployment("shard " + std::to_string(shard) + " sent no report");
-      }
-      CtrlParse parsed = parse_ctrl(*frame);
-      const auto* report =
-          parsed.ok() ? std::get_if<Report>(&*parsed.msg) : nullptr;
-      if (report == nullptr) {
-        abort_deployment("shard " + std::to_string(shard) +
-                         " sent a non-report frame at end of run");
-      }
-      if (report->json != own_json) {
-        std::fprintf(stderr,
-                     "ssps_deploy: divergence: shard %zu's final report is not "
-                     "byte-identical to the coordinator's\n",
-                     shard);
-        shutdown_fleet();
-        reap_fleet();
-        return false;
-      }
-    }
-    return true;
-  }
-
-  bool diff_against_sim(const std::string& own_json) {
-    scenario::ScenarioSpec spec;
-    if (!build_scenario(opts_.choice, spec)) return false;
-    scenario::ScenarioRunner pure(std::move(spec));
-    const std::string sim_json = pure.run().to_json().dump(2);
-    if (sim_json != own_json) {
-      std::fprintf(stderr,
-                   "ssps_deploy: divergence: live report differs from the "
-                   "in-process simulator's\n");
-      return false;
-    }
-    if (!opts_.quiet) {
-      std::fprintf(stderr, "ssps_deploy: live report byte-identical to sim\n");
-    }
-    return true;
-  }
-
-  /// The final report is the replica's own ssps_run-compatible document
-  /// plus flat "deploy_*" scalars. Keys sort between "converged" and
-  /// "threads" in the top-level object, so a differential harness strips
-  /// them with a plain `grep -v '"deploy_'` without breaking JSON commas.
-  void emit(const scenario::ScenarioReport& report, const std::string& own_json) {
-    (void)own_json;
-    scenario::Json doc = report.to_json();
-    doc["deploy_procs"] = static_cast<std::uint64_t>(opts_.procs);
-    doc["deploy_transport"] = "tcp-localhost";
-    doc["deploy_rounds"] = static_cast<std::uint64_t>(units_);
-    doc["deploy_wall_ms"] = wall_ms_;
-    doc["deploy_rounds_per_sec"] =
+  /// Emits the agreed report, an ssps_run-compatible document, plus flat
+  /// "deploy_*" scalars. Keys sort between "converged" and "threads" in
+  /// the top-level object, so a differential harness strips them with a
+  /// plain `grep -v '"deploy_'` without breaking JSON commas.
+  bool emit() {
+    scenario::Json deploy = scenario::Json::object();
+    deploy["deploy_procs"] = static_cast<std::uint64_t>(opts_.procs);
+    deploy["deploy_transport"] = "tcp-localhost";
+    deploy["deploy_rounds"] = static_cast<std::uint64_t>(units_);
+    deploy["deploy_wall_ms"] = wall_ms_;
+    deploy["deploy_rounds_per_sec"] =
         wall_ms_ > 0 ? static_cast<double>(units_) * 1000.0 /
                            static_cast<double>(wall_ms_)
                      : 0.0;
-    doc["deploy_relays"] = relays_forwarded_;
-    doc["deploy_relay_bytes"] = relay_bytes_;
-    doc["deploy_respawns"] = respawns_;
-    const std::string text = doc.dump(2);
-    if (!opts_.out_path.empty()) {
-      scenario::write_json_file(opts_.out_path, doc);
+    deploy["deploy_relays"] = relays_forwarded_;
+    deploy["deploy_relay_bytes"] = relay_bytes_;
+    deploy["deploy_respawns"] = respawns_;
+    const std::optional<std::string> text = scenario::splice_dump(report_, deploy);
+    if (!text) return fail("the agreed report is not a JSON object");
+    if (!opts_.out_path.empty() && !scenario::write_text_file(opts_.out_path, *text)) {
+      return fail("cannot write the --out file");
     }
-    if (!opts_.quiet) std::printf("%s\n", text.c_str());
+    if (!opts_.quiet) std::printf("%s\n", text->c_str());
+    return true;
   }
 
   bool fail(const char* what) {
@@ -486,16 +435,17 @@ class Coordinator {
   }
 
   DeployOptions opts_;
-  Replica replica_;
   BarrierTracker tracker_;
   net::Listener listener_;
   std::vector<Conn> conns_;
   /// Per target shard, the frames to forward at this unit's release: the
-  /// verified Relay frames as received, then Restore and RoundGo. Cleared
-  /// after each write, kept across units.
+  /// Relay frames as received, then Restore and RoundGo. Cleared after
+  /// each write, kept across units.
   std::vector<std::vector<std::uint8_t>> forward_;
   std::vector<Restore> restore_events_;
-  bool kill_done_ = false;
+  /// The first final report received, and how many daemons have sent one.
+  std::string report_;
+  std::size_t reports_ = 0;
   std::size_t units_ = 0;
   std::uint64_t wall_ms_ = 0;
   std::uint64_t relays_forwarded_ = 0;
@@ -506,6 +456,12 @@ class Coordinator {
 }  // namespace
 
 int run_deploy(const DeployOptions& opts) {
+  if (opts.procs < 2 || opts.noded_path.empty()) {
+    std::fprintf(stderr,
+                 "ssps_deploy: need --procs >= 2 (every barrier digest is "
+                 "checked by a second daemon) and --noded PATH\n");
+    return 2;
+  }
   scenario::ScenarioSpec spec;
   if (!build_scenario(opts.choice, spec)) {
     std::fprintf(stderr, "ssps_deploy: unknown scenario '%s'\n",
@@ -515,10 +471,6 @@ int run_deploy(const DeployOptions& opts) {
   const std::string unsupported = deploy_unsupported(spec);
   if (!unsupported.empty()) {
     std::fprintf(stderr, "ssps_deploy: %s\n", unsupported.c_str());
-    return 2;
-  }
-  if (opts.procs < 1 || opts.noded_path.empty()) {
-    std::fprintf(stderr, "ssps_deploy: need --procs >= 1 and --noded PATH\n");
     return 2;
   }
   if (opts.kill_shard >= 0) {
@@ -534,7 +486,7 @@ int run_deploy(const DeployOptions& opts) {
       return 2;
     }
   }
-  Coordinator coordinator(opts, std::move(spec));
+  Coordinator coordinator(opts);
   return coordinator.run();
 }
 

@@ -17,9 +17,21 @@
 //   coord   -> daemon: Restore{round, shard}*  (lockstep recovery events)
 //   coord   -> daemon: RoundGo{round + 1}
 //
-// and at end of run:
+// The coordinator counts each daemon's relays against its RoundDone and
+// checks that every RoundDone of the round carries the first accepted
+// one's digest. In a kill round it forwards none of the doomed daemon's
+// relays and SIGKILLs it when its RoundDone arrives. The replacement
+// replays the run up to that round, then rejoins on a new connection:
 //
-//   daemon  -> coord : Report{json}
+//   daemon  -> coord : Hello  (its shard)
+//   coord   -> daemon: Hello
+//   daemon  -> coord : Relay*, RoundDone{round, digest, relays}  (the
+//                      kill round's, again)
+//
+// and the barrier releases as above, with a Restore for the killed shard.
+// The run ends when every daemon, instead of a RoundDone, sends
+//
+//   daemon  -> coord : Report{json}  (byte-identical across the fleet)
 //   coord   -> daemon: Shutdown
 #pragma once
 
@@ -82,7 +94,8 @@ struct Restore {
   std::uint64_t shard = 0;
 };
 
-/// A replica's final JSON report, byte-compared across the fleet.
+/// A replica's final JSON report, byte-compared across the fleet; the
+/// coordinator emits the agreed one.
 struct Report {
   std::string json;
 };

@@ -17,12 +17,6 @@
 namespace ssps::proc {
 namespace {
 
-constexpr int kExitBadSpec = 2;
-constexpr int kExitDivergence = 3;
-constexpr int kExitHandshake = 4;
-constexpr int kExitCoordinatorGone = 5;
-constexpr int kExitTimeout = 6;
-
 class Daemon {
  public:
   Daemon(const NodedOptions& opts, scenario::ScenarioSpec spec)
@@ -62,7 +56,7 @@ class Daemon {
     if (!last || !std::holds_alternative<Shutdown>(*last)) {
       return fail(kExitCoordinatorGone, "no shutdown after report");
     }
-    return 0;
+    return report.ok && report.oracle_ok ? kExitOk : kExitReportNotOk;
   }
 
  private:
@@ -79,27 +73,24 @@ class Daemon {
       apply_replay_events(unit);
       return;
     }
-    const bool rejoining = opts_.replay_upto > 0 && unit == opts_.replay_upto;
-    std::size_t relays = 0;
-    if (rejoining) {
-      track_persist(net);  // the persist the old incarnation may have died in
+    if (opts_.replay_upto > 0 && unit == opts_.replay_upto) {
+      // Rejoining: the coordinator dropped every frame the old incarnation
+      // sent this round, so this one resends the round's outbox below.
+      track_persist(net);  // the persist the old incarnation made last
       adopt_disk_snapshots(net);
-      // The fleet already exchanged this round's relays before we died;
-      // the coordinator regenerates our outbox from its own replica.
     } else {
       persist_snapshots(net);
-      // The outbox goes straight into the pending write, which is flushed
-      // whenever kCtrlWriteBytes are pending.
-      const auto pending = [this](std::size_t) -> std::vector<std::uint8_t>& {
-        if (out_.size() >= kCtrlWriteBytes) flush();
-        return out_;
-      };
-      relays = replica_.write_outbox(opts_.shard, pending).relays;
     }
+    // The outbox goes straight into the pending write, which is flushed
+    // whenever kCtrlWriteBytes are pending.
+    const auto pending = [this]() -> std::vector<std::uint8_t>& {
+      if (out_.size() >= kCtrlWriteBytes) flush();
+      return out_;
+    };
     RoundDone done;
+    done.relays = replica_.write_outbox(opts_.shard, pending);
     done.round = unit;
     done.digest = replica_.digest();
-    done.relays = relays;
     queue(done);
     if (opts_.dup_acks) queue(done);  // barrier must dedupe
     flush();

@@ -1,6 +1,9 @@
 // The ssps_noded daemon body: one process hosting one node shard of a
 // multi-process deployment (see replica.hpp for the lockstep-replica
-// design and ctrl.hpp for the barrier protocol it speaks).
+// design and ctrl.hpp for the barrier protocol it speaks). The daemons
+// are the deployment's only replicas: each checks every relay it
+// consumes against its own replica, and the coordinator compares their
+// barrier digests and final reports.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +34,25 @@ struct NodedOptions {
   bool dup_acks = false;
 };
 
-/// Runs the daemon to completion. Exit codes: 0 success, 2 bad spec,
-/// 3 divergence (relay bytes, digest, or snapshot mismatch), 4 handshake
-/// failure, 5 coordinator vanished/aborted, 6 barrier timeout. Divergence
-/// and protocol failures exit from inside the barrier.
+/// How a daemon ends: run_noded's result, and ssps_noded's exit code.
+enum NodedExit : int {
+  kExitOk = 0,
+  /// The run finished and the fleet agreed on the report, but the report
+  /// is not ok and oracle_ok (ssps_run exits 1 then too).
+  kExitReportNotOk = 1,
+  kExitBadSpec = 2,
+  /// This replica found divergence: a relay that does not match its own
+  /// envelope, a restore or release for another round, an undecodable
+  /// control frame, or a disk snapshot that disagrees with the replay.
+  kExitDivergence = 3,
+  kExitHandshake = 4,
+  /// The coordinator vanished or aborted the deployment.
+  kExitCoordinatorGone = 5,
+  kExitTimeout = 6,  ///< a barrier wait timed out
+};
+
+/// Runs the daemon to completion and returns its NodedExit code.
+/// Divergence and protocol failures exit from inside the barrier.
 int run_noded(const NodedOptions& opts);
 
 }  // namespace ssps::proc

@@ -48,19 +48,6 @@ sim::Envelope* find_relayed(sim::Network& net, const Relay& relay) {
   return &env;
 }
 
-/// Byte-compares `relay` with the wire frame of `env`, encoded into
-/// `scratch`.
-Replica::RelayCheck compare(const Relay& relay, const sim::Envelope* env,
-                            std::vector<std::uint8_t>& scratch) {
-  if (env == nullptr) return Replica::RelayCheck::kUnknown;
-  scratch.clear();
-  if (!wire::encode_message(*env->msg, scratch) ||
-      !std::ranges::equal(scratch, relay.frame)) {
-    return Replica::RelayCheck::kMismatch;
-  }
-  return Replica::RelayCheck::kOk;
-}
-
 }  // namespace
 
 bool build_scenario(const ScenarioChoice& choice, scenario::ScenarioSpec& out) {
@@ -107,24 +94,18 @@ std::uint64_t Replica::digest() {
   return wire::crc32(enc.buffer());
 }
 
-Replica::Outbox Replica::write_outbox(std::size_t shard, const RelaySink& sink) {
-  Outbox written;
+std::uint64_t Replica::write_outbox(std::size_t shard, const RelaySink& sink) {
+  std::uint64_t written = 0;
   const std::vector<sim::Envelope>& lane = sim::EngineSeam(net()).lane();
   for (std::size_t i = 0; i < lane.size(); ++i) {
     const sim::Envelope& env = lane[i];
     if (env.from.is_null()) continue;
     if (shard_of(env.from, procs_) != shard) continue;
-    const std::size_t target = shard_of(env.to, procs_);
-    if (target == shard) continue;  // process-local
+    if (shard_of(env.to, procs_) == shard) continue;  // process-local
     const auto inner = [&](std::vector<std::uint8_t>& out) {
-      const std::size_t before = out.size();
-      if (!wire::encode_message(*env.msg, out)) return false;
-      written.bytes += out.size() - before;
-      return true;
+      return wire::encode_message(*env.msg, out);
     };
-    if (append_relay(env.from.value, env.to.value, i, inner, sink(target))) {
-      written.relays += 1;
-    }
+    if (append_relay(env.from.value, env.to.value, i, inner, sink())) written += 1;
   }
   return written;
 }
@@ -139,14 +120,14 @@ const char* Replica::relay_check_name(RelayCheck c) {
   return "invalid";
 }
 
-Replica::RelayCheck Replica::verify_relay(const Relay& relay) {
-  return compare(relay, find_relayed(net(), relay), scratch_);
-}
-
 Replica::RelayCheck Replica::apply_relay(const Relay& relay) {
   sim::Envelope* env = find_relayed(net(), relay);
-  const RelayCheck check = compare(relay, env, scratch_);
-  if (check != RelayCheck::kOk) return check;
+  if (env == nullptr) return RelayCheck::kUnknown;
+  scratch_.clear();
+  if (!wire::encode_message(*env->msg, scratch_) ||
+      !std::ranges::equal(scratch_, relay.frame)) {
+    return RelayCheck::kMismatch;
+  }
   wire::DecodeResult decoded = wire::decode_message(relay.frame, relay_pool_);
   if (!decoded.ok()) return RelayCheck::kUndecodable;
   // The wire deliberately omits telemetry stamps (Publication::born), so

@@ -1,36 +1,39 @@
-// Replica: the deterministic core every deployment process runs.
+// Replica: the deterministic core every daemon runs.
 //
-// The deployment's determinism argument: every process — the
-// ssps_deploy coordinator and each ssps_noded daemon — runs a FULL
-// deterministic replica of the scenario (same spec, same seed), driven
-// by the lockstep scheduler: SerialScheduler's round, then the barrier
-// at every schedule unit. A daemon "hosts" the shard of nodes whose ids
-// map to it (shard_of); within a round, the messages those nodes sent to
-// other shards are wire-encoded in the simulator's canonical send order
-// — in-flight lane order — and relayed through the coordinator to the
-// target shard, each named by its index in the lane. At the barrier every
-// replica's lane holds the round's sends in send order, so the target
-// finds the envelope its own replica generated at that index, checks the
-// (from, to) stamp, byte-compares the relay against it and swaps the
-// wire-decoded message in place, so delivery consumes the bytes that
-// actually crossed the socket. The replica reaches the lane through
-// sim::EngineSeam, like every scheduler. Any byte of disagreement is
-// divergence and aborts the deployment; agreement means the live
-// execution makes identical protocol decisions to the simulator, which is
-// why a live report is byte-identical to ssps_run's for the same seed.
+// The deployment's determinism argument: each ssps_noded daemon runs a
+// FULL deterministic replica of the scenario (same spec, same seed),
+// driven by the lockstep scheduler: SerialScheduler's round, then the
+// barrier at every schedule unit. A daemon "hosts" the shard of nodes
+// whose ids map to it (shard_of); within a round, the messages those
+// nodes sent to other shards are wire-encoded in the simulator's
+// canonical send order — in-flight lane order — and relayed through the
+// coordinator to the target shard, each named by its index in the lane.
+// The coordinator runs no replica: it routes each relay by its header and
+// compares what the replicas report. At the barrier every replica's lane
+// holds the round's sends in send order, so the target finds the envelope
+// its own replica generated at that index, checks the (from, to) stamp,
+// byte-compares the relay against it and swaps the wire-decoded message
+// in place, so delivery consumes the bytes that actually crossed the
+// sockets. The replica reaches the lane through sim::EngineSeam, like
+// every scheduler. Any byte of disagreement is divergence and aborts the
+// deployment, as does a barrier digest or a final report on which two
+// replicas disagree; agreement means the live execution makes identical
+// protocol decisions to the simulator, which is why a live report is
+// byte-identical to ssps_run's for the same seed.
 //
 // Relay messages decode into a replica-owned scratch pool, not the
 // simulator's arena: the report never serializes pool telemetry, but
 // keeping the arena untouched makes the no-perturbation argument
 // structural rather than accounting-dependent.
 //
-// A relay costs one encode at its sender and, at each later hop, one
-// parse, one encode and one compare. The sender's outbox writer encodes
-// each envelope in place into the Relay frame it writes. A receiver
-// parses that frame in place (a Relay views its frame, see ctrl.hpp),
-// encodes its own envelope into one scratch buffer it reuses for every
-// relay, and compares the two byte strings. verify_relay and apply_relay
-// read the relay only during the call: nothing here keeps a view.
+// A relay costs one encode at its sender and, at its target, one parse,
+// one encode and one compare; the coordinator between them parses its
+// header. The sender's outbox writer encodes each envelope in place into
+// the Relay frame it writes. The target parses that frame in place (a
+// Relay views its frame, see ctrl.hpp), encodes its own envelope into one
+// scratch buffer it reuses for every relay, and compares the two byte
+// strings. apply_relay reads the relay only during the call: nothing here
+// keeps a view.
 #pragma once
 
 #include <cstdint>
@@ -50,9 +53,10 @@ inline std::size_t shard_of(sim::NodeId id, std::size_t procs) {
   return static_cast<std::size_t>((id.value - 1) % procs);
 }
 
-/// The scenario selection both sides of a deployment build their replica
-/// from. The coordinator passes exactly these fields to the daemons it
-/// spawns; build_scenario must therefore be a pure function of them.
+/// The scenario selection a deployment's daemons build their replicas
+/// from. The coordinator checks it and passes exactly these fields to the
+/// daemons it spawns; build_scenario must therefore be a pure function of
+/// them.
 struct ScenarioChoice {
   std::string name = "steady";
   std::uint64_t seed = 1;
@@ -96,23 +100,17 @@ class Replica {
   /// protocol decisions moves one of these within a round or two.
   std::uint64_t digest();
 
-  /// What write_outbox appended: its Relay frames, and the bytes of the
-  /// wire frames inside them.
-  struct Outbox {
-    std::uint64_t relays = 0;
-    std::uint64_t bytes = 0;
-  };
-  /// The buffer a relay for target shard `target` is appended to. It may
-  /// flush the buffer's earlier contents before returning it.
-  using RelaySink = std::function<std::vector<std::uint8_t>&(std::size_t target)>;
+  /// The buffer the next relay is appended to. It may flush the buffer's
+  /// earlier contents before returning it.
+  using RelaySink = std::function<std::vector<std::uint8_t>&()>;
 
   /// Writes a Relay frame (append_relay) for each cross-shard send of
   /// `shard`'s nodes this round, in lane (send) order, at the end of
-  /// `sink(target shard)`, the envelope wire-encoded in place inside it.
-  /// Envelopes without a wire encoding or without a sender
-  /// (harness-originated traffic, which every replica generates locally)
-  /// don't travel.
-  Outbox write_outbox(std::size_t shard, const RelaySink& sink);
+  /// `sink()`, the envelope wire-encoded in place inside it, and returns
+  /// how many it wrote. Envelopes without a wire encoding or without a
+  /// sender (harness-originated traffic, which every replica generates
+  /// locally) don't travel.
+  std::uint64_t write_outbox(std::size_t shard, const RelaySink& sink);
 
   enum class RelayCheck {
     kOk,           ///< matched the local envelope byte-for-byte
@@ -123,11 +121,10 @@ class Replica {
   static const char* relay_check_name(RelayCheck c);
 
   /// Byte-compares `relay` against the local replica's envelope, encoded
-  /// into a scratch buffer the replica reuses.
-  RelayCheck verify_relay(const Relay& relay);
-
-  /// verify_relay + swaps the wire-decoded message into the in-flight
-  /// envelope, so delivery consumes the socket bytes.
+  /// into a scratch buffer the replica reuses, then swaps the
+  /// wire-decoded message into the in-flight envelope, so delivery
+  /// consumes the socket bytes. Anything but kOk leaves the replica as it
+  /// was.
   RelayCheck apply_relay(const Relay& relay);
 
   /// Lockstep recovery event: crash + recover (stale-snapshot path) every

@@ -508,13 +508,6 @@ ScenarioSpec builtin_scenario(const std::string& name, std::uint64_t seed,
   return {};
 }
 
-std::size_t builtin_default_nodes(const std::string& name) {
-  for (const BuiltinEntry& entry : kBuiltins) {
-    if (name == entry.name) return entry.default_nodes;
-  }
-  return 32;
-}
-
 ScenarioSpec scrambled_variant(ScenarioSpec spec) {
   SSPS_ASSERT_MSG(!spec.phases.empty(), "scrambled_variant: spec has no phases");
   spec.name += "-scrambled";

@@ -32,9 +32,6 @@ bool is_builtin(const std::string& name);
 ScenarioSpec builtin_scenario(const std::string& name, std::uint64_t seed,
                               std::size_t nodes);
 
-/// The population builtin_scenario uses for `nodes` == 0.
-std::size_t builtin_default_nodes(const std::string& name);
-
 /// The scrambled-start variant of any scenario: right after the first
 /// phase (the bootstrap in every builtin) an InjectArbitraryState phase
 /// rebuilds all protocol state arbitrarily (seeded from spec.seed) and

@@ -1,7 +1,9 @@
 #include "scenario/json.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 
 #include "common/assert.hpp"
 
@@ -17,17 +19,6 @@ void Json::push_back(Json v) {
   if (kind_ == Kind::kNull) kind_ = Kind::kArray;
   SSPS_ASSERT_MSG(kind_ == Kind::kArray, "Json::push_back: not an array");
   array_.push_back(std::move(v));
-}
-
-std::size_t Json::size() const {
-  switch (kind_) {
-    case Kind::kArray:
-      return array_.size();
-    case Kind::kObject:
-      return object_.size();
-    default:
-      return 0;
-  }
 }
 
 std::string Json::dump(int indent) const {
@@ -152,6 +143,58 @@ void Json::write(std::string& out, int indent, int depth) const {
       break;
     }
   }
+}
+
+namespace {
+
+/// The dump(2) of a non-empty object is "{\n", its members joined by
+/// ",\n", then "\n}\n", where each member starts with two spaces and its
+/// quoted key. Nested lines are indented further and strings hold no raw
+/// newline, so ",\n  \"" separates top-level members and nothing else.
+constexpr std::string_view kMemberSeparator = ",\n  \"";
+
+/// The top-level members of such a dump, each without its separating
+/// comma.
+std::vector<std::string_view> top_level_members(std::string_view dumped) {
+  std::string_view body = dumped.substr(2, dumped.size() - 5);
+  std::vector<std::string_view> members;
+  for (;;) {
+    const std::size_t end = body.find(kMemberSeparator);
+    members.push_back(body.substr(0, end));
+    if (end == std::string_view::npos) return members;
+    body.remove_prefix(end + 2);  // keep the next member's indent
+  }
+}
+
+/// A member's key: the text between its first two quotes.
+std::string_view member_key(std::string_view member) {
+  member.remove_prefix(3);  // the indent and the opening quote
+  return member.substr(0, member.find('"'));
+}
+
+}  // namespace
+
+std::optional<std::string> splice_dump(std::string_view dumped, const Json& extra) {
+  const auto is_object_dump = [](std::string_view text) {
+    return text.size() >= 8 && text.starts_with("{\n  \"") && text.ends_with("\n}\n");
+  };
+  const std::string extra_dump = extra.dump(2);
+  if (!is_object_dump(dumped) || !is_object_dump(extra_dump)) return std::nullopt;
+  const std::vector<std::string_view> ours = top_level_members(dumped);
+  const std::vector<std::string_view> theirs = top_level_members(extra_dump);
+  std::vector<std::string_view> merged;
+  merged.reserve(ours.size() + theirs.size());
+  std::ranges::merge(ours, theirs, std::back_inserter(merged),
+                     [](std::string_view a, std::string_view b) {
+                       return member_key(a) < member_key(b);
+                     });
+  std::string out = "{\n";
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    if (i > 0) out += ",\n";
+    out += merged[i];
+  }
+  out += "\n}\n";
+  return out;
 }
 
 }  // namespace ssps::scenario

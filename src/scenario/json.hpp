@@ -10,7 +10,9 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ssps::scenario {
@@ -50,8 +52,6 @@ class Json {
   /// Appends to an array (converts a null value into an array).
   void push_back(Json v);
 
-  std::size_t size() const;
-
   /// Serializes the document. `indent` = 0 gives compact one-line output;
   /// otherwise members are pretty-printed with `indent` spaces per level.
   std::string dump(int indent = 2) const;
@@ -70,5 +70,13 @@ class Json {
   std::vector<Json> array_;
   std::map<std::string, Json> object_;
 };
+
+/// What dump(2) of the union of two objects writes, given `dumped`, the
+/// dump(2) of one object, and `extra`, the other: `extra`'s members
+/// spliced in among `dumped`'s where the sorted keys put them. The two
+/// objects' keys must be distinct, non-empty and free of characters that
+/// need escaping. nullopt when `dumped` is not the dump(2) of a non-empty
+/// object.
+std::optional<std::string> splice_dump(std::string_view dumped, const Json& extra);
 
 }  // namespace ssps::scenario

@@ -151,14 +151,17 @@ Json ScenarioReport::to_json() const {
   return j;
 }
 
-bool write_json_file(const std::string& path, const Json& doc) {
-  const std::string text = doc.dump(2);
+bool write_text_file(const std::string& path, const std::string& text) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
   ok = std::fclose(f) == 0 && ok;  // fclose flushes; a full disk surfaces here
   if (!ok) std::remove(path.c_str());
   return ok;
+}
+
+bool write_json_file(const std::string& path, const Json& doc) {
+  return write_text_file(path, doc.dump(2));
 }
 
 std::string bench_json_path(const std::string& bench_name) {

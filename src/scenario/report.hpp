@@ -98,7 +98,7 @@ struct LatencyReport {
 };
 
 /// Health samples from the telemetry::RoundProbe ring buffer (the last
-/// ScenarioSpec::timeseries_capacity samples of the run), one per unit.
+/// 512 samples of the run, see runner.cpp), one per unit.
 struct TimeSeriesReport {
   /// Clock the samples' `round` field ticks in: "rounds" or
   /// "virtual-seconds".
@@ -146,8 +146,12 @@ struct ScenarioReport {
   Json to_json() const;
 };
 
-/// Writes `doc` to `path` (pretty-printed, trailing newline). Returns
-/// false and leaves no partial file behind on I/O failure.
+/// Writes `text` to `path`. Returns false and leaves no partial file
+/// behind on I/O failure.
+bool write_text_file(const std::string& path, const std::string& text);
+
+/// Writes `doc` to `path` (pretty-printed, trailing newline), as
+/// write_text_file does.
 bool write_json_file(const std::string& path, const Json& doc);
 
 /// Canonical artifact name for a bench result: "BENCH_<name>.json".

@@ -14,6 +14,16 @@ namespace {
 /// stream (both derive from the one spec seed).
 constexpr std::uint64_t kRunnerSeedSalt = 0x5c3ec0de5c3ec0deULL;
 
+/// Ring points per supervisor in a multi-topic SupervisorGroup; they
+/// smooth the supervisors' arc lengths.
+constexpr int kVirtualNodes = 32;
+
+/// Capacity of the per-round telemetry ring: a report's `timeseries`
+/// section holds the run's last this-many units. The sampled fields are
+/// thread-invariant, so the section is byte-identical across worker
+/// counts.
+constexpr std::size_t kTimeseriesCapacity = 512;
+
 /// The unit every duration and latency figure in the report is measured
 /// in — the clock the spec's scheduler advances.
 const char* clock_label(Scheduler scheduler) {
@@ -53,7 +63,7 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec)
     fd_slot_ = fd_.get();
     std::vector<sim::NodeId> initial;
     for (std::size_t i = 0; i < spec_.supervisors; ++i) initial.push_back(spawn_supervisor());
-    group_ = std::make_unique<pubsub::SupervisorGroup>(initial, spec_.virtual_nodes);
+    group_ = std::make_unique<pubsub::SupervisorGroup>(initial, kVirtualNodes);
   }
   if (spec_.exec.scheduler == Scheduler::kTimed) {
     // Corrupting links need the damage model: encode, mangle, re-decode
@@ -86,24 +96,22 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec)
   // Per-phase telemetry ring: every scheduler samples once per unit after
   // the barrier. The enricher supplies the one field the Network cannot
   // compute itself.
-  if (spec_.timeseries_capacity > 0) {
-    probe_ = std::make_unique<telemetry::RoundProbe>(spec_.timeseries_capacity);
-    probe_->set_enricher([this](telemetry::RoundSample& s) {
-      if (spec_.mode == Mode::kSingleTopic) {
-        s.nonconforming = single_->nonconforming_count();
-      } else {
-        // Multi-topic: nonconforming counts topics (not nodes) that fail
-        // the engine's convergence probe; the verdict cache makes the
-        // per-round sweep cheap between epoch changes.
-        std::uint64_t bad = 0;
-        for (const auto& [topic, members] : members_) {
-          if (!members.empty() && !topic_converged(topic, members)) ++bad;
-        }
-        s.nonconforming = bad;
+  probe_ = std::make_unique<telemetry::RoundProbe>(kTimeseriesCapacity);
+  probe_->set_enricher([this](telemetry::RoundSample& s) {
+    if (spec_.mode == Mode::kSingleTopic) {
+      s.nonconforming = single_->nonconforming_count();
+    } else {
+      // Multi-topic: nonconforming counts topics (not nodes) that fail
+      // the engine's convergence probe; the verdict cache makes the
+      // per-round sweep cheap between epoch changes.
+      std::uint64_t bad = 0;
+      for (const auto& [topic, members] : members_) {
+        if (!members.empty() && !topic_converged(topic, members)) ++bad;
       }
-    });
-    net().attach_round_probe(probe_.get());
-  }
+      s.nonconforming = bad;
+    }
+  });
+  net().attach_round_probe(probe_.get());
 }
 
 sim::Network& ScenarioRunner::net() {
@@ -164,16 +172,14 @@ const ScenarioReport& ScenarioRunner::run() {
     report_.latency.per_topic[topic] = hist.summary();
   }
 
-  if (probe_) {
-    TimeSeriesReport ts;
-    ts.unit = report_.clock;
-    ts.dropped = probe_->dropped();
-    ts.samples.reserve(probe_->size());
-    for (std::size_t i = 0; i < probe_->size(); ++i) {
-      ts.samples.push_back(probe_->at(i));
-    }
-    report_.timeseries = std::move(ts);
+  TimeSeriesReport ts;
+  ts.unit = report_.clock;
+  ts.dropped = probe_->dropped();
+  ts.samples.reserve(probe_->size());
+  for (std::size_t i = 0; i < probe_->size(); ++i) {
+    ts.samples.push_back(probe_->at(i));
   }
+  report_.timeseries = std::move(ts);
   return report_;
 }
 

@@ -122,7 +122,7 @@ class ScenarioRunner {
   std::size_t next_phase_ = 0;
   std::size_t payload_seq_ = 0;
 
-  /// Per-round time-series ring (spec.timeseries_capacity > 0). Attached
+  /// Per-round time-series ring (kTimeseriesCapacity samples). Attached
   /// to the network right after deployment construction; its enricher
   /// fills the nonconforming count from the mode's convergence probe.
   std::unique_ptr<telemetry::RoundProbe> probe_;

@@ -152,7 +152,6 @@ struct ScenarioSpec {
   std::size_t supervisors = 1;       ///< initial supervisor-group size
   std::size_t topics = 0;            ///< topic universe [1, topics]
   std::size_t topics_per_client = 1; ///< subscriptions per joining client
-  int virtual_nodes = 32;            ///< SupervisorGroup ring points
 
   /// Failure-detector delay in rounds at scenario start.
   sim::Round fd_delay = 0;
@@ -165,12 +164,6 @@ struct ScenarioSpec {
 
   /// Run the invariant oracle after every phase (see Phase::check_invariants).
   bool oracle = false;
-
-  /// Ring-buffer capacity of the per-round telemetry probe (reports gain a
-  /// `timeseries` section holding the last this-many rounds). 0 disables
-  /// sampling. The sampled fields are thread-invariant, so the section is
-  /// byte-identical across worker counts.
-  std::size_t timeseries_capacity = 512;
 
   pubsub::PubSubConfig pubsub;
 

@@ -4,11 +4,13 @@
 # produce a JSON report byte-identical to the in-process simulator's for
 # the same (scenario, seed, nodes) — after stripping the deploy_* header
 # keys only the live run carries. Covered shapes: n = 64 steady across 4
-# processes, the scrambled churn-wave variant (multi-topic +
+# processes and across 2, the scrambled churn-wave variant (multi-topic +
 # stabilization-from-arbitrary-state) across 3, and scale-steady at
-# n = 256 across 3. The steady shape runs with --dup-acks (every daemon
-# sends each barrier ack twice), so the coordinator's duplicate-ack branch
-# runs end to end. The n = 256 shape forwards ~500 KB per target at its
+# n = 256 across 3. The 4-daemon steady shape runs with --dup-acks (every
+# daemon sends each barrier ack twice), so the coordinator's duplicate-ack
+# branch runs end to end. Two daemons are the smallest fleet: each
+# barrier digest and the final report then have exactly one second
+# opinion, and a disagreement has no majority. The n = 256 shape forwards ~500 KB per target at its
 # burst units, so relay frames straddle the daemons' 64 KiB write batches
 # and the receivers' reads: the assembler compacts its buffer between the
 # frames it hands out as views, which the sanitizer build checks.
@@ -56,6 +58,7 @@ check() {
 }
 
 check steady-64 steady 7 64 4 "" "--dup-acks"
+check steady-64-2procs steady 7 64 2 ""
 check churn-wave-scrambled-64 churn-wave 5 64 3 "--scramble"
 check scale-steady-256 scale-steady 7 256 3 ""
 

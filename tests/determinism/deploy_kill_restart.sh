@@ -8,15 +8,24 @@
 # deployment stays oracle-green through a real process death, though the
 # report legitimately differs from an undisturbed run's.
 #
+# When the barrier for the kill round opens, the coordinator stops
+# forwarding the doomed shard's relays; it sends the SIGKILL when that
+# shard's ack for the round arrives. Each connection delivers in order,
+# so by then every relay the doomed process wrote for the round has
+# reached the coordinator and been dropped. The respawned daemon writes
+# the round's outbox again after its disk audit, and the coordinator
+# forwards that one.
+#
 # The kill deployment runs twice, each with its own snapshot directory,
 # and the two reports must be byte-identical once the two timing keys
-# (deploy_wall_ms, deploy_rounds_per_sec) are stripped. The coordinator
-# regenerates the dead shard's relays at the respawn. A relay lost or
-# counted twice there moves deploy_relays or deploy_relay_bytes: between
+# (deploy_wall_ms, deploy_rounds_per_sec) are stripped. A relay of the
+# kill round forwarded twice (from the killed process and from its
+# replacement) or lost moves deploy_relays or deploy_relay_bytes: between
 # the two runs if it depends on timing, and away from the counts pinned
 # below (those of an undisturbed relay path) if it does not. The report
-# itself cannot show it, because a daemon that misses a relay delivers
-# its own replica's copy of the message.
+# itself cannot show it: a daemon that applies a relay twice swaps in the
+# same bytes again, and one that misses a relay delivers its own
+# replica's copy of the message.
 #
 #   usage: deploy_kill_restart.sh <ssps_deploy> <ssps_noded>
 set -u

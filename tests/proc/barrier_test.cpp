@@ -1,6 +1,7 @@
 // BarrierTracker: the coordinator's round-barrier bookkeeping under the
 // awkward schedules — a process dying mid-round, a slow joiner acking
-// last, duplicate acks, digest divergence, relay-count audits.
+// last, duplicate acks, digest disagreement between daemons, a respawned
+// daemon's rejoin, relay-count audits.
 #include <cstdint>
 
 #include <gtest/gtest.h>
@@ -14,7 +15,7 @@ constexpr std::uint64_t kDigest = 0xfeedfacecafef00dull;
 
 TEST(BarrierTracker, CompletesWhenEveryShardAcks) {
   BarrierTracker tracker(3);
-  tracker.begin_round(1, kDigest);
+  tracker.begin_round(1);
   EXPECT_FALSE(tracker.complete());
   EXPECT_EQ(tracker.round_done(0, 1, kDigest), BarrierTracker::Ack::kAccepted);
   EXPECT_EQ(tracker.round_done(1, 1, kDigest), BarrierTracker::Ack::kAccepted);
@@ -31,7 +32,7 @@ TEST(BarrierTracker, SlowJoinerOrderDoesNotMatter) {
   const std::size_t orders[][3] = {{0, 1, 2}, {2, 1, 0}, {1, 2, 0}};
   for (const auto& order : orders) {
     BarrierTracker tracker(3);
-    tracker.begin_round(4, kDigest);
+    tracker.begin_round(4);
     for (const std::size_t shard : order) {
       EXPECT_FALSE(tracker.complete());
       EXPECT_EQ(tracker.round_done(shard, 4, kDigest),
@@ -44,7 +45,7 @@ TEST(BarrierTracker, SlowJoinerOrderDoesNotMatter) {
 
 TEST(BarrierTracker, DuplicateAcksCountOnce) {
   BarrierTracker tracker(2);
-  tracker.begin_round(1, kDigest);
+  tracker.begin_round(1);
   EXPECT_EQ(tracker.round_done(0, 1, kDigest), BarrierTracker::Ack::kAccepted);
   EXPECT_EQ(tracker.round_done(0, 1, kDigest), BarrierTracker::Ack::kDuplicate);
   EXPECT_EQ(tracker.round_done(0, 1, kDigest), BarrierTracker::Ack::kDuplicate);
@@ -56,7 +57,7 @@ TEST(BarrierTracker, DuplicateAcksCountOnce) {
 
 TEST(BarrierTracker, CrashMidRoundCompletesViaDead) {
   BarrierTracker tracker(3);
-  tracker.begin_round(7, kDigest);
+  tracker.begin_round(7);
   EXPECT_EQ(tracker.round_done(0, 7, kDigest), BarrierTracker::Ack::kAccepted);
   // Shard 1's relays arrived but its ack never will: the process died.
   tracker.count_relay(1);
@@ -72,7 +73,7 @@ TEST(BarrierTracker, CrashMidRoundCompletesViaDead) {
 
 TEST(BarrierTracker, RespawnedShardReacksCurrentRound) {
   BarrierTracker tracker(2);
-  tracker.begin_round(9, kDigest);
+  tracker.begin_round(9);
   EXPECT_EQ(tracker.round_done(0, 9, kDigest), BarrierTracker::Ack::kAccepted);
   tracker.mark_dead(1);
   EXPECT_TRUE(tracker.complete());
@@ -85,24 +86,103 @@ TEST(BarrierTracker, RespawnedShardReacksCurrentRound) {
 
 TEST(BarrierTracker, DigestMismatchIsStickyDivergence) {
   BarrierTracker tracker(2);
-  tracker.begin_round(3, kDigest);
-  EXPECT_EQ(tracker.round_done(0, 3, kDigest + 1),
+  tracker.begin_round(3);
+  EXPECT_EQ(tracker.round_done(0, 3, kDigest), BarrierTracker::Ack::kAccepted);
+  EXPECT_EQ(tracker.round_done(1, 3, kDigest + 1),
             BarrierTracker::Ack::kDigestMismatch);
   EXPECT_TRUE(tracker.diverged());
-  tracker.begin_round(4, kDigest);  // divergence survives re-arming
+  tracker.begin_round(4);  // divergence survives re-arming
   EXPECT_TRUE(tracker.diverged());
+}
+
+TEST(BarrierTracker, FirstAcceptedAckFixesTheDigest) {
+  BarrierTracker tracker(3);
+  tracker.begin_round(5);
+  // A stale ack is ignored, so it fixes nothing.
+  EXPECT_EQ(tracker.round_done(2, 4, kDigest + 7), BarrierTracker::Ack::kStale);
+  // Whichever shard acks first sets the digest the others must match.
+  EXPECT_EQ(tracker.round_done(1, 5, kDigest), BarrierTracker::Ack::kAccepted);
+  EXPECT_EQ(tracker.round_done(0, 5, kDigest), BarrierTracker::Ack::kAccepted);
+  EXPECT_EQ(tracker.round_done(2, 5, kDigest), BarrierTracker::Ack::kAccepted);
+  EXPECT_TRUE(tracker.complete());
+  EXPECT_FALSE(tracker.diverged());
+  // The next round's replicas have moved on: its first ack fixes a new
+  // digest.
+  tracker.begin_round(6);
+  EXPECT_EQ(tracker.round_done(2, 6, kDigest + 1), BarrierTracker::Ack::kAccepted);
+  EXPECT_EQ(tracker.round_done(0, 6, kDigest + 1), BarrierTracker::Ack::kAccepted);
+  EXPECT_EQ(tracker.round_done(1, 6, kDigest), BarrierTracker::Ack::kDigestMismatch);
+  EXPECT_TRUE(tracker.diverged());
+}
+
+TEST(BarrierTracker, EveryLaterAckMustCarryTheFixedDigest) {
+  // A later shard's ack.
+  {
+    BarrierTracker tracker(3);
+    tracker.begin_round(2);
+    EXPECT_EQ(tracker.round_done(0, 2, kDigest), BarrierTracker::Ack::kAccepted);
+    EXPECT_EQ(tracker.round_done(1, 2, kDigest), BarrierTracker::Ack::kAccepted);
+    EXPECT_EQ(tracker.round_done(2, 2, kDigest ^ 1),
+              BarrierTracker::Ack::kDigestMismatch);
+    EXPECT_TRUE(tracker.diverged());
+  }
+  // A duplicate ack: the digest is checked before duplicate detection.
+  {
+    BarrierTracker tracker(2);
+    tracker.begin_round(2);
+    EXPECT_EQ(tracker.round_done(0, 2, kDigest), BarrierTracker::Ack::kAccepted);
+    EXPECT_EQ(tracker.round_done(0, 2, kDigest ^ 1),
+              BarrierTracker::Ack::kDigestMismatch);
+    EXPECT_TRUE(tracker.diverged());
+  }
+  // A respawned shard's rejoin ack, after its old process acked.
+  {
+    BarrierTracker tracker(2);
+    tracker.begin_round(2);
+    EXPECT_EQ(tracker.round_done(1, 2, kDigest), BarrierTracker::Ack::kAccepted);
+    EXPECT_EQ(tracker.round_done(0, 2, kDigest), BarrierTracker::Ack::kAccepted);
+    tracker.mark_dead(1);
+    tracker.mark_alive(1);
+    EXPECT_EQ(tracker.round_done(1, 2, kDigest ^ 1),
+              BarrierTracker::Ack::kDigestMismatch);
+    EXPECT_TRUE(tracker.diverged());
+  }
+}
+
+TEST(BarrierTracker, MarkAliveStartsTheShardsRoundOver) {
+  BarrierTracker tracker(2);
+  tracker.begin_round(6);
+  EXPECT_EQ(tracker.round_done(0, 6, kDigest), BarrierTracker::Ack::kAccepted);
+  // The doomed shard's relays and ack arrive, then it is killed.
+  tracker.count_relay(1);
+  tracker.count_relay(1);
+  tracker.claim_relays(1, 2);
+  EXPECT_EQ(tracker.round_done(1, 6, kDigest), BarrierTracker::Ack::kAccepted);
+  tracker.mark_dead(1);
+  EXPECT_TRUE(tracker.complete());
+  // Its replacement resends the round: the earlier ack and relays no
+  // longer count.
+  tracker.mark_alive(1);
+  EXPECT_FALSE(tracker.complete());
+  EXPECT_EQ(tracker.missing(), (std::vector<std::size_t>{1}));
+  tracker.count_relay(1);
+  tracker.claim_relays(1, 1);
+  EXPECT_EQ(tracker.round_done(1, 6, kDigest), BarrierTracker::Ack::kAccepted);
+  EXPECT_TRUE(tracker.complete());
+  EXPECT_TRUE(tracker.verify_relay_counts());
+  EXPECT_FALSE(tracker.diverged());
 }
 
 TEST(BarrierTracker, FutureRoundAckIsDivergence) {
   BarrierTracker tracker(2);
-  tracker.begin_round(3, kDigest);
+  tracker.begin_round(3);
   EXPECT_EQ(tracker.round_done(0, 5, kDigest), BarrierTracker::Ack::kWrongRound);
   EXPECT_TRUE(tracker.diverged());
 }
 
 TEST(BarrierTracker, StaleAckIsIgnored) {
   BarrierTracker tracker(2);
-  tracker.begin_round(3, kDigest);
+  tracker.begin_round(3);
   EXPECT_EQ(tracker.round_done(0, 2, kDigest), BarrierTracker::Ack::kStale);
   EXPECT_FALSE(tracker.complete());
   EXPECT_FALSE(tracker.diverged());
@@ -110,7 +190,7 @@ TEST(BarrierTracker, StaleAckIsIgnored) {
 
 TEST(BarrierTracker, RelayCountMismatchDiverges) {
   BarrierTracker tracker(2);
-  tracker.begin_round(1, kDigest);
+  tracker.begin_round(1);
   tracker.count_relay(0);
   tracker.claim_relays(0, 2);  // ack claims 2, only 1 arrived
   EXPECT_EQ(tracker.round_done(0, 1, kDigest), BarrierTracker::Ack::kAccepted);
@@ -122,12 +202,12 @@ TEST(BarrierTracker, RelayCountMismatchDiverges) {
 
 TEST(BarrierTracker, RelayBookkeepingResetsEachRound) {
   BarrierTracker tracker(1);
-  tracker.begin_round(1, kDigest);
+  tracker.begin_round(1);
   tracker.count_relay(0);
   tracker.claim_relays(0, 1);
   EXPECT_EQ(tracker.round_done(0, 1, kDigest), BarrierTracker::Ack::kAccepted);
   EXPECT_TRUE(tracker.verify_relay_counts());
-  tracker.begin_round(2, kDigest);
+  tracker.begin_round(2);
   EXPECT_EQ(tracker.round_done(0, 2, kDigest), BarrierTracker::Ack::kAccepted);
   // No relays this round, no stale counts from round 1.
   EXPECT_TRUE(tracker.verify_relay_counts());

@@ -1,7 +1,7 @@
 // Replica: the lockstep core's determinism properties, exercised
 // in-process (no sockets) — lockstep-scheduler transparency, digest
-// agreement across replicas, relay lookup, byte-verification and swap
-// neutrality, lockstep restore events.
+// agreement across replicas, the outbox, relay lookup, byte-verification
+// and swap neutrality, lockstep restore events.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -36,15 +36,15 @@ scenario::ScenarioSpec spec_of(const ScenarioChoice& choice) {
 std::vector<std::vector<std::uint8_t>> outbox_frames(Replica& replica,
                                                      std::size_t shard) {
   std::vector<std::uint8_t> out;
-  const Replica::Outbox written = replica.write_outbox(
-      shard, [&](std::size_t) -> std::vector<std::uint8_t>& { return out; });
+  const std::uint64_t written = replica.write_outbox(
+      shard, [&]() -> std::vector<std::uint8_t>& { return out; });
   net::FrameAssembler stream;
   stream.feed(out);
   std::vector<std::vector<std::uint8_t>> frames;
   while (const auto frame = stream.next()) {
     frames.emplace_back(frame->begin(), frame->end());
   }
-  EXPECT_EQ(frames.size(), written.relays);
+  EXPECT_EQ(frames.size(), written);
   EXPECT_EQ(stream.buffered(), 0u);
   return frames;
 }
@@ -114,9 +114,7 @@ TEST(Replica, RelaySwapIsReportNeutral) {
   replica.install_lockstep([&](std::size_t) {
     for (std::size_t shard = 0; shard < 3; ++shard) {
       for (const std::vector<std::uint8_t>& frame : outbox_frames(replica, shard)) {
-        const Relay relay = relay_of(frame);
-        ASSERT_EQ(replica.verify_relay(relay), Replica::RelayCheck::kOk);
-        ASSERT_EQ(replica.apply_relay(relay), Replica::RelayCheck::kOk);
+        ASSERT_EQ(replica.apply_relay(relay_of(frame)), Replica::RelayCheck::kOk);
         ++swapped;
       }
     }
@@ -126,39 +124,45 @@ TEST(Replica, RelaySwapIsReportNeutral) {
   EXPECT_EQ(got, want);
 }
 
-TEST(Replica, WriteOutboxRoutesEachRelayToItsTargetShard) {
-  // Written per target, the outbox is the one-buffer outbox split by
-  // target shard, in lane order within each target; Outbox::bytes counts
-  // the wire frames inside the relays.
+TEST(Replica, WriteOutboxRelaysEachCrossShardSendOnceInLaneOrder) {
+  // Across the shards, the outboxes hold one relay per cross-shard send
+  // with a sender, each written by its sender's shard, in lane order, and
+  // naming its own envelope.
   Replica replica(spec_of(steady_choice()), 3);
   std::size_t checked = 0;
   replica.install_lockstep([&](std::size_t) {
+    const std::vector<sim::Envelope>& lane = sim::EngineSeam(replica.net()).lane();
+    std::size_t cross_shard = 0;
+    for (const sim::Envelope& env : lane) {
+      if (!env.from.is_null() && shard_of(env.from, 3) != shard_of(env.to, 3)) {
+        ++cross_shard;
+      }
+    }
+    std::size_t relays = 0;
     for (std::size_t shard = 0; shard < 3; ++shard) {
-      std::vector<std::vector<std::uint8_t>> by_target(3);
-      const Replica::Outbox written = replica.write_outbox(
-          shard, [&](std::size_t target) -> std::vector<std::uint8_t>& {
-            return by_target[target];
-          });
-      std::vector<std::vector<std::uint8_t>> want(3);
-      std::uint64_t bytes = 0;
+      std::uint64_t last_index = 0;
+      bool first = true;
       for (const std::vector<std::uint8_t>& frame : outbox_frames(replica, shard)) {
         const Relay relay = relay_of(frame);
         EXPECT_EQ(shard_of(sim::NodeId{relay.from}, 3), shard);
-        const std::size_t target = shard_of(sim::NodeId{relay.to}, 3);
-        EXPECT_NE(target, shard);
-        want[target].insert(want[target].end(), frame.begin(), frame.end());
-        bytes += relay.frame.size();
-        ++checked;
+        EXPECT_NE(shard_of(sim::NodeId{relay.to}, 3), shard);
+        EXPECT_TRUE(first || relay.index > last_index);
+        ASSERT_LT(relay.index, lane.size());
+        EXPECT_EQ(lane[relay.index].from.value, relay.from);
+        EXPECT_EQ(lane[relay.index].to.value, relay.to);
+        first = false;
+        last_index = relay.index;
+        ++relays;
       }
-      EXPECT_EQ(by_target, want);
-      EXPECT_EQ(written.bytes, bytes);
     }
+    EXPECT_EQ(relays, cross_shard);
+    checked += relays;
   });
   replica.run();
   EXPECT_GT(checked, 0u);
 }
 
-TEST(Replica, VerifyRelayRejectsForeignAndDamagedFrames) {
+TEST(Replica, ApplyRelayRejectsForeignAndDamagedFrames) {
   Replica replica(spec_of(steady_choice()), 2);
   bool checked = false;
   replica.install_lockstep([&](std::size_t) {
@@ -178,24 +182,25 @@ TEST(Replica, VerifyRelayRejectsForeignAndDamagedFrames) {
     for (const std::uint64_t index : past_lane) {
       Relay unknown = first;
       unknown.index = index;
-      EXPECT_EQ(replica.verify_relay(unknown), Replica::RelayCheck::kUnknown) << index;
       EXPECT_EQ(replica.apply_relay(unknown), Replica::RelayCheck::kUnknown) << index;
     }
     Relay foreign = first;
     foreign.from += 1;  // a real index, sent by another node
-    EXPECT_EQ(replica.verify_relay(foreign), Replica::RelayCheck::kUnknown);
+    EXPECT_EQ(replica.apply_relay(foreign), Replica::RelayCheck::kUnknown);
     Relay misrouted = first;
     misrouted.to += 1;  // a real index, addressed elsewhere
-    EXPECT_EQ(replica.verify_relay(misrouted), Replica::RelayCheck::kUnknown);
+    EXPECT_EQ(replica.apply_relay(misrouted), Replica::RelayCheck::kUnknown);
     std::vector<std::uint8_t> damaged_bytes(first.frame.begin(), first.frame.end());
     damaged_bytes.back() ^= 0x01;  // bytes disagree with the local envelope
     Relay damaged = first;
     damaged.frame = damaged_bytes;
-    EXPECT_EQ(replica.verify_relay(damaged), Replica::RelayCheck::kMismatch);
+    EXPECT_EQ(replica.apply_relay(damaged), Replica::RelayCheck::kMismatch);
     Relay truncated = first;
     truncated.frame = first.frame.first(first.frame.size() - 1);
-    EXPECT_EQ(replica.verify_relay(truncated), Replica::RelayCheck::kMismatch);
-    EXPECT_EQ(replica.verify_relay(first), Replica::RelayCheck::kOk);
+    EXPECT_EQ(replica.apply_relay(truncated), Replica::RelayCheck::kMismatch);
+    // A rejected relay leaves the envelope as it was, so the genuine one
+    // still matches it.
+    EXPECT_EQ(replica.apply_relay(first), Replica::RelayCheck::kOk);
   });
   replica.run();
   EXPECT_TRUE(checked);

@@ -12,9 +12,10 @@
 //   $ ssps_run --scenario steady --nodes 64 --out sim.json
 //   $ diff <(grep -v '"deploy_' live.json) sim.json
 //
-// --diff-sim runs that comparison in-process; --kill-shard/--kill-round
-// SIGKILLs one daemon mid-run and respawns it through replay plus the
-// disk-snapshot recovery path.
+// The daemons run the replicas; this tool routes their relays and
+// compares their barrier digests and final reports. --kill-shard/
+// --kill-round SIGKILLs one daemon mid-run and respawns it through replay
+// plus the disk-snapshot recovery path.
 #include <cstdio>
 #include <string>
 
@@ -30,21 +31,22 @@ void usage(std::FILE* to) {
                "                   [--oracle] [--snapshot-every <r>]\n"
                "                   [--snapshot-dir <dir>] [--kill-shard <i>]\n"
                "                   [--kill-round <u>] [--round-timeout <ms>]\n"
-               "                   [--dup-acks] [--diff-sim] [--out <file>]\n"
-               "                   [--quiet]\n"
+               "                   [--dup-acks] [--out <file>] [--quiet]\n"
                "\n"
-               "Runs a built-in scenario as real processes: one coordinator (this\n"
-               "tool) plus --procs ssps_noded daemons over localhost TCP, in\n"
-               "deterministic lockstep with byte-verified cross-shard relays.\n"
-               "The report matches ssps_run's byte-for-byte apart from the added\n"
-               "deploy_* keys.\n"
+               "Runs a built-in scenario as real processes: --procs ssps_noded\n"
+               "daemons, each a full replica, plus this tool as the hub that\n"
+               "routes their cross-shard relays over localhost TCP, in\n"
+               "deterministic lockstep. Each daemon byte-verifies the relays it\n"
+               "consumes; the hub checks that the daemons agree on every barrier\n"
+               "digest and on the final report. The report matches ssps_run's\n"
+               "byte-for-byte apart from the added deploy_* keys.\n"
                "\n"
                "options:\n"
                "  --noded <path>         ssps_noded binary to spawn\n"
                "  --scenario <name>      built-in scenario (round-scheduled only)\n"
                "  --seed <u64>           simulation seed (default 1)\n"
                "  --nodes <n>            client population (default: per scenario)\n"
-               "  --procs <n>            daemon count (default 2)\n"
+               "  --procs <n>            daemon count, at least 2 (default 2)\n"
                "  --scramble             scrambled-start variant (implies oracle)\n"
                "  --oracle               run the invariant oracle at phase ends\n"
                "  --snapshot-every <r>   checkpoint cadence override (needed for\n"
@@ -52,13 +54,12 @@ void usage(std::FILE* to) {
                "  --snapshot-dir <dir>   daemon checkpoint directory (required\n"
                "                         with --kill-shard)\n"
                "  --kill-shard <i>       SIGKILL shard <i>'s daemon mid-run...\n"
-               "  --kill-round <u>       ...at the barrier for unit <u>, then\n"
+               "  --kill-round <u>       ...when its ack for unit <u> arrives\n"
+               "                         (its relays for <u> are dropped), then\n"
                "                         respawn it through replay + disk-\n"
                "                         snapshot recovery (single-topic only)\n"
                "  --round-timeout <ms>   barrier deadline (default 120000)\n"
                "  --dup-acks             daemons ack every barrier twice (test)\n"
-               "  --diff-sim             also run the in-process simulator and\n"
-               "                         byte-compare the reports\n"
                "  --out <file>           additionally write the report to <file>\n"
                "  --quiet                suppress stdout report (use with --out)\n");
 }
@@ -147,8 +148,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--dup-acks") {
       opts.dup_acks = true;
-    } else if (arg == "--diff-sim") {
-      opts.diff_sim = true;
     } else if (arg == "--out") {
       const char* v = value();
       if (v == nullptr) {

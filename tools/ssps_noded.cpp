@@ -4,7 +4,8 @@
 // coordinator's loopback port, handshakes with a versioned Hello, runs a
 // full deterministic scenario replica in barrier lockstep with the fleet,
 // relays its shard's cross-shard sends as wire-codec frames, and
-// byte-verifies every frame relayed to it. Not intended to be run by
+// byte-verifies every frame relayed to it. It exits 1, as ssps_run does,
+// when its report is not ok. Not intended to be run by
 // hand, but its flags are plain enough to:
 //
 //   $ ssps_noded --scenario steady --seed 7 --procs 4 --shard 2 --port 40123
@@ -48,8 +49,9 @@ void usage(std::FILE* to) {
                "                         during replay)\n"
                "  --dup-acks             send every barrier ack twice (test hook)\n"
                "\n"
-               "exit codes: 0 ok, 2 bad invocation, 3 divergence, 4 handshake\n"
-               "rejected, 5 coordinator gone, 6 barrier timeout\n");
+               "exit codes: 0 ok, 1 report not ok, 2 bad invocation,\n"
+               "3 divergence, 4 handshake rejected, 5 coordinator gone,\n"
+               "6 barrier timeout\n");
 }
 
 using ssps::cli::parse_u64;
