@@ -725,4 +725,13 @@ bool SubscriberProtocol::decode_state(common::Decoder& dec) {
   return true;
 }
 
+void SubscriberProtocol::restore(const SubscriberProtocol& saved) {
+  SSPS_ASSERT_MSG(saved.sink_ == sink_ && saved.rng_ == rng_,
+                  "restore: saved state belongs to another instance");
+  const std::uint64_t version = std::max(version_, saved.version_);
+  *this = saved;
+  version_ = version;
+  touch();
+}
+
 }  // namespace ssps::core

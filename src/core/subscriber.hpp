@@ -111,6 +111,12 @@ class SubscriberProtocol {
   /// far as the protocol is concerned; self-stabilization does the rest.
   bool decode_state(common::Decoder& dec);
 
+  /// Returns every variable to `saved`, a value copy of this same instance
+  /// taken earlier: the model checker's checkpoints, which must be exact
+  /// (decode_state is the crash-recovery path). Unlike a plain assignment
+  /// it keeps state_version() monotone: the return counts as a change.
+  void restore(const SubscriberProtocol& saved);
+
   // ---- Adversarial state injection (tests/benches only) ---------------
   // Self-stabilization quantifies over *arbitrary* initial states; these
   // setters let the chaos generators produce them. They perform no

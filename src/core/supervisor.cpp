@@ -409,4 +409,12 @@ bool SupervisorProtocol::decode_state(common::Decoder& dec) {
   return true;
 }
 
+void SupervisorProtocol::restore(const SupervisorProtocol& saved) {
+  SSPS_ASSERT_MSG(saved.sink_ == sink_ && saved.fd_ == fd_,
+                  "restore: saved state belongs to another instance");
+  const std::uint64_t version = std::max(db_version_, saved.db_version_);
+  *this = saved;
+  db_version_ = version + 1;
+}
+
 }  // namespace ssps::core

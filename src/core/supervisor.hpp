@@ -77,6 +77,13 @@ class SupervisorProtocol {
   /// that died while this supervisor was down).
   bool decode_state(common::Decoder& dec);
 
+  /// Returns every variable to `saved`, a value copy of this same instance
+  /// taken earlier: the model checker's checkpoints, which must be exact
+  /// (decode_state is the crash-recovery path and dirties the labels).
+  /// Unlike a plain assignment it keeps db_version() monotone: the return
+  /// counts as a database mutation.
+  void restore(const SupervisorProtocol& saved);
+
   // ---- Adversarial injection (tests/benches only) -----------------------
 
   /// Inserts a raw tuple, bypassing all invariants (may create duplicates

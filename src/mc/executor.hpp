@@ -1,24 +1,34 @@
 // Branch-point executor: a pub-sub deployment the model checker can
-// steer, fork and replay.
+// steer, checkpoint and replay.
 //
 // The executor owns one scrambled small-n PubSubSystem driven through a
 // sched::BranchScheduler, and reduces its execution to a deterministic
 // function of (options, choice trace):
 //
 //   - reset() rebuilds the root state from scratch — construct, spawn n
-//     subscribers, scramble with the fixed seed. Reconstruction is cheap
-//     at model-checking sizes, which is what makes replay-based
-//     backtracking (and counterexample replay from a JSON trace) work
-//     without any state snapshotting.
+//     subscribers, scramble with the fixed seed — so a choice trace alone
+//     names a position, and replay(trace) re-establishes it from the root:
+//     the counterexample-replay primitive (ssps_mc --replay).
 //   - prime() opens a round; fire(slot) delivers (or, under the seeded
 //     mutation, drops) one grouped slot; barrier() closes the round. The
 //     flat sequence of fire choices interleaved with kAdvance markers IS
 //     the schedule: replay(trace) reproduces any explored state
 //     bit-for-bit.
+//   - save() copies the current position and restore() puts the executor
+//     back there, at a cost that grows with the size of a position, not
+//     with the length of its schedule: the explorer's backtracking
+//     primitive. A checkpoint copies the protocol objects by value, never
+//     through the crash-recovery codec (decode_state dirties the
+//     supervisor's labels and the publication store re-inserts, so a
+//     decoded node is not the saved one).
 //   - enabled() exposes the branch point with partial-order reduction
 //     baked in (see the soundness notes on the member).
 //   - state_hash() fingerprints the boundary state canonically, which the
 //     explorer's visited set dedupes on.
+//
+// Neither path rewinds the Network's metrics or latency counters: restore
+// leaves them counting on, and replay's rebuilt system starts them over.
+// No state hash, certificate or counterexample reads them.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +41,7 @@
 #include "oracle/scramble.hpp"
 #include "pubsub/pubsub_node.hpp"
 #include "sched/branch.hpp"
+#include "sim/message_pool.hpp"
 
 namespace ssps::mc {
 
@@ -84,6 +95,47 @@ class Executor {
     std::string drop_message_name;
   };
 
+  /// An exact copy of one position: every node's protocol objects and RNG
+  /// stream, the network's RNG stream and round clock, a clone of every
+  /// in-flight message (the lane in send order, the primed batch at its
+  /// slot indices) and the executor's round bookkeeping. The protocol
+  /// copies point at their own node's sink and RNG, so a checkpoint is
+  /// valid only on the system that made it: restore() refuses one saved
+  /// before a reset() or replay(). It must not outlive its executor, whose
+  /// pool holds the message clones.
+  class Checkpoint {
+   public:
+    /// A moved-from checkpoint holds no clones (its vectors are empty).
+    Checkpoint(Checkpoint&&) noexcept = default;
+    ~Checkpoint();
+
+   private:
+    friend class Executor;
+    Checkpoint() = default;
+
+    /// One subscriber's protocol objects and RNG stream.
+    struct Member {
+      core::SubscriberProtocol overlay;
+      pubsub::PubSubProtocol pubsub;
+      ssps::Rng rng;
+    };
+
+    std::uint64_t system_ = 0;
+    std::optional<core::SupervisorProtocol> supervisor_;
+    ssps::Rng supervisor_rng_{0};
+    std::vector<Member> members_;  // subscribers in id order
+    ssps::Rng net_rng_{0};
+    sim::Round round_ = 0;
+    /// Clones owned by the checkpoint: the lane in send order, and the
+    /// primed batch by slot index (a null message marks a fired slot).
+    std::vector<sim::Envelope> lane_;
+    std::vector<sim::Envelope> batch_;
+    bool primed_ = false;
+    std::size_t fired_ = 0;
+    std::size_t rounds_ = 0;
+    std::vector<bool> consumed_;
+  };
+
   explicit Executor(const Options& options);
 
   /// Rebuilds the root state (deterministic for fixed options). Starts
@@ -91,10 +143,21 @@ class Executor {
   /// its in-flight lane.
   void reset();
 
+  /// Copies the current position (at a boundary or between fires).
+  Checkpoint save();
+
+  /// Puts the executor back at the position `checkpoint` saved, which
+  /// must come from this executor since its last reset(). First drops
+  /// what the current position holds in flight (discard_round() and the
+  /// lane), then copies the saved objects back and clones the saved
+  /// messages into the network's pool; the checkpoint stays usable.
+  /// state_version() and db_version() keep counting up.
+  void restore(const Checkpoint& checkpoint);
+
   /// Discards the primed round's unfired slots undelivered (a no-op at a
   /// boundary) and closes the round without its barrier. The executor
-  /// then sits at a position no trace names: only reset() or replay() may
-  /// follow.
+  /// then sits at a position no trace names: only reset(), replay() or
+  /// restore() may follow.
   void discard_round();
 
   /// Opens the next round: swaps the in-flight buffer into the grouped
@@ -130,7 +193,8 @@ class Executor {
 
   /// reset() + re-application of `trace` (fires and kAdvance markers).
   /// After it the executor sits exactly where the recorded schedule left
-  /// off — the backtracking and counterexample-replay primitive.
+  /// off — the counterexample-replay primitive, and the reference the
+  /// tests hold restore() to.
   void replay(const Trace& trace);
 
   /// Canonical fingerprint of the current position: every node's protocol
@@ -155,14 +219,31 @@ class Executor {
   pubsub::PubSubSystem& system() { return *sys_; }
 
  private:
-  /// Canonical encoding of one in-flight message (target + name +
-  /// payload). Aborts with a diagnostic if the message class lacks an
-  /// encoding — every protocol message must stay encodable.
-  std::vector<std::uint8_t> encode_envelope(const sim::Envelope& env) const;
+  /// One canonical message encoding in msg_buf_.
+  struct Span {
+    std::size_t offset = 0;
+    std::size_t size = 0;
+  };
+
+  /// Appends the canonical encoding of one in-flight message (target +
+  /// name + payload) to msg_buf_ and records its span. Aborts with a
+  /// diagnostic if the message class lacks an encoding — every protocol
+  /// message must stay encodable.
+  void encode_envelope(const sim::Envelope& env);
+  /// Appends the recorded spans to `enc` as a multiset: their count, then
+  /// each encoding length-prefixed, in byte order. Clears the spans.
+  void append_sorted(common::Encoder& enc);
 
   Options opt_;
+  /// Holds the checkpoints' message clones; outlives every system, so a
+  /// checkpoint's messages never dangle when reset() drops the system.
+  sim::MessagePool checkpoint_pool_;
   std::unique_ptr<pubsub::PubSubSystem> sys_;
   sched::BranchScheduler* branch_ = nullptr;  // owned by the Network
+  /// Counts reset() calls: the system a checkpoint was saved on.
+  std::uint64_t system_ = 0;
+  /// The subscribers, in id order (the population never changes).
+  std::vector<sim::NodeId> members_;
 
   bool primed_ = false;
   std::size_t batch_ = 0;
@@ -170,6 +251,12 @@ class Executor {
   std::size_t rounds_ = 0;
   /// fired flags per grouped slot of the current round.
   std::vector<bool> consumed_;
+
+  /// Encoding buffers, reused so that a warm state_hash() or enabled()
+  /// allocates nothing.
+  std::vector<std::uint8_t> state_buf_;
+  std::vector<std::uint8_t> msg_buf_;
+  std::vector<Span> spans_;
 };
 
 }  // namespace ssps::mc

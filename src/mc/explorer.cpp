@@ -1,6 +1,7 @@
 #include "mc/explorer.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/rng.hpp"
 
@@ -88,10 +89,12 @@ Explorer::Result Explorer::explore_round(std::size_t depth) {
     ++out_.stats.memo_hits;
     return Result::kAllLegal;
   }
+  // The executor already sits at this branch point for the first choice;
+  // later siblings return to it from a checkpoint.
+  std::optional<Executor::Checkpoint> branch_point;
+  if (en.slots.size() > 1) branch_point.emplace(exec_.save());
   for (std::size_t i = 0; i < en.slots.size(); ++i) {
-    // The executor already sits at this branch point for the first
-    // choice; later siblings re-establish it by replaying the prefix.
-    if (i > 0) exec_.replay(trace_);
+    if (i > 0) exec_.restore(*branch_point);
     exec_.fire(en.slots[i]);
     trace_.push_back(en.slots[i]);
     const Result r = explore_round(depth);

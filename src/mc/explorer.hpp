@@ -6,10 +6,11 @@
 // legal state within the round bound — a qualitatively stronger statement
 // than any seed sweep, which samples one schedule per seed.
 //
-// Search shape: depth-first over choice traces, with the system state
-// re-established by replay from the cheap root on every backtrack
-// (stateless model checking). Boundary states (between rounds) are
-// hash-deduped:
+// Search shape: depth-first over choice traces, with the executor saved
+// at every branch point that offers two or more choices and restored from
+// that checkpoint before each later sibling — backtracking costs a copy of
+// one position, not a re-run of its schedule. Boundary states (between
+// rounds) are hash-deduped:
 //   - a state already proven (black) is skipped — sound because the
 //     search aborts on the first counterexample, so a black state's
 //     entire subtree is known to reach legality regardless of the depth

@@ -14,6 +14,10 @@
 // releasing the barrier. Divergence — a digest disagreement, an ack for a
 // round the barrier isn't at, or a relay count disagreeing with the ack's
 // claim — is sticky: a diverged fleet must abort, not limp on.
+//
+// Which shard diverged is not which one acked second: the tracker keeps
+// every shard's digest, so once a disagreeing round has completed,
+// odd_shards() names the shards a strict majority outvotes.
 #pragma once
 
 #include <cstddef>
@@ -36,7 +40,8 @@ class BarrierTracker {
     kDuplicate,       ///< already acked this round; counted once
     kStale,           ///< ack for an already-released round; ignored
     kWrongRound,      ///< ack from the future — protocol violation
-    kDigestMismatch,  ///< disagrees with the round's first accepted digest
+    kDigestMismatch,  ///< disagrees with the round's first accepted digest,
+                      ///< or with the shard's own earlier ack; recorded
   };
 
   /// Processes one RoundDone{round, digest} from `shard`.
@@ -72,6 +77,19 @@ class BarrierTracker {
   /// Shards neither acked nor dead (the slow joiners still awaited).
   std::vector<std::size_t> missing() const;
 
+  /// The digest `shard` acked the current round with (valid once acked).
+  std::uint64_t digest_of(std::size_t shard) const { return digests_[shard]; }
+
+  /// The digest a strict majority of the shards acked the current round
+  /// with, if one did.
+  std::optional<std::uint64_t> majority_digest() const;
+
+  /// Once the round has completed: the shards to blame, in shard order —
+  /// empty when every ack agreed. Those whose digest differs from the
+  /// majority's and any that acked two different digests; with no strict
+  /// majority (two daemons, or a tie), every acked shard.
+  std::vector<std::size_t> odd_shards() const;
+
   /// Sticky divergence flag (digest mismatch, future-round ack, or a
   /// relay count mismatch detected by verify_relay_counts()).
   bool diverged() const { return diverged_; }
@@ -82,6 +100,10 @@ class BarrierTracker {
   std::optional<std::uint64_t> digest_;
   bool diverged_ = false;
   std::vector<std::uint8_t> acked_;
+  /// Per shard, the digest of its accepted ack this round, and whether it
+  /// later acked the round with another one.
+  std::vector<std::uint64_t> digests_;
+  std::vector<std::uint8_t> self_conflict_;
   std::vector<std::uint8_t> dead_;
   std::vector<std::uint64_t> relays_seen_;
   std::vector<std::uint64_t> relays_claimed_;

@@ -214,11 +214,13 @@ class Coordinator {
             ? static_cast<std::size_t>(opts_.kill_shard)
             : kNoShard;
     if (!gather(unit, doomed)) return false;
+    check_digests(unit);
     if (doomed != kNoShard) {
       // gather killed it on its ack; its replacement sends the unit's
       // relays and ack again.
       respawn(unit, doomed);
       gather(unit, kNoShard);
+      check_digests(unit);
     }
     if (!tracker_.verify_relay_counts()) {
       abort_deployment("relay count disagrees with a shard's ack");
@@ -238,6 +240,38 @@ class Coordinator {
     }
     if (doomed != kNoShard) restore_events_.push_back(Restore{unit, doomed});
     return true;
+  }
+
+  /// Aborts when the acks of round `unit` disagreed, naming the shards a
+  /// strict majority outvotes — or, with no strict majority, every shard
+  /// with its digest. Called once every live shard has acked: the odd
+  /// shard is not the one whose ack happened to arrive second.
+  void check_digests(std::size_t unit) {
+    const std::vector<std::size_t> odd = tracker_.odd_shards();
+    if (odd.empty()) return;
+    const std::optional<std::uint64_t> majority = tracker_.majority_digest();
+    std::string list;
+    for (const std::size_t shard : odd) {
+      if (!list.empty()) list += ", ";
+      list += std::to_string(shard);
+      if (!majority) list += " (" + hex_digest(tracker_.digest_of(shard)) + ")";
+    }
+    std::string what = "divergence at round " + std::to_string(unit) + ": ";
+    if (!majority) {
+      what += "no majority digest among shards " + list;
+    } else {
+      const char* who = odd.size() == 1 ? "shard " : "shards ";
+      const char* verb = odd.size() == 1 ? " disagrees" : " disagree";
+      what += who + list + verb + " with the majority digest " + hex_digest(*majority);
+    }
+    abort_deployment(what);
+  }
+
+  static std::string hex_digest(std::uint64_t digest) {
+    char text[19];
+    std::snprintf(text, sizeof text, "0x%016llx",
+                  static_cast<unsigned long long>(digest));
+    return text;
   }
 
   /// Drains daemon traffic until every live shard has acked round `unit`
@@ -357,9 +391,10 @@ class Coordinator {
           abort_deployment("shard " + std::to_string(shard) +
                            " acked a future round");
         case BarrierTracker::Ack::kDigestMismatch:
-          abort_deployment("divergence at round " + std::to_string(unit) +
-                           ": shard " + std::to_string(shard) +
-                           "'s digest disagrees with the round's first ack");
+          // Recorded; the barrier names the odd shards once every live
+          // shard has acked (check_digests). Nothing is forwarded before
+          // the release anyway.
+          return;
       }
       return;
     }

@@ -3,7 +3,9 @@
 // the replicas. Per unit it routes each cross-shard Relay frame, exactly
 // as received, to the daemon its header names; counts each daemon's
 // relays against the count in that daemon's ack; and checks that every
-// ack's state digest equals the first accepted ack's for that unit. At
+// ack's state digest equals the first accepted ack's for that unit — on
+// a disagreement, once every live shard has acked, it names the shards
+// a strict majority outvotes (every shard, with no majority). At
 // the end it checks that every daemon's final report is byte-identical,
 // and emits that report (the ssps_run-compatible JSON) with flat
 // "deploy_*" keys spliced in, which a differential harness strips. It

@@ -16,6 +16,9 @@
 // serial order.
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "sched/scheduler.hpp"
 #include "sim/network.hpp"
 
@@ -27,8 +30,8 @@ class BranchScheduler final : public Scheduler {
 
   /// Starts a round: swaps the in-flight buffer out as this round's batch
   /// (seeded shuffle + group by target) and returns the batch size.
-  /// Grouped slots [0, batch) are then pending delivery; group_end(v)
-  /// bounds target id v's group.
+  /// Grouped slots [0, batch) are then pending delivery, each target's
+  /// group contiguous and the groups in target id order.
   std::size_t prime(sim::Network& net) { return sim::EngineSeam(net).round_begin(); }
 
   /// The i-th grouped slot of the primed batch. Valid until barrier();
@@ -36,13 +39,6 @@ class BranchScheduler final : public Scheduler {
   /// message handle has been consumed).
   const sim::Envelope& slot(sim::Network& net, std::size_t i) const {
     return sim::EngineSeam(net).grouped(i);
-  }
-
-  /// END offset of target id v's group in the primed batch (offset 0 is
-  /// implicit), exactly the shard-boundary table the parallel scheduler
-  /// slices with.
-  std::uint32_t group_end(sim::Network& net, std::uint64_t v) const {
-    return sim::EngineSeam(net).group_end(v);
   }
 
   /// Delivers grouped slot i (returns 1, or 0 if the target crashed).
@@ -73,6 +69,42 @@ class BranchScheduler final : public Scheduler {
   /// encoding serializes.
   const std::vector<sim::Envelope>& pending(sim::Network& net) const {
     return sim::EngineSeam(net).lane();
+  }
+
+  // ---- Checkpoint restore (driven by mc::Executor::restore) -----------
+  //
+  // A checkpoint holds clones of the messages in flight at a saved
+  // position. Putting the position back clones them again, into the
+  // network's pool, so the checkpoint stays usable for the next restore.
+
+  /// Replaces the in-flight lane: reclaims every message in it,
+  /// undelivered, then appends a clone of each of `lane`'s messages, in
+  /// order.
+  void restore_lane(sim::Network& net, std::span<const sim::Envelope> lane) {
+    sim::EngineSeam seam(net);
+    std::vector<sim::Envelope>& pending = seam.lane();
+    for (const sim::Envelope& env : pending) seam.reclaim(env);
+    pending.clear();
+    for (const sim::Envelope& env : lane) {
+      pending.push_back(sim::clone_envelope(env, net.pool()));
+    }
+  }
+
+  /// Puts a saved primed batch back: grouped slot i holds a clone of
+  /// batch[i]'s message, or nothing where that message is null (a slot
+  /// fired before the save). Call with no round open: the slots' current
+  /// contents are overwritten, not reclaimed.
+  void restore_batch(sim::Network& net, std::span<const sim::Envelope> batch) {
+    sim::Envelope* slots = sim::EngineSeam(net).regroup(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const sim::Envelope& saved = batch[i];
+      slots[i] = saved.msg != nullptr ? sim::clone_envelope(saved, net.pool()) : saved;
+    }
+  }
+
+  /// Sets the round clock (a restored position's round).
+  void set_round(sim::Network& net, sim::Round round) {
+    sim::EngineSeam(net).set_round(round);
   }
 
   // ---- Scheduler seam --------------------------------------------------

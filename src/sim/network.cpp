@@ -238,10 +238,7 @@ std::size_t Network::shuffle_batch(std::vector<Envelope>* engine_batch) {
   // Fisher-Yates draws depend only on the length, so shuffling keys gives
   // the permutation shuffling the envelopes would.
   rng_.shuffle(keys_);
-  if (grouped_cap_ < size) {
-    grouped_cap_ = std::max(size, grouped_cap_ * 2);
-    grouped_ = std::make_unique<Envelope[]>(grouped_cap_);
-  }
+  grouped_slots(size);
   // Group the shuffled batch by target (a stable counting sort), so each
   // node's state is pulled into cache once per round, not once per
   // message. Observably equivalent to delivering in fully shuffled
@@ -273,7 +270,7 @@ std::pair<std::size_t, std::size_t> Network::group_range(std::size_t first,
     if (to - lo < span) grouped_[next[to]++] = batch_at(static_cast<std::uint32_t>(key));
   }
   // next[v] is now the END of target id v's group (groups lie in id
-  // order): the table EngineSeam::group_end reads.
+  // order).
   return {begin, next[lo + span - 1]};
 }
 

@@ -86,6 +86,15 @@ struct Envelope {
 // round.
 static_assert(sizeof(Envelope) == 32, "an envelope is (to, from, msg, pool)");
 
+/// `env` with a copy of its message allocated from `pool` (the model
+/// checker's checkpoints). Aborts when the message class cannot be cloned;
+/// MsgBase clones every copyable one.
+inline Envelope clone_envelope(const Envelope& env, MessagePool& pool) {
+  PooledMsg copy = env.msg->clone_into(pool);
+  SSPS_ASSERT_MSG(copy, "clone_envelope: message class is not clonable");
+  return Envelope{env.to, env.from, copy.release(), &pool};
+}
+
 /// Where the current thread's sends go: the in-flight lane that receives
 /// the envelope, the Metrics shard that accounts it, and the MessagePool
 /// that allocates it. The Network's own context targets its members; a
@@ -445,6 +454,15 @@ class Network {
   void consume_batch();
   /// A1-A3 over every slot on the calling thread; returns the batch size.
   std::size_t group_batch(std::vector<Envelope>* engine_batch);
+  /// The grouped array with room for `size` slots. Growing it drops the
+  /// old cells, so call it only while no slot holds a live message.
+  Envelope* grouped_slots(std::size_t size) {
+    if (grouped_cap_ < size) {
+      grouped_cap_ = std::max(size, grouped_cap_ * 2);
+      grouped_ = std::make_unique<Envelope[]>(grouped_cap_);
+    }
+    return grouped_.get();
+  }
   /// The i-th envelope of this round's batch, in canonical order.
   const Envelope& batch_at(std::uint32_t i) const {
     std::size_t s = 0;
@@ -610,14 +628,16 @@ class EngineSeam {
     net_.last_round_timeouts_ = timeouts;
     ++net_.round_;
   }
+  /// Sets the round clock: a restored checkpoint's round.
+  void set_round(Round round) { net_.round_ = round; }
 
   // ---- Grouped slots of the current batch --------------------------------
   const Envelope& grouped(std::size_t i) const { return net_.grouped_[i]; }
-  /// END offset of target id v's group (offset 0 is implicit).
-  std::uint32_t group_end(std::uint64_t v) const {
-    return net_.scatter_offsets_[static_cast<std::size_t>(v)];
-  }
   void reclaim(const Envelope& env) { net_.reclaim(env); }
+  /// Writable grouped slots [0, size), for an engine that puts a saved
+  /// batch back at its slot indices. Call only between rounds (or after
+  /// reclaiming every unfired slot): the caller overwrites every cell.
+  Envelope* regroup(std::size_t size) { return net_.grouped_slots(size); }
 
   // ---- Lane, main context, shard fold targets ----------------------------
   /// The main lane, for the serial engines, which read and patch the

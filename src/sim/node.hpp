@@ -94,6 +94,13 @@ class Node {
   /// diverge later, so they must not be deduplicated.
   std::array<std::uint64_t, 4> rng_state() const { return rng_.state(); }
 
+  /// This node's randomness stream as a value, and the way back to it:
+  /// the model checker's checkpoints save the stream with the node's
+  /// protocol objects and put it back on restore. The protocol objects
+  /// keep pointing at the same stream object; only its state changes.
+  const ssps::Rng& rng_stream() const { return rng_; }
+  void set_rng_stream(const ssps::Rng& rng) { rng_ = rng; }
+
  protected:
   explicit Node(NodeKind kind = NodeKind::kOther) : kind_(kind) {}
 

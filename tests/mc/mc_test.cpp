@@ -1,10 +1,13 @@
-// Model-checker tests: replay determinism, the exhaustive-vs-sampled
-// differential, and the seeded-mutation counterexample pipeline.
+// Model-checker tests: replay determinism, checkpoint restore, the
+// exhaustive-vs-sampled differential, the pinned search, and the
+// seeded-mutation counterexample pipeline.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "mc/counterexample.hpp"
 #include "mc/explorer.hpp"
 #include "scenario/mc_certify.hpp"
@@ -50,6 +53,42 @@ Trace serial_walk(Executor& exec, std::size_t rounds) {
     }
   }
   return trace;
+}
+
+/// One choice from the executor's position: fires an enabled slot (the
+/// first, or one drawn from `rng` when given) or, once the round is
+/// drained, advances to the next round. Returns the choice as a trace
+/// records it.
+std::uint32_t step(Executor& exec, ssps::Rng* rng) {
+  const Enabled en = exec.enabled();
+  if (en.slots.empty()) {
+    exec.advance();
+    return kAdvance;
+  }
+  const std::uint32_t slot =
+      rng != nullptr ? en.slots[rng->pick_index(en.slots)] : en.slots.front();
+  exec.fire(slot);
+  return slot;
+}
+
+/// Re-applies one recorded choice.
+void apply(Executor& exec, std::uint32_t choice) {
+  if (choice == kAdvance) {
+    exec.advance();
+  } else {
+    exec.fire(choice);
+  }
+}
+
+/// Every version counter of the system, supervisor first: restore must
+/// move each one forward, never back.
+std::vector<std::uint64_t> versions(Executor& exec) {
+  ssps::pubsub::PubSubSystem& sys = exec.system();
+  std::vector<std::uint64_t> out{sys.supervisor().db_version()};
+  for (const ssps::sim::NodeId id : sys.subscriber_ids()) {
+    out.push_back(sys.subscriber(id).state_version());
+  }
+  return out;
 }
 
 TEST(McExecutor, ReplayReestablishesTheExactState) {
@@ -123,6 +162,81 @@ TEST(McExecutor, DiscardRoundReclaimsTheUnfiredSlots) {
   EXPECT_EQ(exec.state_hash(), fresh.state_hash());
 }
 
+TEST(McExecutor, RestoreReturnsToTheSavedPosition) {
+  // Walk serial and random schedules. At every position, save, run ahead
+  // (1 to 7 choices, so some excursions cross round boundaries), restore:
+  // the executor must be back at the saved position — the same hash as
+  // before, the same hash replay reaches from the root — and must retrace
+  // the excursion hash for hash.
+  for (const std::size_t nodes : {2u, 3u}) {
+    for (const bool random : {false, true}) {
+      SCOPED_TRACE(std::to_string(nodes) + (random ? " nodes, random" : " nodes"));
+      const Executor::Options options = ssps::scenario::mc_certify_options(7, nodes);
+      Executor exec(options);
+      Executor reference(options);
+      ssps::Rng rng(0x5eed + nodes);
+      exec.prime();
+      Trace trace;
+      for (std::size_t position = 0; position < 48; ++position) {
+        const StateHash here = exec.state_hash();
+        // Not hashed (no protocol decision reads it here), but restored.
+        const ssps::sim::Round round = exec.system().net().round();
+        const Executor::Checkpoint checkpoint = exec.save();
+
+        Trace ahead;
+        std::vector<StateHash> hashes;
+        ssps::Rng ahead_rng(position);
+        for (std::size_t k = 0; k < 1 + position % 7; ++k) {
+          ahead.push_back(step(exec, random ? &ahead_rng : nullptr));
+          hashes.push_back(exec.state_hash());
+        }
+        const std::vector<std::uint64_t> before = versions(exec);
+        exec.restore(checkpoint);
+        ASSERT_EQ(exec.state_hash(), here) << "position " << position;
+        EXPECT_EQ(exec.system().net().round(), round);
+        const std::vector<std::uint64_t> after = versions(exec);
+        for (std::size_t v = 0; v < before.size(); ++v) EXPECT_GT(after[v], before[v]);
+
+        reference.replay(trace);
+        EXPECT_EQ(reference.state_hash(), here) << "position " << position;
+
+        for (std::size_t k = 0; k < ahead.size(); ++k) {
+          apply(exec, ahead[k]);
+          EXPECT_EQ(exec.state_hash(), hashes[k]) << "position " << position << " +" << k;
+        }
+        // The checkpoint outlives a restore: the walk goes on from it.
+        exec.restore(checkpoint);
+        trace.push_back(step(exec, random ? &rng : nullptr));
+      }
+      EXPECT_GT(exec.rounds(), 1u);
+    }
+  }
+}
+
+TEST(McExecutor, RestoreRefusesACheckpointOfARebuiltSystem) {
+  Executor exec(small_options(1));
+  exec.prime();
+  const Executor::Checkpoint checkpoint = exec.save();
+  exec.replay(Trace{});
+  EXPECT_DEATH(exec.restore(checkpoint), "rebuilt");
+}
+
+TEST(McExecutor, StateHashKnownAnswer) {
+  // Pins the canonical encoding byte for byte: the 128-bit hashes of a
+  // fixed root's boundary and of one mid-round position (two deliveries
+  // in, with sends in the lane and the rest of the batch unfired).
+  Executor exec(ssps::scenario::mc_certify_options(7, 3));
+  EXPECT_EQ(exec.state_hash(), (StateHash{0xee026b47de011403ull, 0x5b409940f0fcb320ull}));
+  exec.prime();
+  for (int k = 0; k < 2; ++k) {
+    const Enabled en = exec.enabled();
+    ASSERT_FALSE(en.slots.empty());
+    exec.fire(en.slots.back());
+  }
+  ASSERT_FALSE(exec.drained());
+  EXPECT_EQ(exec.state_hash(), (StateHash{0xcc6868202552625eull, 0x8fcba78e5d7ac612ull}));
+}
+
 TEST(McExplorer, CertifiesAScrambledSmallRootExhaustively) {
   const Certificate cert = ssps::scenario::mc_certify(1, 2);
   EXPECT_TRUE(cert.certified);
@@ -142,6 +256,31 @@ TEST(McExplorer, CertifiesAScrambledSmallRootExhaustively) {
   EXPECT_EQ(again.stats.memo_hits, cert.stats.memo_hits);
   EXPECT_EQ(again.stats.goal_states, cert.stats.goal_states);
   EXPECT_EQ(again.stats.max_depth, cert.stats.max_depth);
+}
+
+/// Certificate statistics, all six, as one comparable value.
+std::vector<std::size_t> stats_of(const Certificate& cert) {
+  const ssps::mc::Stats& s = cert.stats;
+  return {s.visited, s.deduped, s.por_pruned, s.memo_hits, s.goal_states, s.max_depth};
+}
+
+TEST(McExplorer, SearchStatisticsArePinned) {
+  // The search visits exactly these positions: a change to how the
+  // explorer gets around its tree (backtracking, hashing) must leave
+  // every count as it is. Order: visited, deduped, por_pruned, memo_hits,
+  // goal_states, max_depth.
+  using Pin = std::vector<std::size_t>;
+  const Certificate n2s1 = ssps::scenario::mc_certify(1, 2);
+  EXPECT_TRUE(n2s1.certified);
+  EXPECT_EQ(stats_of(n2s1), (Pin{13, 15, 80, 361, 24, 6}));
+  const Certificate n2s3 = ssps::scenario::mc_certify(3, 2);
+  EXPECT_TRUE(n2s3.certified);
+  EXPECT_EQ(stats_of(n2s3), (Pin{186, 272, 2115, 6910, 156, 7}));
+  Executor::Options n3 = ssps::scenario::mc_certify_options(2, 3);
+  n3.scramble.junk_messages = 1;
+  const Certificate n3j1s2 = Explorer(n3).run();
+  EXPECT_TRUE(n3j1s2.certified);
+  EXPECT_EQ(stats_of(n3j1s2), (Pin{1458, 1886, 29113, 164509, 88, 8}));
 }
 
 TEST(McExplorer, ExhaustiveAgreesWithRandomScheduleSampling) {

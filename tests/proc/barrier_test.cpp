@@ -3,6 +3,7 @@
 // last, duplicate acks, digest disagreement between daemons, a respawned
 // daemon's rejoin, relay-count audits.
 #include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -93,6 +94,52 @@ TEST(BarrierTracker, DigestMismatchIsStickyDivergence) {
   EXPECT_TRUE(tracker.diverged());
   tracker.begin_round(4);  // divergence survives re-arming
   EXPECT_TRUE(tracker.diverged());
+}
+
+TEST(BarrierTracker, MajorityNamesTheOddShardThatAckedFirst) {
+  // Shard 1 diverged and happens to ack first, so its digest is the one
+  // the round fixes: the two honest shards are the ones that mismatch.
+  BarrierTracker tracker(3);
+  tracker.begin_round(5);
+  EXPECT_EQ(tracker.round_done(1, 5, kDigest ^ 1), BarrierTracker::Ack::kAccepted);
+  EXPECT_EQ(tracker.round_done(0, 5, kDigest), BarrierTracker::Ack::kDigestMismatch);
+  // The acks keep counting after the mismatch, until the round completes.
+  EXPECT_FALSE(tracker.complete());
+  EXPECT_EQ(tracker.round_done(2, 5, kDigest), BarrierTracker::Ack::kDigestMismatch);
+  EXPECT_TRUE(tracker.complete());
+  EXPECT_EQ(tracker.majority_digest(), kDigest);
+  EXPECT_EQ(tracker.odd_shards(), (std::vector<std::size_t>{1}));
+  EXPECT_TRUE(tracker.diverged());
+  // Re-arming clears the round's digests, not the sticky divergence.
+  tracker.begin_round(6);
+  EXPECT_TRUE(tracker.odd_shards().empty());
+  EXPECT_TRUE(tracker.diverged());
+}
+
+TEST(BarrierTracker, WithoutAMajorityEveryShardIsNamedWithItsDigest) {
+  // Two daemons: when they disagree, nothing tells which one is wrong.
+  BarrierTracker tracker(2);
+  tracker.begin_round(5);
+  EXPECT_EQ(tracker.round_done(1, 5, kDigest ^ 1), BarrierTracker::Ack::kAccepted);
+  EXPECT_EQ(tracker.round_done(0, 5, kDigest), BarrierTracker::Ack::kDigestMismatch);
+  EXPECT_TRUE(tracker.complete());
+  EXPECT_FALSE(tracker.majority_digest().has_value());
+  EXPECT_EQ(tracker.odd_shards(), (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(tracker.digest_of(0), kDigest);
+  EXPECT_EQ(tracker.digest_of(1), kDigest ^ 1);
+}
+
+TEST(BarrierTracker, AShardThatAcksTwoDigestsIsNamed) {
+  // Its first digest agrees with the majority, but it contradicted itself.
+  BarrierTracker tracker(3);
+  tracker.begin_round(2);
+  EXPECT_EQ(tracker.round_done(0, 2, kDigest), BarrierTracker::Ack::kAccepted);
+  EXPECT_EQ(tracker.round_done(0, 2, kDigest ^ 1), BarrierTracker::Ack::kDigestMismatch);
+  EXPECT_EQ(tracker.round_done(1, 2, kDigest), BarrierTracker::Ack::kAccepted);
+  EXPECT_EQ(tracker.round_done(2, 2, kDigest), BarrierTracker::Ack::kAccepted);
+  EXPECT_TRUE(tracker.complete());
+  EXPECT_EQ(tracker.majority_digest(), kDigest);
+  EXPECT_EQ(tracker.odd_shards(), (std::vector<std::size_t>{0}));
 }
 
 TEST(BarrierTracker, FirstAcceptedAckFixesTheDigest) {
