@@ -29,10 +29,11 @@
 //    (LLVMFuzzerTestOneInput).
 //  - Without it, the file builds as the `ssps_decode_fuzz` binary: it
 //    replays a committed corpus directory plus one control frame of each
-//    CtrlType (built here, not committed: fuzz/corpus is also the
-//    scenario benchmark's wire corpus) and then runs a deterministic
-//    seeded mutation loop over both — the sanitizer-CI smoke shape, which
-//    needs no fuzzer runtime.
+//    CtrlType and four trie-sync frames whose labels reach the fixed
+//    store's key length and past it (built here, not committed:
+//    fuzz/corpus is also the scenario benchmark's wire corpus), and then
+//    runs a deterministic seeded mutation loop over all of them — the
+//    sanitizer-CI smoke shape, which needs no fuzzer runtime.
 //
 //      $ ssps_decode_fuzz fuzz/corpus                      # replay only
 //      $ ssps_decode_fuzz fuzz/corpus --iters 200000       # replay + mutate
@@ -84,11 +85,16 @@ struct FixedStore {
   }
 };
 
+const FixedStore& fixed_store() {
+  static const FixedStore store;
+  return store;
+}
+
 /// locate() and collect_prefix() for `probe` must agree with a linear scan
 /// of the fixed store's keys.
 void check_lookup(const ssps::pubsub::BitString& probe) {
   using Kind = ssps::pubsub::Locate::Kind;
-  static const FixedStore store;
+  const FixedStore& store = fixed_store();
   std::vector<const ssps::pubsub::BitString*> under;
   for (const ssps::pubsub::BitString& key : store.keys) {
     if (probe.is_prefix_of(key)) under.push_back(&key);
@@ -392,6 +398,43 @@ std::vector<std::vector<std::uint8_t>> ctrl_seeds() {
   return out;
 }
 
+/// CheckTrie and CheckAndPublish frames, bare and inside a TopicEnvelope,
+/// whose labels reach the fixed store's 96-bit key length and go past it:
+/// prefixes of its keys of 95 and 96 bits, and labels of 97 and 192 bits.
+/// The committed seeds carry 2-4 bit labels, and a mutation that grows a
+/// label's length must also find that many payload bytes, so the loop
+/// alone almost never hands locate() a label near m.
+std::vector<std::vector<std::uint8_t>> long_label_seeds() {
+  namespace pmsg = ssps::pubsub::msg;
+  const std::vector<BitString>& keys = fixed_store().keys;
+  BitString past = keys[3];
+  past.push_back(true);
+  BitString twice = keys[9];
+  twice.append(keys[12]);
+  const std::vector<NodeSummary> tuples = {
+      NodeSummary{keys[0].prefix(95), fill_digest(3)},
+      NodeSummary{keys[5], fill_digest(5)},
+      NodeSummary{past, fill_digest(7)},
+      NodeSummary{twice, fill_digest(11)},
+  };
+  ssps::sim::MessagePool pool;
+  ssps::sim::PooledMsg msgs[] = {
+      pool.make<pmsg::CheckTrie>(NodeId{8}, tuples),
+      pool.make<pmsg::CheckAndPublish>(NodeId{8}, tuples, keys[14].prefix(95)),
+      pool.make<ssps::pubsub::TopicEnvelope>(
+          5, pool.make<pmsg::CheckTrie>(NodeId{8}, tuples)),
+      pool.make<ssps::pubsub::TopicEnvelope>(
+          5, pool.make<pmsg::CheckAndPublish>(NodeId{8}, tuples, keys[14])),
+  };
+  std::vector<std::vector<std::uint8_t>> out;
+  for (const ssps::sim::PooledMsg& msg : msgs) {
+    std::vector<std::uint8_t> frame;
+    if (!ssps::wire::encode_message(*msg, frame)) __builtin_trap();
+    out.push_back(std::move(frame));
+  }
+  return out;
+}
+
 /// Mutates `bytes` in place: byte flips, truncation, extension, splicing.
 /// Half the time the frame CRC is recomputed afterwards so the mutation
 /// reaches the payload decoders instead of dying at the checksum.
@@ -550,8 +593,14 @@ int main(int argc, char** argv) {
     one_input(frame.data(), frame.size(), rng);
     corpus.push_back(std::move(frame));
   }
-  std::printf("replayed %zu corpus entries and %zu control frames\n", files_replayed,
-              corpus.size() - files_replayed);
+  const std::size_t ctrl_replayed = corpus.size() - files_replayed;
+  for (std::vector<std::uint8_t>& frame : long_label_seeds()) {
+    one_input(frame.data(), frame.size(), rng);
+    corpus.push_back(std::move(frame));
+  }
+  std::printf(
+      "replayed %zu corpus entries, %zu control frames and %zu long-label frames\n",
+      files_replayed, ctrl_replayed, corpus.size() - files_replayed - ctrl_replayed);
 
   // Deterministic mutation loop seeded from the corpus: each iteration
   // runs one mutated input through every leg and one built stream through

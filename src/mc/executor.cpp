@@ -10,6 +10,64 @@
 
 namespace ssps::mc {
 
+namespace {
+
+/// Byte order as std::vector<std::uint8_t>'s operator< defines it.
+bool bytes_less(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b) {
+  const int order = std::memcmp(a.data(), b.data(), std::min(a.size(), b.size()));
+  return order != 0 ? order < 0 : a.size() < b.size();
+}
+
+bool bytes_equal(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size()) == 0;
+}
+
+/// Writes `v` little-endian at `out` (common::Encoder::u64's bytes).
+std::uint8_t* put_u64(std::uint8_t* out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  return out + 8;
+}
+
+std::uint8_t* put_bytes(std::uint8_t* out, std::span<const std::uint8_t> bytes) {
+  if (!bytes.empty()) std::memcpy(out, bytes.data(), bytes.size());
+  return out + bytes.size();
+}
+
+}  // namespace
+
+void Executor::Encodings::add(const sim::Envelope& env) {
+  const std::size_t offset = bytes.size();
+  common::Encoder enc(bytes);
+  enc.u64(env.to.value);
+  enc.string(env.msg->name());
+  const bool encodable = env.msg->encode(enc);
+  SSPS_ASSERT_MSG(encodable, "mc: in-flight message class lacks a canonical encoding");
+  const auto entry = static_cast<std::uint32_t>(spans.size());
+  spans.push_back(Span{offset, bytes.size() - offset});
+  const auto less = [this](std::uint32_t a, std::uint32_t b) {
+    return bytes_less(at(a), at(b));
+  };
+  order.insert(std::upper_bound(order.begin(), order.end(), entry, less), entry);
+}
+
+template <typename Keep>
+std::uint8_t* Executor::Encodings::write(std::uint8_t* out, std::size_t count,
+                                         Keep keep) const {
+  out = put_u64(out, count);
+  for (const std::uint32_t i : order) {
+    if (!keep(i)) continue;
+    out = put_u64(out, spans[i].size);
+    out = put_bytes(out, at(i));
+  }
+  return out;
+}
+
+void Executor::Encodings::clear() {
+  bytes.clear();
+  spans.clear();
+  order.clear();
+}
+
 Executor::Executor(const Options& options) : opt_(options) { reset(); }
 
 void Executor::reset() {
@@ -30,30 +88,49 @@ void Executor::reset() {
   oracle::ArbitraryStateInjector injector(opt_.scramble);
   injector.scramble(*sys_);
   members_ = sys_->subscriber_ids();
+  nodes_.clear();
+  nodes_.reserve(sys_->net().alive_count());
+  sys_->net().for_each_alive(
+      [this](sim::NodeId, const sim::Node& node) { nodes_.push_back(&node); });
+  caches_.nodes.resize(nodes_.size());
+  for (NodeEncoding& node : caches_.nodes) node.stale = true;
+  caches_.lane.clear();
+  caches_.batch.clear();
   rounds_ = 0;
   ++system_;
 }
 
-Executor::Checkpoint::~Checkpoint() {
-  for (const std::vector<sim::Envelope>* clones : {&lane_, &batch_}) {
+void Executor::Checkpoint::release_clones() {
+  for (std::vector<sim::Envelope>* clones : {&lane_, &batch_}) {
     for (const sim::Envelope& env : *clones) {
       if (env.msg != nullptr) env.pool->destroy(env.msg);
     }
+    clones->clear();
   }
 }
 
-Executor::Checkpoint Executor::save() {
+Executor::Checkpoint::~Checkpoint() { release_clones(); }
+
+void Executor::save(Checkpoint& cp) {
+  cp.release_clones();
   sim::Network& net = sys_->net();
-  Checkpoint cp;
   cp.system_ = system_;
+  // Copy-assignment into the previous save's objects reuses their
+  // containers' storage.
   const core::SupervisorNode& supervisor =
       net.node_as<core::SupervisorNode>(sys_->supervisor_id());
-  cp.supervisor_.emplace(supervisor.protocol());
+  cp.supervisor_ = supervisor.protocol();
   cp.supervisor_rng_ = supervisor.rng_stream();
-  cp.members_.reserve(members_.size());
-  for (const sim::NodeId id : members_) {
-    const pubsub::PubSubNode& node = net.node_as<pubsub::PubSubNode>(id);
-    cp.members_.push_back({node.protocol(), node.pubsub(), node.rng_stream()});
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    const pubsub::PubSubNode& node = net.node_as<pubsub::PubSubNode>(members_[i]);
+    if (i == cp.members_.size()) {
+      cp.members_.push_back({node.protocol(), node.pubsub(), node.rng_stream()});
+      continue;
+    }
+    Checkpoint::Member& saved = cp.members_[i];
+    saved.overlay = node.protocol();
+    saved.pubsub = node.pubsub();
+    saved.rng = node.rng_stream();
   }
   cp.net_rng_ = net.rng();
   cp.round_ = net.round();
@@ -71,7 +148,7 @@ Executor::Checkpoint Executor::save() {
   cp.fired_ = fired_;
   cp.rounds_ = rounds_;
   cp.consumed_ = consumed_;
-  return cp;
+  cp.caches_ = caches_;
 }
 
 void Executor::restore(const Checkpoint& cp) {
@@ -99,6 +176,7 @@ void Executor::restore(const Checkpoint& cp) {
   fired_ = cp.fired_;
   rounds_ = cp.rounds_;
   consumed_ = cp.consumed_;
+  caches_ = cp.caches_;
 }
 
 void Executor::discard_round() {
@@ -115,10 +193,15 @@ void Executor::discard_round() {
 
 void Executor::prime() {
   SSPS_ASSERT_MSG(!primed_, "prime: round already open");
-  batch_ = branch_->prime(sys_->net());
+  sim::Network& net = sys_->net();
+  batch_ = branch_->prime(net);
   consumed_.assign(batch_, false);
   fired_ = 0;
   primed_ = true;
+  // The lane's messages are now the batch's; the lane starts empty.
+  caches_.lane.clear();
+  caches_.batch.clear();
+  for (std::size_t i = 0; i < batch_; ++i) caches_.batch.add(branch_->slot(net, i));
 }
 
 void Executor::barrier() {
@@ -126,6 +209,7 @@ void Executor::barrier() {
   branch_->barrier(sys_->net());
   primed_ = false;
   ++rounds_;
+  for (NodeEncoding& node : caches_.nodes) node.stale = true;
 }
 
 Enabled Executor::enabled() {
@@ -136,24 +220,17 @@ Enabled Executor::enabled() {
   while (first < batch_ && consumed_[first]) ++first;
   if (first == batch_) return out;  // drained
   const sim::NodeId target = branch_->slot(net, first).to;
-  msg_buf_.clear();
-  spans_.clear();
   for (std::size_t i = first; i < batch_; ++i) {
     if (consumed_[i]) continue;
     const sim::Envelope& env = branch_->slot(net, i);
     if (env.to != target) break;  // groups are contiguous in target order
-    encode_envelope(env);
-    const Span key = spans_.back();
-    const std::uint8_t* bytes = msg_buf_.data();
+    const std::span<const std::uint8_t> key = caches_.batch.at(i);
     const bool duplicate =
-        std::any_of(spans_.begin(), spans_.end() - 1, [&](const Span& kept) {
-          return kept.size == key.size &&
-                 std::memcmp(bytes + kept.offset, bytes + key.offset, key.size) == 0;
+        std::any_of(out.slots.begin(), out.slots.end(), [&](std::uint32_t kept) {
+          return bytes_equal(caches_.batch.at(kept), key);
         });
     if (duplicate) {
       ++out.pruned;
-      spans_.pop_back();
-      msg_buf_.resize(key.offset);
       continue;
     }
     out.slots.push_back(static_cast<std::uint32_t>(i));
@@ -166,6 +243,7 @@ void Executor::fire(std::uint32_t slot) {
                   "fire: slot out of range or already fired");
   sim::Network& net = sys_->net();
   const sim::Envelope& env = branch_->slot(net, slot);
+  const sim::NodeId target = env.to;
   if (!opt_.drop_message_name.empty() &&
       env.msg->name() == opt_.drop_message_name) {
     branch_->discard(net, slot);
@@ -174,6 +252,11 @@ void Executor::fire(std::uint32_t slot) {
   }
   consumed_[slot] = true;
   ++fired_;
+  const auto by_id = [](const sim::Node* n, sim::NodeId id) { return n->id() < id; };
+  const auto node = std::lower_bound(nodes_.begin(), nodes_.end(), target, by_id);
+  if (node != nodes_.end() && (*node)->id() == target) {
+    caches_.nodes[static_cast<std::size_t>(node - nodes_.begin())].stale = true;
+  }
 }
 
 void Executor::replay(const Trace& trace) {
@@ -188,65 +271,62 @@ void Executor::replay(const Trace& trace) {
   }
 }
 
-void Executor::encode_envelope(const sim::Envelope& env) {
-  const std::size_t offset = msg_buf_.size();
-  common::Encoder enc(msg_buf_);
-  enc.u64(env.to.value);
-  enc.string(env.msg->name());
-  const bool encodable = env.msg->encode(enc);
-  SSPS_ASSERT_MSG(encodable,
-                  "mc: in-flight message class lacks a canonical encoding");
-  spans_.push_back(Span{offset, msg_buf_.size() - offset});
-}
-
-void Executor::append_sorted(common::Encoder& enc) {
-  // Byte order as std::vector<std::uint8_t>'s operator< defines it: the
-  // first differing byte decides, and a proper prefix sorts first.
-  const std::uint8_t* bytes = msg_buf_.data();
-  std::sort(spans_.begin(), spans_.end(), [bytes](const Span& a, const Span& b) {
-    const std::size_t common = std::min(a.size, b.size);
-    const int order = std::memcmp(bytes + a.offset, bytes + b.offset, common);
-    return order != 0 ? order < 0 : a.size < b.size;
-  });
-  enc.u64(spans_.size());
-  for (const Span& span : spans_) enc.bytes(bytes + span.offset, span.size);
-  msg_buf_.clear();
-  spans_.clear();
+void Executor::encode_node(std::size_t index) {
+  // Node states in id order (canonical). The per-node RNG streams are part
+  // of the state: two configurations that agree on every protocol variable
+  // but differ in pending randomness can still diverge. The round/step
+  // clocks, version counters and derived caches are excluded — none of
+  // them feeds back into any protocol decision (the failure detector reads
+  // the crash log, which stays empty here: the checker never crashes
+  // nodes).
+  NodeEncoding& cached = caches_.nodes[index];
+  const sim::Node& node = *nodes_[index];
+  const sim::NodeId id = node.id();
+  cached.bytes.clear();
+  common::Encoder enc(cached.bytes);
+  enc.u64(id.value);
+  enc.u8(static_cast<std::uint8_t>(node.kind()));
+  if (node.kind() == sim::NodeKind::kSupervisor) {
+    sys_->supervisor().encode_state(enc);
+  } else {
+    sys_->subscriber(id).encode_state(enc);
+    const pubsub::PatriciaTrie& trie = sys_->pubsub(id).trie();
+    enc.u64(trie.size());
+    enc.optional(trie.root(), pubsub::msg::encode_summary);
+  }
+  for (std::uint64_t word : node.rng_state()) enc.u64(word);
+  cached.stale = false;
 }
 
 StateHash Executor::state_hash() {
-  state_buf_.clear();
-  common::Encoder enc(state_buf_);
   sim::Network& net = sys_->net();
-  // Node states in id order (canonical). The per-node and network RNG
-  // streams are part of the state: two configurations that agree on every
-  // protocol variable but differ in pending randomness can still diverge.
-  // The round/step clocks, version counters and derived caches are
-  // excluded — none of them feeds back into any protocol decision (the
-  // failure detector reads the crash log, which stays empty here: the
-  // checker never crashes nodes).
-  net.for_each_alive([&](sim::NodeId id, const sim::Node& node) {
-    enc.u64(id.value);
-    enc.u8(static_cast<std::uint8_t>(node.kind()));
-    if (node.kind() == sim::NodeKind::kSupervisor) {
-      sys_->supervisor().encode_state(enc);
-    } else {
-      sys_->subscriber(id).encode_state(enc);
-      const pubsub::PatriciaTrie& trie = sys_->pubsub(id).trie();
-      enc.u64(trie.size());
-      enc.optional(trie.root(), pubsub::msg::encode_summary);
-    }
-    for (std::uint64_t word : node.rng_state()) enc.u64(word);
-  });
-  for (std::uint64_t word : net.rng().state()) enc.u64(word);
+  std::size_t size = 0;
+  for (std::size_t i = 0; i < caches_.nodes.size(); ++i) {
+    if (caches_.nodes[i].stale) encode_node(i);
+    size += caches_.nodes[i].bytes.size();
+  }
+  const std::vector<sim::Envelope>& lane = branch_->pending(net);
+  Encodings& lane_enc = caches_.lane;
+  SSPS_ASSERT_MSG(lane_enc.spans.size() <= lane.size(),
+                  "state_hash: the lane shrank without a prime or restore");
+  for (std::size_t i = lane_enc.spans.size(); i < lane.size(); ++i) lane_enc.add(lane[i]);
+  const Encodings& batch_enc = caches_.batch;
+  const std::size_t unfired = primed_ ? batch_ - fired_ : 0;
+  const auto net_rng = net.rng().state();
+  // An upper bound: the unfired slots' encodings are at most the batch's.
+  size += 8 * net_rng.size() + 8 + 8 * lane_enc.spans.size() + lane_enc.bytes.size() + 1;
+  if (primed_) size += 8 + 8 * unfired + batch_enc.bytes.size();
+  state_buf_.resize(std::max(state_buf_.size(), size));
+
+  std::uint8_t* out = state_buf_.data();
+  for (const NodeEncoding& node : caches_.nodes) out = put_bytes(out, node.bytes);
+  // The network's stream feeds prime()'s shuffle, so it is state too.
+  for (std::uint64_t word : net_rng) out = put_u64(out, word);
   // Channel contents as a multiset: per-envelope canonical encodings in
   // sorted byte order. Sound because the explorer tries every delivery
   // order anyway — two states whose channels hold the same messages in
   // different send order have identical futures.
-  msg_buf_.clear();
-  spans_.clear();
-  for (const sim::Envelope& env : branch_->pending(net)) encode_envelope(env);
-  append_sorted(enc);
+  out = lane_enc.write(out, lane_enc.spans.size(), [](std::uint32_t) { return true; });
   // Mid-round positions additionally carry the undelivered remainder of
   // the primed batch, also as a sorted multiset: two delivery orders that
   // land on the same node states, RNG streams and remaining messages have
@@ -254,15 +334,13 @@ StateHash Executor::state_hash() {
   // target's distinct messages, a function of exactly this data), so the
   // explorer's round memo can collapse commuting permutations. The flag
   // byte keeps boundary and mid-round encodings from ever colliding.
-  enc.u8(primed_ ? 1 : 0);
+  *out++ = primed_ ? 1 : 0;
   if (primed_) {
-    for (std::size_t i = 0; i < batch_; ++i) {
-      if (!consumed_[i]) encode_envelope(branch_->slot(net, i));
-    }
-    append_sorted(enc);
+    const auto unfired_slot = [this](std::uint32_t slot) { return !consumed_[slot]; };
+    out = batch_enc.write(out, unfired, unfired_slot);
   }
   const pubsub::Digest digest = pubsub::Sha256::digest(
-      std::span<const std::uint8_t>(state_buf_.data(), state_buf_.size()));
+      std::span<const std::uint8_t>(state_buf_.data(), out));
   StateHash h;
   for (int i = 0; i < 8; ++i) {
     h.hi |= static_cast<std::uint64_t>(digest[i]) << (8 * i);

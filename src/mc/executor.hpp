@@ -14,17 +14,40 @@
 //     flat sequence of fire choices interleaved with kAdvance markers IS
 //     the schedule: replay(trace) reproduces any explored state
 //     bit-for-bit.
-//   - save() copies the current position and restore() puts the executor
-//     back there, at a cost that grows with the size of a position, not
-//     with the length of its schedule: the explorer's backtracking
-//     primitive. A checkpoint copies the protocol objects by value, never
-//     through the crash-recovery codec (decode_state dirties the
-//     supervisor's labels and the publication store re-inserts, so a
-//     decoded node is not the saved one).
+//   - save(checkpoint) copies the current position into a caller-kept
+//     checkpoint and restore() puts the executor back there, at a cost
+//     that grows with the size of a position, not with the length of its
+//     schedule: the explorer's backtracking primitive. A checkpoint copies
+//     the protocol objects by value, never through the crash-recovery
+//     codec (decode_state dirties the supervisor's labels and the
+//     publication store re-inserts, so a decoded node is not the saved
+//     one).
 //   - enabled() exposes the branch point with partial-order reduction
 //     baked in (see the soundness notes on the member).
-//   - state_hash() fingerprints the boundary state canonically, which the
-//     explorer's visited set dedupes on.
+//   - state_hash() fingerprints the position canonically, which the
+//     explorer's visited set and round memo dedupe on.
+//
+// state_hash() hashes the same bytes a from-scratch encoding of every
+// node and message would give, but re-encodes only what may have changed
+// since it last ran. Three caches hold the encodings, and this is when
+// each goes stale (the soundness argument of the incremental hash):
+//
+//   - Node encodings (id, kind, encode_state, trie size and root summary,
+//     RNG words). fire(slot) stales only that slot's target: a handler
+//     touches only its own node's state and stream — the argument
+//     enabled()'s fixed target order rests on. barrier() stales every
+//     node (the Timeout sweep acts on all of them), and reset() and
+//     replay() stale every node of the rebuilt system. restore() copies
+//     the saved encodings back. prime() and check() change no node. The
+//     network's RNG words are not cached: prime() draws from that stream.
+//   - The primed batch. prime() encodes every grouped slot once and keeps
+//     the slot indices sorted by those bytes. A primed slot is never
+//     mutated, only delivered or discarded, so enabled() compares cached
+//     bytes and state_hash() writes the unfired slots in that order.
+//   - The lane. Between two prime() calls the lane only grows, at its end,
+//     so state_hash() encodes just the envelopes appended since its last
+//     call and inserts each one into the sorted order. prime() empties the
+//     cache with the lane; restore() copies the saved one back.
 //
 // Neither path rewinds the Network's metrics or latency counters: restore
 // leaves them counting on, and replay's rebuilt system starts them over.
@@ -34,6 +57,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -95,23 +119,70 @@ class Executor {
     std::string drop_message_name;
   };
 
+ private:
+  /// Canonical encodings of in-flight messages (target + name + payload)
+  /// in one flat buffer, entry i at spans[i], with `order` listing the
+  /// entries in byte order as std::vector<std::uint8_t>'s operator<
+  /// defines it: the first differing byte decides, and a proper prefix
+  /// sorts first.
+  struct Encodings {
+    struct Span {
+      std::size_t offset = 0;
+      std::size_t size = 0;
+    };
+    std::vector<std::uint8_t> bytes;
+    std::vector<Span> spans;
+    std::vector<std::uint32_t> order;
+
+    /// Encodes `env` as entry spans.size() and inserts it into `order`.
+    /// Aborts with a diagnostic if the message class lacks an encoding —
+    /// every protocol message must stay encodable.
+    void add(const sim::Envelope& env);
+    std::span<const std::uint8_t> at(std::size_t i) const {
+      return {bytes.data() + spans[i].offset, spans[i].size};
+    }
+    /// Writes the `count` entries `keep(index)` accepts at `out` as a
+    /// multiset, in common::Encoder's format: the count, then each
+    /// encoding length-prefixed, in byte order. Returns the end.
+    template <typename Keep>
+    std::uint8_t* write(std::uint8_t* out, std::size_t count, Keep keep) const;
+    void clear();
+  };
+
+  /// One node's canonical encoding, and whether it may be out of date.
+  struct NodeEncoding {
+    std::vector<std::uint8_t> bytes;
+    bool stale = true;
+  };
+
+  /// The three caches state_hash() reads (see the file header).
+  struct Caches {
+    std::vector<NodeEncoding> nodes;  // id order
+    Encodings lane;                   // the lane's envelopes hashed so far, in send order
+    Encodings batch;                  // the primed batch, by slot index
+  };
+
+ public:
   /// An exact copy of one position: every node's protocol objects and RNG
   /// stream, the network's RNG stream and round clock, a clone of every
   /// in-flight message (the lane in send order, the primed batch at its
-  /// slot indices) and the executor's round bookkeeping. The protocol
-  /// copies point at their own node's sink and RNG, so a checkpoint is
-  /// valid only on the system that made it: restore() refuses one saved
-  /// before a reset() or replay(). It must not outlive its executor, whose
-  /// pool holds the message clones.
+  /// slot indices), the executor's round bookkeeping and its encoding
+  /// caches. The protocol copies point at their own node's sink and RNG,
+  /// so a checkpoint is valid only on the system that made it: restore()
+  /// refuses one saved before a reset() or replay(). A checkpoint is
+  /// reusable: each save() overwrites it, copy-assigning into the
+  /// containers the previous save left. It must not outlive its executor,
+  /// whose pool holds the message clones.
   class Checkpoint {
    public:
-    /// A moved-from checkpoint holds no clones (its vectors are empty).
-    Checkpoint(Checkpoint&&) noexcept = default;
+    /// An empty checkpoint, for save() to fill.
+    Checkpoint() = default;
+    Checkpoint(const Checkpoint&) = delete;
+    Checkpoint& operator=(const Checkpoint&) = delete;
     ~Checkpoint();
 
    private:
     friend class Executor;
-    Checkpoint() = default;
 
     /// One subscriber's protocol objects and RNG stream.
     struct Member {
@@ -119,6 +190,9 @@ class Executor {
       pubsub::PubSubProtocol pubsub;
       ssps::Rng rng;
     };
+
+    /// Returns every message clone to its pool.
+    void release_clones();
 
     std::uint64_t system_ = 0;
     std::optional<core::SupervisorProtocol> supervisor_;
@@ -134,6 +208,7 @@ class Executor {
     std::size_t fired_ = 0;
     std::size_t rounds_ = 0;
     std::vector<bool> consumed_;
+    Caches caches_;
   };
 
   explicit Executor(const Options& options);
@@ -143,14 +218,16 @@ class Executor {
   /// its in-flight lane.
   void reset();
 
-  /// Copies the current position (at a boundary or between fires).
-  Checkpoint save();
+  /// Copies the current position (at a boundary or between fires) into
+  /// `checkpoint`, first returning the clones of its previous save.
+  void save(Checkpoint& checkpoint);
 
   /// Puts the executor back at the position `checkpoint` saved, which
   /// must come from this executor since its last reset(). First drops
   /// what the current position holds in flight (discard_round() and the
-  /// lane), then copies the saved objects back and clones the saved
-  /// messages into the network's pool; the checkpoint stays usable.
+  /// lane), then copies the saved objects and encoding caches back and
+  /// clones the saved messages into the network's pool; the checkpoint
+  /// stays usable.
   /// state_version() and db_version() keep counting up.
   void restore(const Checkpoint& checkpoint);
 
@@ -205,6 +282,8 @@ class Executor {
   /// the undelivered remainder of the primed batch, so equal hashes mean
   /// equal futures whether taken at a boundary or between fires. Excludes
   /// the round/step clocks and all derived caches/version counters.
+  /// Re-encodes only what may have changed since the last call (see the
+  /// file header); the hashed bytes are those of a cold encoding.
   StateHash state_hash();
 
   /// Oracle sweep of the current state (the accepting predicate).
@@ -219,20 +298,8 @@ class Executor {
   pubsub::PubSubSystem& system() { return *sys_; }
 
  private:
-  /// One canonical message encoding in msg_buf_.
-  struct Span {
-    std::size_t offset = 0;
-    std::size_t size = 0;
-  };
-
-  /// Appends the canonical encoding of one in-flight message (target +
-  /// name + payload) to msg_buf_ and records its span. Aborts with a
-  /// diagnostic if the message class lacks an encoding — every protocol
-  /// message must stay encodable.
-  void encode_envelope(const sim::Envelope& env);
-  /// Appends the recorded spans to `enc` as a multiset: their count, then
-  /// each encoding length-prefixed, in byte order. Clears the spans.
-  void append_sorted(common::Encoder& enc);
+  /// Re-encodes node `index` (of nodes_) into its cache entry.
+  void encode_node(std::size_t index);
 
   Options opt_;
   /// Holds the checkpoints' message clones; outlives every system, so a
@@ -244,6 +311,8 @@ class Executor {
   std::uint64_t system_ = 0;
   /// The subscribers, in id order (the population never changes).
   std::vector<sim::NodeId> members_;
+  /// Every node, supervisor included, in id order: the hashed population.
+  std::vector<const sim::Node*> nodes_;
 
   bool primed_ = false;
   std::size_t batch_ = 0;
@@ -252,11 +321,10 @@ class Executor {
   /// fired flags per grouped slot of the current round.
   std::vector<bool> consumed_;
 
-  /// Encoding buffers, reused so that a warm state_hash() or enabled()
-  /// allocates nothing.
+  Caches caches_;
+  /// The SHA-256 input, reused so that a warm state_hash() allocates
+  /// nothing.
   std::vector<std::uint8_t> state_buf_;
-  std::vector<std::uint8_t> msg_buf_;
-  std::vector<Span> spans_;
 };
 
 }  // namespace ssps::mc

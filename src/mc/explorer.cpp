@@ -90,9 +90,17 @@ Explorer::Result Explorer::explore_round(std::size_t depth) {
     return Result::kAllLegal;
   }
   // The executor already sits at this branch point for the first choice;
-  // later siblings return to it from a checkpoint.
-  std::optional<Executor::Checkpoint> branch_point;
-  if (en.slots.size() > 1) branch_point.emplace(exec_.save());
+  // later siblings return to it from this level's checkpoint. The level
+  // is the trace length: every nested call pushes one choice first.
+  const std::size_t level = trace_.size();
+  Executor::Checkpoint* branch_point = nullptr;
+  if (en.slots.size() > 1) {
+    if (checkpoints_.size() <= level) checkpoints_.resize(level + 1);
+    std::unique_ptr<Executor::Checkpoint>& saved = checkpoints_[level];
+    if (saved == nullptr) saved = std::make_unique<Executor::Checkpoint>();
+    branch_point = saved.get();
+    exec_.save(*branch_point);
+  }
   for (std::size_t i = 0; i < en.slots.size(); ++i) {
     if (i > 0) exec_.restore(*branch_point);
     exec_.fire(en.slots[i]);

@@ -9,8 +9,11 @@
 // Search shape: depth-first over choice traces, with the executor saved
 // at every branch point that offers two or more choices and restored from
 // that checkpoint before each later sibling — backtracking costs a copy of
-// one position, not a re-run of its schedule. Boundary states (between
-// rounds) are hash-deduped:
+// one position, not a re-run of its schedule. The explorer keeps one
+// checkpoint per recursion level and saves into it again at every branch
+// point of that level, so a save reuses the storage of the last one
+// instead of allocating a new position. Boundary states (between rounds)
+// are hash-deduped:
 //   - a state already proven (black) is skipped — sound because the
 //     search aborts on the first counterexample, so a black state's
 //     entire subtree is known to reach legality regardless of the depth
@@ -29,9 +32,11 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "mc/executor.hpp"
 
@@ -100,6 +105,11 @@ class Explorer {
   void record_counterexample(Counterexample::Kind kind, std::size_t depth);
 
   Executor exec_;
+  /// One branch-point checkpoint per recursion level (trace length),
+  /// made on first use and reused by every branch point at that level.
+  /// Declared after exec_, so the checkpoints return their message clones
+  /// before the executor's pool is destroyed.
+  std::vector<std::unique_ptr<Executor::Checkpoint>> checkpoints_;
   std::size_t max_rounds_;
   Trace trace_;
   std::unordered_set<StateHash, StateHashOf> visited_;

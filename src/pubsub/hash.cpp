@@ -265,12 +265,6 @@ Digest Sha256::digest(std::span<const std::uint8_t> data) {
   return h.finish();
 }
 
-Digest Sha256::digest(std::string_view data) {
-  Sha256 h;
-  h.update(data);
-  return h.finish();
-}
-
 std::uint64_t fnv1a64(std::span<const std::uint8_t> data) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (std::uint8_t b : data) {

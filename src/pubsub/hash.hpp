@@ -41,7 +41,6 @@ class Sha256 {
 
   /// One-shot convenience.
   static Digest digest(std::span<const std::uint8_t> data);
-  static Digest digest(std::string_view data);
 
  private:
   std::array<std::uint32_t, 8> state_;

@@ -132,11 +132,6 @@ bool PatriciaTrie::insert(const Publication& p) {
   return true;
 }
 
-bool PatriciaTrie::contains(const Publication& p) const {
-  const std::uint32_t at = find(key_of(p));
-  return at != kNone && is_leaf(at);
-}
-
 std::uint32_t PatriciaTrie::find(const BitString& prefix) const {
   const std::size_t bits = prefix.size();
   if (links_.empty() || bits > key_bits_) return kNone;

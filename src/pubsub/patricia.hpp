@@ -139,8 +139,6 @@ class PatriciaTrie {
   /// when the body was keyed for `p.origin`, else by hashing.
   BitString key_of(const Publication& p) const;
 
-  bool contains(const Publication& p) const;
-
   std::size_t size() const { return pubs_.size(); }
   bool empty() const { return pubs_.empty(); }
 

@@ -20,9 +20,4 @@ void Trace::record_id(Round round, NodeId from, NodeId to, std::uint32_t label,
   events_.push_back(TraceEvent{round, from, to, label, kind, flow});
 }
 
-void Trace::clear() {
-  events_.clear();
-  dropped_ = 0;
-}
-
 }  // namespace ssps::sim

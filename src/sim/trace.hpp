@@ -60,8 +60,7 @@ class Trace {
   void record_id(Round round, NodeId from, NodeId to, std::uint32_t label,
                  TraceEventKind kind = TraceEventKind::kNote, std::uint64_t flow = 0);
 
-  /// Dense id for a label (stable for this Trace; interning survives
-  /// clear()).
+  /// Dense id for a label (stable for this Trace).
   std::uint32_t intern(std::string_view label);
 
   /// Name of an interned label id.
@@ -69,9 +68,6 @@ class Trace {
 
   const std::deque<TraceEvent>& events() const { return events_; }
   std::size_t dropped() const { return dropped_; }
-
-  /// Drops all recorded events (label interning survives).
-  void clear();
 
  private:
   struct StringHash {
@@ -85,7 +81,7 @@ class Trace {
   std::size_t dropped_ = 0;
   std::deque<TraceEvent> events_;
 
-  // Interning (not cleared by clear()).
+  // Interning.
   std::vector<std::string> label_names_;  // id -> name
   std::unordered_map<std::string, std::uint32_t, StringHash, std::equal_to<>>
       label_ids_;  // name -> id

@@ -167,13 +167,15 @@ TEST(McExecutor, RestoreReturnsToTheSavedPosition) {
   // (1 to 7 choices, so some excursions cross round boundaries), restore:
   // the executor must be back at the saved position — the same hash as
   // before, the same hash replay reaches from the root — and must retrace
-  // the excursion hash for hash.
+  // the excursion hash for hash. One checkpoint serves the whole walk, as
+  // one serves each level of the explorer: every save overwrites it.
   for (const std::size_t nodes : {2u, 3u}) {
     for (const bool random : {false, true}) {
       SCOPED_TRACE(std::to_string(nodes) + (random ? " nodes, random" : " nodes"));
       const Executor::Options options = ssps::scenario::mc_certify_options(7, nodes);
       Executor exec(options);
       Executor reference(options);
+      Executor::Checkpoint checkpoint;
       ssps::Rng rng(0x5eed + nodes);
       exec.prime();
       Trace trace;
@@ -181,7 +183,7 @@ TEST(McExecutor, RestoreReturnsToTheSavedPosition) {
         const StateHash here = exec.state_hash();
         // Not hashed (no protocol decision reads it here), but restored.
         const ssps::sim::Round round = exec.system().net().round();
-        const Executor::Checkpoint checkpoint = exec.save();
+        exec.save(checkpoint);
 
         Trace ahead;
         std::vector<StateHash> hashes;
@@ -211,12 +213,89 @@ TEST(McExecutor, RestoreReturnsToTheSavedPosition) {
       EXPECT_GT(exec.rounds(), 1u);
     }
   }
+
+  // A checkpoint saved twice restores only its last save: nothing of the
+  // first save's messages, round or caches comes back with the second.
+  Executor exec(ssps::scenario::mc_certify_options(7, 3));
+  Executor::Checkpoint checkpoint;
+  exec.prime();
+  const StateHash first = exec.state_hash();
+  exec.save(checkpoint);
+  for (int k = 0; k < 12; ++k) step(exec, nullptr);
+  const StateHash second = exec.state_hash();
+  const std::size_t live = exec.system().net().pool().live();
+  const std::size_t rounds = exec.rounds();
+  exec.save(checkpoint);
+  for (int k = 0; k < 12; ++k) step(exec, nullptr);
+  exec.restore(checkpoint);
+  ASSERT_NE(second, first);
+  EXPECT_EQ(exec.state_hash(), second);
+  EXPECT_EQ(exec.system().net().pool().live(), live);
+  EXPECT_EQ(exec.rounds(), rounds);
+}
+
+TEST(McExecutor, IncrementalHashMatchesAColdEncoding) {
+  // state_hash() re-encodes only the nodes and messages that changed since
+  // it last ran. replay(trace) rebuilds the system, which leaves every
+  // cache cold, so at every position of a walk the incremental hash must
+  // equal the one replay reaches. The walks cover serial and random
+  // schedules, positions just after a barrier (before the next prime) and
+  // positions just after a restore, whose excursions run ahead 1 to 5
+  // choices and so sometimes cross a round boundary.
+  for (const std::size_t nodes : {2u, 3u}) {
+    for (const int junk : {0, 1}) {
+      for (const bool random : {false, true}) {
+        SCOPED_TRACE(std::to_string(nodes) + " nodes, junk " + std::to_string(junk) +
+                     (random ? ", random" : ""));
+        Executor::Options options = ssps::scenario::mc_certify_options(11, nodes);
+        options.scramble.junk_messages = junk;
+        Executor exec(options);
+        Executor cold(options);
+        Executor::Checkpoint checkpoint;
+        ssps::Rng rng(0xc01d + nodes + 2 * junk);
+        const auto expect_cold = [&](const Trace& trace, bool closed, const char* where) {
+          cold.replay(trace);
+          if (closed) cold.barrier();
+          EXPECT_EQ(exec.state_hash(), cold.state_hash())
+              << where << " after " << trace.size();
+        };
+        exec.prime();
+        Trace trace;
+        for (std::size_t position = 0; position < 40; ++position) {
+          expect_cold(trace, false, "walk");
+          if (position % 4 == 3) {
+            // An excursion from a checkpoint, hashed all the way, then back.
+            exec.save(checkpoint);
+            Trace ahead = trace;
+            ssps::Rng ahead_rng(position);
+            for (std::size_t k = 0; k < 1 + position % 5; ++k) {
+              ahead.push_back(step(exec, random ? &ahead_rng : nullptr));
+              expect_cold(ahead, false, "excursion");
+            }
+            exec.restore(checkpoint);
+            expect_cold(trace, false, "restore");
+          }
+          if (exec.enabled().slots.empty()) {
+            // A drained round: hash the boundary between barrier and prime.
+            exec.barrier();
+            expect_cold(trace, true, "barrier");
+            exec.prime();
+            trace.push_back(kAdvance);
+            continue;
+          }
+          trace.push_back(step(exec, random ? &rng : nullptr));
+        }
+        EXPECT_GT(exec.rounds(), 1u);
+      }
+    }
+  }
 }
 
 TEST(McExecutor, RestoreRefusesACheckpointOfARebuiltSystem) {
   Executor exec(small_options(1));
   exec.prime();
-  const Executor::Checkpoint checkpoint = exec.save();
+  Executor::Checkpoint checkpoint;
+  exec.save(checkpoint);
   exec.replay(Trace{});
   EXPECT_DEATH(exec.restore(checkpoint), "rebuilt");
 }

@@ -40,6 +40,12 @@ std::string hex_digest_with(sha256::Compressor compress, std::string_view messag
   return out;
 }
 
+/// One-shot SHA-256 of a string's bytes.
+Digest digest_of(std::string_view message) {
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(message.data());
+  return Sha256::digest(std::span<const std::uint8_t>(bytes, message.size()));
+}
+
 std::string random_message(Rng& rng, std::size_t len) {
   std::string out(len, '\0');
   for (char& c : out) c = static_cast<char>(rng.below(256));
@@ -59,17 +65,17 @@ constexpr Vector kFipsVectors[] = {
 };
 
 TEST(Sha256, EmptyString) {
-  EXPECT_EQ(to_hex(Sha256::digest(std::string_view{})),
+  EXPECT_EQ(to_hex(digest_of(std::string_view{})),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
 }
 
 TEST(Sha256, Abc) {
-  EXPECT_EQ(to_hex(Sha256::digest("abc")),
+  EXPECT_EQ(to_hex(digest_of("abc")),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
 TEST(Sha256, TwoBlockMessage) {
-  EXPECT_EQ(to_hex(Sha256::digest("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
+  EXPECT_EQ(to_hex(digest_of("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
 }
 
@@ -84,7 +90,7 @@ TEST(Sha256, MillionAs) {
 TEST(Sha256, ExactBlockBoundary) {
   // 56 bytes forces the length into a second padding block.
   const std::string s(56, 'x');
-  const Digest a = Sha256::digest(s);
+  const Digest a = digest_of(s);
   // Incremental in odd chunks must agree.
   Sha256 h;
   h.update(s.substr(0, 13));
@@ -95,7 +101,7 @@ TEST(Sha256, ExactBlockBoundary) {
 
 TEST(Sha256, SixtyFourByteMessage) {
   const std::string s(64, 'y');
-  const Digest once = Sha256::digest(s);
+  const Digest once = digest_of(s);
   Sha256 h;
   for (char c : s) h.update(std::string_view(&c, 1));
   EXPECT_EQ(h.finish(), once);
@@ -107,7 +113,7 @@ TEST(Sha256, UpdateSplitAtEveryPointMatchesOneShot) {
   Rng rng(11);
   for (std::size_t len = 0; len <= 200; ++len) {
     const std::string message = random_message(rng, len);
-    const Digest once = Sha256::digest(message);
+    const Digest once = digest_of(message);
     for (std::size_t split = 0; split <= len; ++split) {
       Sha256 h;
       h.update(std::string_view(message).substr(0, split));
@@ -149,7 +155,7 @@ TEST(Sha256Compressors, DispatchedDigestMatchesPortable) {
   Rng rng(9);
   for (std::size_t len = 0; len <= 1000; len += 7) {
     const std::string message = random_message(rng, len);
-    ASSERT_EQ(to_hex(Sha256::digest(message)),
+    ASSERT_EQ(to_hex(digest_of(message)),
               hex_digest_with(sha256::compress_portable, message))
         << "len " << len;
   }
@@ -173,8 +179,8 @@ TEST(HashLabel, DistinguishesPaddingEquivalentLabels) {
 }
 
 TEST(HashChildren, OrderMatters) {
-  const Digest a = Sha256::digest("left");
-  const Digest b = Sha256::digest("right");
+  const Digest a = digest_of("left");
+  const Digest b = digest_of("right");
   EXPECT_NE(hash_children(a, b), hash_children(b, a));
 }
 

@@ -89,8 +89,15 @@ TEST(Patricia, ContainsAfterInsert) {
                                "payload" + std::to_string(i)});
     t.insert(pubs.back());
   }
-  for (const auto& p : pubs) EXPECT_TRUE(t.contains(p));
-  EXPECT_FALSE(t.contains(Publication{sim::NodeId{99}, "absent"}));
+  // A stored publication's m-bit key names its leaf; an absent one's
+  // names nothing.
+  for (const auto& p : pubs) {
+    const Locate loc = t.locate(t.key_of(p));
+    EXPECT_EQ(loc.kind, Locate::Kind::kExact);
+    EXPECT_TRUE(loc.is_leaf);
+  }
+  const Publication absent{sim::NodeId{99}, "absent"};
+  EXPECT_EQ(t.locate(t.key_of(absent)).kind, Locate::Kind::kMiss);
 }
 
 TEST(Patricia, FigureTwoStructure) {

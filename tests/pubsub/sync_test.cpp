@@ -154,7 +154,8 @@ TEST(Sync, FigureTwoScenarioDeliversP4) {
   p.v_->timeout();
   p.pump();
   EXPECT_TRUE(p.u_->trie().equal_contents(p.v_->trie()));
-  EXPECT_TRUE(p.v_->trie().contains(p4));
+  const PatriciaTrie& v_trie = p.v_->trie();
+  EXPECT_EQ(v_trie.locate(v_trie.key_of(p4)).kind, Locate::Kind::kExact);
 }
 
 TEST(Sync, InitiationDirectionMattersAsThePaperNotes) {

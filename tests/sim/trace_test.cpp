@@ -44,10 +44,6 @@ TEST(Trace, InternsLabelsToStableDenseIds) {
   EXPECT_EQ(t.label_name(a), "A");
   t.record(1, NodeId{1}, NodeId{2}, "A");
   EXPECT_EQ(t.events().back().label, a);
-  // Interning survives clear(): ids recorded before and after agree.
-  t.clear();
-  t.record(2, NodeId{1}, NodeId{2}, "A");
-  EXPECT_EQ(t.events().back().label, a);
 }
 
 TEST(Trace, RecordsKindAndFlowCorrelation) {
@@ -58,16 +54,6 @@ TEST(Trace, RecordsKindAndFlowCorrelation) {
   EXPECT_EQ(t.events().front().kind, TraceEventKind::kSend);
   EXPECT_EQ(t.events().back().kind, TraceEventKind::kDeliver);
   EXPECT_EQ(t.events().front().flow, t.events().back().flow);
-}
-
-TEST(Trace, ClearResets) {
-  Trace t(2);
-  t.record(1, NodeId{1}, NodeId{2}, "x");
-  t.record(2, NodeId{1}, NodeId{2}, "y");
-  t.record(3, NodeId{1}, NodeId{2}, "z");
-  t.clear();
-  EXPECT_TRUE(t.events().empty());
-  EXPECT_EQ(t.dropped(), 0u);
 }
 
 }  // namespace
