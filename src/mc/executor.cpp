@@ -6,17 +6,10 @@
 
 #include "common/assert.hpp"
 #include "common/encode.hpp"
-#include "pubsub/hash.hpp"
 
 namespace ssps::mc {
 
 namespace {
-
-/// Byte order as std::vector<std::uint8_t>'s operator< defines it.
-bool bytes_less(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b) {
-  const int order = std::memcmp(a.data(), b.data(), std::min(a.size(), b.size()));
-  return order != 0 ? order < 0 : a.size() < b.size();
-}
 
 bool bytes_equal(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b) {
   return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size()) == 0;
@@ -28,45 +21,22 @@ std::uint8_t* put_u64(std::uint8_t* out, std::uint64_t v) {
   return out + 8;
 }
 
-std::uint8_t* put_bytes(std::uint8_t* out, std::span<const std::uint8_t> bytes) {
-  if (!bytes.empty()) std::memcpy(out, bytes.data(), bytes.size());
-  return out + bytes.size();
+std::uint8_t* put_hash(std::uint8_t* out, const Hash128& h) {
+  return put_u64(put_u64(out, h.hi), h.lo);
 }
 
-}  // namespace
-
-void Executor::Encodings::add(const sim::Envelope& env) {
-  const std::size_t offset = bytes.size();
-  common::Encoder enc(bytes);
+/// Appends `env`'s canonical encoding (target, name, payload) to `out`.
+/// Aborts with a diagnostic if the message class lacks an encoding —
+/// every protocol message must stay encodable.
+void encode_message(const sim::Envelope& env, std::vector<std::uint8_t>& out) {
+  common::Encoder enc(out);
   enc.u64(env.to.value);
   enc.string(env.msg->name());
   const bool encodable = env.msg->encode(enc);
   SSPS_ASSERT_MSG(encodable, "mc: in-flight message class lacks a canonical encoding");
-  const auto entry = static_cast<std::uint32_t>(spans.size());
-  spans.push_back(Span{offset, bytes.size() - offset});
-  const auto less = [this](std::uint32_t a, std::uint32_t b) {
-    return bytes_less(at(a), at(b));
-  };
-  order.insert(std::upper_bound(order.begin(), order.end(), entry, less), entry);
 }
 
-template <typename Keep>
-std::uint8_t* Executor::Encodings::write(std::uint8_t* out, std::size_t count,
-                                         Keep keep) const {
-  out = put_u64(out, count);
-  for (const std::uint32_t i : order) {
-    if (!keep(i)) continue;
-    out = put_u64(out, spans[i].size);
-    out = put_bytes(out, at(i));
-  }
-  return out;
-}
-
-void Executor::Encodings::clear() {
-  bytes.clear();
-  spans.clear();
-  order.clear();
-}
+}  // namespace
 
 Executor::Executor(const Options& options) : opt_(options) { reset(); }
 
@@ -87,15 +57,12 @@ void Executor::reset() {
   sys_->net().set_scheduler(std::move(branch));
   oracle::ArbitraryStateInjector injector(opt_.scramble);
   injector.scramble(*sys_);
-  members_ = sys_->subscriber_ids();
   nodes_.clear();
   nodes_.reserve(sys_->net().alive_count());
-  sys_->net().for_each_alive(
-      [this](sim::NodeId, const sim::Node& node) { nodes_.push_back(&node); });
-  caches_.nodes.resize(nodes_.size());
-  for (NodeEncoding& node : caches_.nodes) node.stale = true;
-  caches_.lane.clear();
-  caches_.batch.clear();
+  sys_->net().for_each_alive([this](sim::NodeId, const sim::Node& node) {
+    nodes_.push_back(Tracked{.node = &node, .stamp = next_stamp(), .digest = {}});
+  });
+  lane_digests_ = {};
   rounds_ = 0;
   ++system_;
 }
@@ -115,22 +82,33 @@ void Executor::save(Checkpoint& cp) {
   cp.release_clones();
   sim::Network& net = sys_->net();
   cp.system_ = system_;
+  cp.nodes_.resize(nodes_.size());
   // Copy-assignment into the previous save's objects reuses their
-  // containers' storage.
-  const core::SupervisorNode& supervisor =
-      net.node_as<core::SupervisorNode>(sys_->supervisor_id());
-  cp.supervisor_ = supervisor.protocol();
-  cp.supervisor_rng_ = supervisor.rng_stream();
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    const pubsub::PubSubNode& node = net.node_as<pubsub::PubSubNode>(members_[i]);
-    if (i == cp.members_.size()) {
-      cp.members_.push_back({node.protocol(), node.pubsub(), node.rng_stream()});
+  // containers' storage. A node whose saved copy carries its stamp is
+  // still that copy: the stamps never repeat.
+  std::size_t member = 0;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const Tracked& live = nodes_[i];
+    Checkpoint::Saved& saved = cp.nodes_[i];
+    const bool supervisor = live.node->kind() == sim::NodeKind::kSupervisor;
+    const bool copy = saved.stamp != live.stamp;
+    if (copy) {
+      saved.stamp = live.stamp;
+      saved.rng = live.node->rng_stream();
+    }
+    if (saved.digest.stamp != saved.stamp) saved.digest = live.digest;
+    if (supervisor) {
+      if (copy) cp.supervisor_ = sys_->supervisor();
       continue;
     }
-    Checkpoint::Member& saved = cp.members_[i];
-    saved.overlay = node.protocol();
-    saved.pubsub = node.pubsub();
-    saved.rng = node.rng_stream();
+    const pubsub::PubSubNode& node = net.node_as<pubsub::PubSubNode>(live.node->id());
+    if (member == cp.members_.size()) {
+      cp.members_.push_back({node.protocol(), node.pubsub()});
+    } else if (copy) {
+      cp.members_[member].overlay = node.protocol();
+      cp.members_[member].pubsub = node.pubsub();
+    }
+    ++member;
   }
   cp.net_rng_ = net.rng();
   cp.round_ = net.round();
@@ -148,7 +126,13 @@ void Executor::save(Checkpoint& cp) {
   cp.fired_ = fired_;
   cp.rounds_ = rounds_;
   cp.consumed_ = consumed_;
-  cp.caches_ = caches_;
+  cp.lane_digests_ = lane_digests_;
+  cp.unfired_ = unfired_;
+  // A batch's encodings never change after its prime, whose stamp they
+  // carry.
+  if (cp.batch_encodings_.stamp != batch_encodings_.stamp) {
+    cp.batch_encodings_ = batch_encodings_;
+  }
 }
 
 void Executor::restore(const Checkpoint& cp) {
@@ -156,16 +140,29 @@ void Executor::restore(const Checkpoint& cp) {
                   "restore: the system was rebuilt (reset or replay) since the save");
   discard_round();
   sim::Network& net = sys_->net();
-  core::SupervisorNode& supervisor =
-      net.node_as<core::SupervisorNode>(sys_->supervisor_id());
-  supervisor.protocol().restore(*cp.supervisor_);
-  supervisor.set_rng_stream(cp.supervisor_rng_);
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    const Checkpoint::Member& saved = cp.members_[i];
-    pubsub::PubSubNode& node = net.node_as<pubsub::PubSubNode>(members_[i]);
-    node.protocol().restore(saved.overlay);
-    node.pubsub() = saved.pubsub;
-    node.set_rng_stream(saved.rng);
+  // Only a node whose stamp moved since the save changed; the rest still
+  // hold the saved states.
+  std::size_t member = 0;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    Tracked& live = nodes_[i];
+    const Checkpoint::Saved& saved = cp.nodes_[i];
+    const bool supervisor = live.node->kind() == sim::NodeKind::kSupervisor;
+    if (live.stamp != saved.stamp) {
+      live.stamp = saved.stamp;
+      if (supervisor) {
+        core::SupervisorNode& node = net.node_as<core::SupervisorNode>(live.node->id());
+        node.protocol().restore(*cp.supervisor_);
+        node.set_rng_stream(saved.rng);
+      } else {
+        const Checkpoint::Member& copy = cp.members_[member];
+        pubsub::PubSubNode& node = net.node_as<pubsub::PubSubNode>(live.node->id());
+        node.protocol().restore(copy.overlay);
+        node.pubsub() = copy.pubsub;
+        node.set_rng_stream(saved.rng);
+      }
+    }
+    if (live.digest.stamp != live.stamp) live.digest = saved.digest;
+    if (!supervisor) ++member;
   }
   net.rng() = cp.net_rng_;
   branch_->set_round(net, cp.round_);
@@ -176,7 +173,11 @@ void Executor::restore(const Checkpoint& cp) {
   fired_ = cp.fired_;
   rounds_ = cp.rounds_;
   consumed_ = cp.consumed_;
-  caches_ = cp.caches_;
+  lane_digests_ = cp.lane_digests_;
+  unfired_ = cp.unfired_;
+  if (batch_encodings_.stamp != cp.batch_encodings_.stamp) {
+    batch_encodings_ = cp.batch_encodings_;
+  }
 }
 
 void Executor::discard_round() {
@@ -189,6 +190,7 @@ void Executor::discard_round() {
   batch_ = 0;
   fired_ = 0;
   consumed_.clear();
+  unfired_ = {};
 }
 
 void Executor::prime() {
@@ -199,9 +201,19 @@ void Executor::prime() {
   fired_ = 0;
   primed_ = true;
   // The lane's messages are now the batch's; the lane starts empty.
-  caches_.lane.clear();
-  caches_.batch.clear();
-  for (std::size_t i = 0; i < batch_; ++i) caches_.batch.add(branch_->slot(net, i));
+  lane_digests_ = {};
+  Batch& encodings = batch_encodings_;
+  encodings.stamp = next_stamp();
+  encodings.bytes.clear();
+  encodings.entries.clear();
+  for (std::size_t i = 0; i < batch_; ++i) {
+    const std::size_t offset = encodings.bytes.size();
+    encode_message(branch_->slot(net, i), encodings.bytes);
+    const std::size_t size = encodings.bytes.size() - offset;
+    const Hash128 digest = hash128({encodings.bytes.data() + offset, size});
+    encodings.entries.push_back({offset, size, digest});
+    unfired_.add(digest);
+  }
 }
 
 void Executor::barrier() {
@@ -209,7 +221,7 @@ void Executor::barrier() {
   branch_->barrier(sys_->net());
   primed_ = false;
   ++rounds_;
-  for (NodeEncoding& node : caches_.nodes) node.stale = true;
+  for (Tracked& node : nodes_) node.stamp = next_stamp();
 }
 
 Enabled Executor::enabled() {
@@ -224,10 +236,10 @@ Enabled Executor::enabled() {
     if (consumed_[i]) continue;
     const sim::Envelope& env = branch_->slot(net, i);
     if (env.to != target) break;  // groups are contiguous in target order
-    const std::span<const std::uint8_t> key = caches_.batch.at(i);
+    const std::span<const std::uint8_t> key = batch_encodings_.at(i);
     const bool duplicate =
         std::any_of(out.slots.begin(), out.slots.end(), [&](std::uint32_t kept) {
-          return bytes_equal(caches_.batch.at(kept), key);
+          return bytes_equal(batch_encodings_.at(kept), key);
         });
     if (duplicate) {
       ++out.pruned;
@@ -252,11 +264,10 @@ void Executor::fire(std::uint32_t slot) {
   }
   consumed_[slot] = true;
   ++fired_;
-  const auto by_id = [](const sim::Node* n, sim::NodeId id) { return n->id() < id; };
+  unfired_.remove(batch_encodings_.entries[slot].digest);
+  const auto by_id = [](const Tracked& n, sim::NodeId id) { return n.node->id() < id; };
   const auto node = std::lower_bound(nodes_.begin(), nodes_.end(), target, by_id);
-  if (node != nodes_.end() && (*node)->id() == target) {
-    caches_.nodes[static_cast<std::size_t>(node - nodes_.begin())].stale = true;
-  }
+  if (node != nodes_.end() && node->node->id() == target) node->stamp = next_stamp();
 }
 
 void Executor::replay(const Trace& trace) {
@@ -279,11 +290,11 @@ void Executor::encode_node(std::size_t index) {
   // them feeds back into any protocol decision (the failure detector reads
   // the crash log, which stays empty here: the checker never crashes
   // nodes).
-  NodeEncoding& cached = caches_.nodes[index];
-  const sim::Node& node = *nodes_[index];
+  Tracked& tracked = nodes_[index];
+  const sim::Node& node = *tracked.node;
   const sim::NodeId id = node.id();
-  cached.bytes.clear();
-  common::Encoder enc(cached.bytes);
+  buffer_.clear();
+  common::Encoder enc(buffer_);
   enc.u64(id.value);
   enc.u8(static_cast<std::uint8_t>(node.kind()));
   if (node.kind() == sim::NodeKind::kSupervisor) {
@@ -295,58 +306,45 @@ void Executor::encode_node(std::size_t index) {
     enc.optional(trie.root(), pubsub::msg::encode_summary);
   }
   for (std::uint64_t word : node.rng_state()) enc.u64(word);
-  cached.stale = false;
+  tracked.digest = {hash128(buffer_), tracked.stamp};
 }
 
 StateHash Executor::state_hash() {
   sim::Network& net = sys_->net();
-  std::size_t size = 0;
-  for (std::size_t i = 0; i < caches_.nodes.size(); ++i) {
-    if (caches_.nodes[i].stale) encode_node(i);
-    size += caches_.nodes[i].bytes.size();
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i].digest.stamp != nodes_[i].stamp) encode_node(i);
   }
   const std::vector<sim::Envelope>& lane = branch_->pending(net);
-  Encodings& lane_enc = caches_.lane;
-  SSPS_ASSERT_MSG(lane_enc.spans.size() <= lane.size(),
+  SSPS_ASSERT_MSG(lane_digests_.count <= lane.size(),
                   "state_hash: the lane shrank without a prime or restore");
-  for (std::size_t i = lane_enc.spans.size(); i < lane.size(); ++i) lane_enc.add(lane[i]);
-  const Encodings& batch_enc = caches_.batch;
-  const std::size_t unfired = primed_ ? batch_ - fired_ : 0;
+  for (std::size_t i = lane_digests_.count; i < lane.size(); ++i) {
+    buffer_.clear();
+    encode_message(lane[i], buffer_);
+    lane_digests_.add(hash128(buffer_));
+  }
   const auto net_rng = net.rng().state();
-  // An upper bound: the unfired slots' encodings are at most the batch's.
-  size += 8 * net_rng.size() + 8 + 8 * lane_enc.spans.size() + lane_enc.bytes.size() + 1;
-  if (primed_) size += 8 + 8 * unfired + batch_enc.bytes.size();
-  state_buf_.resize(std::max(state_buf_.size(), size));
-
-  std::uint8_t* out = state_buf_.data();
-  for (const NodeEncoding& node : caches_.nodes) out = put_bytes(out, node.bytes);
+  buffer_.resize(16 * nodes_.size() + 8 * net_rng.size() + 1 + 2 * 24);
+  std::uint8_t* out = buffer_.data();
+  for (const Tracked& node : nodes_) out = put_hash(out, node.digest.digest);
   // The network's stream feeds prime()'s shuffle, so it is state too.
   for (std::uint64_t word : net_rng) out = put_u64(out, word);
-  // Channel contents as a multiset: per-envelope canonical encodings in
-  // sorted byte order. Sound because the explorer tries every delivery
-  // order anyway — two states whose channels hold the same messages in
-  // different send order have identical futures.
-  out = lane_enc.write(out, lane_enc.spans.size(), [](std::uint32_t) { return true; });
-  // Mid-round positions additionally carry the undelivered remainder of
-  // the primed batch, also as a sorted multiset: two delivery orders that
-  // land on the same node states, RNG streams and remaining messages have
-  // identical futures (the branch point only ever offers the lowest-id
-  // target's distinct messages, a function of exactly this data), so the
-  // explorer's round memo can collapse commuting permutations. The flag
-  // byte keeps boundary and mid-round encodings from ever colliding.
+  // The flag byte keeps boundary and mid-round positions from ever
+  // colliding: a drained round still has its barrier ahead.
   *out++ = primed_ ? 1 : 0;
-  if (primed_) {
-    const auto unfired_slot = [this](std::uint32_t slot) { return !consumed_[slot]; };
-    out = batch_enc.write(out, unfired, unfired_slot);
+  // Channel contents as a multiset: the sum of the per-envelope digests.
+  // Sound because the explorer tries every delivery order anyway — two
+  // states whose channels hold the same messages in different send order
+  // have identical futures. Mid-round positions additionally carry the
+  // undelivered remainder of the primed batch, also as a multiset: two
+  // delivery orders that land on the same node states, RNG streams and
+  // remaining messages have identical futures (the branch point only ever
+  // offers the lowest-id target's distinct messages, a function of
+  // exactly this data), so the explorer's round memo can collapse
+  // commuting permutations.
+  for (const DigestSum* multiset : {&lane_digests_, &unfired_}) {
+    out = put_hash(put_u64(out, multiset->count), multiset->sum);
   }
-  const pubsub::Digest digest = pubsub::Sha256::digest(
-      std::span<const std::uint8_t>(state_buf_.data(), out));
-  StateHash h;
-  for (int i = 0; i < 8; ++i) {
-    h.hi |= static_cast<std::uint64_t>(digest[i]) << (8 * i);
-    h.lo |= static_cast<std::uint64_t>(digest[8 + i]) << (8 * i);
-  }
-  return h;
+  return hash128({buffer_.data(), out});
 }
 
 oracle::OracleReport Executor::check() { return oracle::check_system(*sys_); }

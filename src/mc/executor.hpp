@@ -27,27 +27,60 @@
 //   - state_hash() fingerprints the position canonically, which the
 //     explorer's visited set and round memo dedupe on.
 //
-// state_hash() hashes the same bytes a from-scratch encoding of every
-// node and message would give, but re-encodes only what may have changed
-// since it last ran. Three caches hold the encodings, and this is when
-// each goes stale (the soundness argument of the incremental hash):
+// state_hash() fingerprints a position without re-reading it. Each node's
+// canonical encoding (id, kind, encode_state, trie size and root summary,
+// RNG words) is digested with hash128 when it is encoded, and so is each
+// in-flight message's (target, name, payload) when it enters the lane or
+// the primed batch. The fingerprint is then hash128 over ~130 bytes: the
+// node digests in id order, the network's RNG words, a boundary/mid-round
+// flag, and for the lane and for the batch's unfired slots a count and
+// the per-word sum mod 2^64 of their message digests.
 //
-//   - Node encodings (id, kind, encode_state, trie size and root summary,
-//     RNG words). fire(slot) stales only that slot's target: a handler
-//     touches only its own node's state and stream — the argument
-//     enabled()'s fixed target order rests on. barrier() stales every
-//     node (the Timeout sweep acts on all of them), and reset() and
-//     replay() stale every node of the rebuilt system. restore() copies
-//     the saved encodings back. prime() and check() change no node. The
-//     network's RNG words are not cached: prime() draws from that stream.
-//   - The primed batch. prime() encodes every grouped slot once and keeps
-//     the slot indices sorted by those bytes. A primed slot is never
-//     mutated, only delivered or discarded, so enabled() compares cached
-//     bytes and state_hash() writes the unfired slots in that order.
-//   - The lane. Between two prime() calls the lane only grows, at its end,
-//     so state_hash() encodes just the envelopes appended since its last
-//     call and inserts each one into the sorted order. prime() empties the
-//     cache with the lane; restore() copies the saved one back.
+// Soundness. Two different positions share a fingerprint only if two
+// distinct encodings share a 128-bit digest, two different message
+// multisets share a (count, sum) pair, or two different fingerprint
+// inputs share a hash128 value. On inputs nobody chose to collide each
+// happens with probability about 2^-128 per pair of positions, so k
+// positions all stay apart except with probability about k^2/2^129: the
+// bound a 128-bit truncation of SHA-256 gives on such inputs. The sum is
+// a multiset hash that needs no sorting, and it must be a sum. An XOR
+// would cancel every pair of byte-identical messages, and rounds carry
+// such pairs all the time (enabled() prunes them). A sum weakens only
+// where multiplicities differ by a large power of two: c = 2^v * odd more
+// copies of one message cost v bits of each 64-bit word, and a round
+// holds a few dozen messages.
+//
+// Stamps. Every change to a node's state (its protocol objects and RNG
+// stream) gives the node a fresh stamp from a counter that never rewinds:
+// fire(slot) for that slot's target only (a handler touches only its own
+// node's state and stream — the argument enabled()'s fixed target order
+// rests on), barrier() for every node (the Timeout sweep acts on all of
+// them), reset() and replay() for every node of the rebuilt system.
+// prime(), check() and state_hash() change no node. Copies carry their
+// stamp along, so equal stamps mean equal states, and one rule serves
+// three users:
+//
+//   - A node digest is valid while its stamp matches the node's.
+//   - save() skips a node whose copy in the checkpoint already carries the
+//     node's stamp: the explorer reuses one checkpoint per search level,
+//     and between two saves at a level mostly the fired targets changed.
+//   - restore() copies back the protocol objects, RNG stream and digest of
+//     only the nodes whose stamp differs from the saved one: between a
+//     save and a sibling's restore only the fired targets change, unless
+//     the excursion crossed a barrier.
+//
+// A counter that restore() rewound would hand out a stamp twice, to two
+// different states of one node; McExecutor.RestoreNeverReusesAStamp pins
+// that trap.
+//
+// Messages need no stamps of their own. A primed slot is never mutated,
+// only delivered or discarded, so prime() encodes and digests every
+// grouped slot once (enabled() compares the bytes) and stamps the batch,
+// so save() and restore() copy those encodings only across a round
+// boundary; fire() subtracts the slot's digest from the unfired sum.
+// Between two prime() calls the lane only grows, at its end, so
+// state_hash() digests just the envelopes appended since its last call.
+// restore() copies both sums back.
 //
 // Neither path rewinds the Network's metrics or latency counters: restore
 // leaves them counting on, and replay's rebuilt system starts them over.
@@ -61,6 +94,7 @@
 #include <string>
 #include <vector>
 
+#include "mc/hash128.hpp"
 #include "oracle/invariants.hpp"
 #include "oracle/scramble.hpp"
 #include "pubsub/pubsub_node.hpp"
@@ -69,12 +103,9 @@
 
 namespace ssps::mc {
 
-/// 128-bit truncated SHA-256 of the canonical state encoding.
-struct StateHash {
-  std::uint64_t hi = 0;
-  std::uint64_t lo = 0;
-  bool operator==(const StateHash&) const = default;
-};
+/// A position's fingerprint: hash128 over the cached node and message
+/// digests (see the file header).
+using StateHash = Hash128;
 
 struct StateHashOf {
   std::size_t operator()(const StateHash& h) const {
@@ -120,59 +151,61 @@ class Executor {
   };
 
  private:
-  /// Canonical encodings of in-flight messages (target + name + payload)
-  /// in one flat buffer, entry i at spans[i], with `order` listing the
-  /// entries in byte order as std::vector<std::uint8_t>'s operator<
-  /// defines it: the first differing byte decides, and a proper prefix
-  /// sorts first.
-  struct Encodings {
-    struct Span {
+  /// A multiset of message digests: how many, and their per-word sum mod
+  /// 2^64 (see the file header for why a sum).
+  struct DigestSum {
+    std::uint64_t count = 0;
+    Hash128 sum;
+
+    void add(const Hash128& digest) {
+      ++count;
+      sum.hi += digest.hi;
+      sum.lo += digest.lo;
+    }
+    void remove(const Hash128& digest) {
+      --count;
+      sum.hi -= digest.hi;
+      sum.lo -= digest.lo;
+    }
+  };
+
+  /// The primed batch's canonical message encodings (target + name +
+  /// payload) by slot index, in one flat buffer, with each slot's digest.
+  /// Fixed from prime() to the next prime(), which gives it a fresh stamp.
+  struct Batch {
+    struct Entry {
       std::size_t offset = 0;
       std::size_t size = 0;
+      Hash128 digest;
     };
+    std::uint64_t stamp = 0;
     std::vector<std::uint8_t> bytes;
-    std::vector<Span> spans;
-    std::vector<std::uint32_t> order;
+    std::vector<Entry> entries;
 
-    /// Encodes `env` as entry spans.size() and inserts it into `order`.
-    /// Aborts with a diagnostic if the message class lacks an encoding —
-    /// every protocol message must stay encodable.
-    void add(const sim::Envelope& env);
     std::span<const std::uint8_t> at(std::size_t i) const {
-      return {bytes.data() + spans[i].offset, spans[i].size};
+      return {bytes.data() + entries[i].offset, entries[i].size};
     }
-    /// Writes the `count` entries `keep(index)` accepts at `out` as a
-    /// multiset, in common::Encoder's format: the count, then each
-    /// encoding length-prefixed, in byte order. Returns the end.
-    template <typename Keep>
-    std::uint8_t* write(std::uint8_t* out, std::size_t count, Keep keep) const;
-    void clear();
   };
 
-  /// One node's canonical encoding, and whether it may be out of date.
-  struct NodeEncoding {
-    std::vector<std::uint8_t> bytes;
-    bool stale = true;
-  };
-
-  /// The three caches state_hash() reads (see the file header).
-  struct Caches {
-    std::vector<NodeEncoding> nodes;  // id order
-    Encodings lane;                   // the lane's envelopes hashed so far, in send order
-    Encodings batch;                  // the primed batch, by slot index
+  /// The digest of a node's canonical encoding, and the stamp of the state
+  /// it was taken of. Stamps start at 1, so stamp 0 marks none taken.
+  struct NodeDigest {
+    Hash128 digest;
+    std::uint64_t stamp = 0;
   };
 
  public:
   /// An exact copy of one position: every node's protocol objects and RNG
   /// stream, the network's RNG stream and round clock, a clone of every
   /// in-flight message (the lane in send order, the primed batch at its
-  /// slot indices), the executor's round bookkeeping and its encoding
-  /// caches. The protocol copies point at their own node's sink and RNG,
-  /// so a checkpoint is valid only on the system that made it: restore()
+  /// slot indices), the executor's round bookkeeping and its digests. The
+  /// protocol copies point at their own node's sink and RNG, so a
+  /// checkpoint is valid only on the system that made it: restore()
   /// refuses one saved before a reset() or replay(). A checkpoint is
-  /// reusable: each save() overwrites it, copy-assigning into the
-  /// containers the previous save left. It must not outlive its executor,
-  /// whose pool holds the message clones.
+  /// reusable: each save() overwrites it, skipping the nodes whose saved
+  /// copy already carries their current stamp and copy-assigning the rest
+  /// into the containers the previous save left. It must not outlive its
+  /// executor, whose pool holds the message clones.
   class Checkpoint {
    public:
     /// An empty checkpoint, for save() to fill.
@@ -184,19 +217,25 @@ class Executor {
    private:
     friend class Executor;
 
-    /// One subscriber's protocol objects and RNG stream.
+    /// One node's saved stamp, RNG stream and digest, in id order. The
+    /// protocol objects are in supervisor_ and members_.
+    struct Saved {
+      std::uint64_t stamp = 0;  // 0: nothing saved yet
+      ssps::Rng rng{0};
+      NodeDigest digest;
+    };
+    /// One subscriber's protocol objects.
     struct Member {
       core::SubscriberProtocol overlay;
       pubsub::PubSubProtocol pubsub;
-      ssps::Rng rng;
     };
 
     /// Returns every message clone to its pool.
     void release_clones();
 
     std::uint64_t system_ = 0;
+    std::vector<Saved> nodes_;
     std::optional<core::SupervisorProtocol> supervisor_;
-    ssps::Rng supervisor_rng_{0};
     std::vector<Member> members_;  // subscribers in id order
     ssps::Rng net_rng_{0};
     sim::Round round_ = 0;
@@ -208,7 +247,9 @@ class Executor {
     std::size_t fired_ = 0;
     std::size_t rounds_ = 0;
     std::vector<bool> consumed_;
-    Caches caches_;
+    DigestSum lane_digests_;
+    DigestSum unfired_;
+    Batch batch_encodings_;
   };
 
   explicit Executor(const Options& options);
@@ -225,10 +266,11 @@ class Executor {
   /// Puts the executor back at the position `checkpoint` saved, which
   /// must come from this executor since its last reset(). First drops
   /// what the current position holds in flight (discard_round() and the
-  /// lane), then copies the saved objects and encoding caches back and
+  /// lane), then copies back the objects and digests of every node whose
+  /// stamp differs from its saved one, and the message digests, and
   /// clones the saved messages into the network's pool; the checkpoint
-  /// stays usable.
-  /// state_version() and db_version() keep counting up.
+  /// stays usable. The state_version() or db_version() of a node copied
+  /// back keeps counting up; a node left alone keeps its own.
   void restore(const Checkpoint& checkpoint);
 
   /// Discards the primed round's unfired slots undelivered (a no-op at a
@@ -276,14 +318,15 @@ class Executor {
 
   /// Canonical fingerprint of the current position: every node's protocol
   /// variables (core::*::encode_state), publication-store root digest +
-  /// size, per-node and network RNG streams, and the channel multiset
-  /// (sorted per-message encodings — sound because every delivery order
-  /// of a channel is explored). Mid-round positions additionally cover
-  /// the undelivered remainder of the primed batch, so equal hashes mean
-  /// equal futures whether taken at a boundary or between fires. Excludes
-  /// the round/step clocks and all derived caches/version counters.
-  /// Re-encodes only what may have changed since the last call (see the
-  /// file header); the hashed bytes are those of a cold encoding.
+  /// size, per-node and network RNG streams, and the channel contents as
+  /// a multiset of per-message digests (sound because every delivery
+  /// order of a channel is explored). Mid-round positions additionally
+  /// cover the undelivered remainder of the primed batch, so equal hashes
+  /// mean equal futures whether taken at a boundary or between fires.
+  /// Excludes the round/step clocks and all derived caches/version
+  /// counters. Digests only the nodes whose stamp moved and the messages
+  /// sent since the last call (see the file header); the result is that
+  /// of a cold encoding.
   StateHash state_hash();
 
   /// Oracle sweep of the current state (the accepting predicate).
@@ -298,7 +341,17 @@ class Executor {
   pubsub::PubSubSystem& system() { return *sys_; }
 
  private:
-  /// Re-encodes node `index` (of nodes_) into its cache entry.
+  /// One node of the hashed population.
+  struct Tracked {
+    const sim::Node* node = nullptr;
+    /// The stamp of the node's current state (see the file header).
+    std::uint64_t stamp = 0;
+    NodeDigest digest;
+  };
+
+  /// A fresh stamp: the clock never rewinds, so no two states share one.
+  std::uint64_t next_stamp() { return ++clock_; }
+  /// Re-encodes node `index` (of nodes_) and digests the encoding.
   void encode_node(std::size_t index);
 
   Options opt_;
@@ -309,10 +362,11 @@ class Executor {
   sched::BranchScheduler* branch_ = nullptr;  // owned by the Network
   /// Counts reset() calls: the system a checkpoint was saved on.
   std::uint64_t system_ = 0;
-  /// The subscribers, in id order (the population never changes).
-  std::vector<sim::NodeId> members_;
-  /// Every node, supervisor included, in id order: the hashed population.
-  std::vector<const sim::Node*> nodes_;
+  /// The last stamp handed out. Nothing saves or restores it.
+  std::uint64_t clock_ = 0;
+  /// Every node, supervisor included, in id order: the hashed population
+  /// (it never changes).
+  std::vector<Tracked> nodes_;
 
   bool primed_ = false;
   std::size_t batch_ = 0;
@@ -321,10 +375,15 @@ class Executor {
   /// fired flags per grouped slot of the current round.
   std::vector<bool> consumed_;
 
-  Caches caches_;
-  /// The SHA-256 input, reused so that a warm state_hash() allocates
-  /// nothing.
-  std::vector<std::uint8_t> state_buf_;
+  /// The lane's envelopes digested so far, in send order: its count is the
+  /// next lane index to digest.
+  DigestSum lane_digests_;
+  /// The primed batch's unfired slots; empty at a boundary.
+  DigestSum unfired_;
+  Batch batch_encodings_;
+  /// One node's or lane message's encoding, then the fingerprint input;
+  /// reused so that a warm state_hash() allocates nothing.
+  std::vector<std::uint8_t> buffer_;
 };
 
 }  // namespace ssps::mc

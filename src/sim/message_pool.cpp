@@ -20,14 +20,11 @@ constinit thread_local FreeLane* tls_free_lane = nullptr;
 
 }  // namespace detail
 
-void PooledMsg::reset() {
+void PooledMsg::destroy_held() {
   // During pool teardown the sweep below destructs every live slot
   // itself; a nested owner's release must then be a no-op or the slot
   // would see its destructor twice.
-  if (pool_ != nullptr && ptr_ != nullptr && !pool_->tearing_down()) {
-    pool_->destroy(ptr_);
-  }
-  forget();
+  if (pool_ != nullptr && !pool_->tearing_down()) pool_->destroy(ptr_);
 }
 
 namespace {

@@ -131,8 +131,13 @@ class PooledMsg {
 
   MessagePool* pool() const { return pool_; }
 
-  /// Destroys the held message (if any) and recycles its slot.
-  void reset();
+  /// Destroys the held message (if any) and recycles its slot. Every
+  /// moved-from handle runs this from its destructor, so the empty case
+  /// is tested inline and only the destroy is a call.
+  void reset() {
+    if (ptr_ != nullptr) destroy_held();
+    forget();
+  }
 
   /// Releases ownership without destroying; returns the message. The
   /// caller becomes responsible for MessagePool::destroy.
@@ -147,6 +152,8 @@ class PooledMsg {
     pool_ = nullptr;
     ptr_ = nullptr;
   }
+  /// reset()'s out-of-line half: destroys the held message.
+  void destroy_held();
 
   MessagePool* pool_ = nullptr;
   Message* ptr_ = nullptr;
